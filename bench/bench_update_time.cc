@@ -17,12 +17,11 @@
 #include "core/skimmed_sketch.h"
 #include "hashing/simd_hash.h"
 #include "ingest/concurrent_ingestor.h"
-#include "ingest/parallel_ingestor.h"
 #include "query/engine.h"
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/hash_sketch.h"
-#include "sketch/kernel_options.h"
+#include "sketch/kernel.h"
 #include "stream/stream_element.h"
 #include "stream/zipf.h"
 #include "util/logging.h"
@@ -198,42 +197,16 @@ BENCHMARK(BM_SkimmedSketchBatchIngest)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
-// Threaded mode: range(0) shards, replica-merge via linearity. The result
-// is bit-identical to the sequential runs above; speedup tracks physical
-// cores (a 1-core host shows none, by construction).
-void BM_SkimmedSketchParallelIngest(benchmark::State& state) {
-  const auto shards = static_cast<uint64_t>(state.range(0));
-  auto master = *core::SkimmedSketch::Create(IngestBenchConfig(), 1);
-  auto ingestor =
-      *ingest::ParallelIngestor<core::SkimmedSketch>::Create(master, shards);
-  const auto& stream = ZipfStream10M();
-  for (auto _ : state) {
-    ingestor.IngestInto(&master, stream);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stream.size()));
-  state.counters["shards"] = static_cast<double>(shards);
-}
-// UseRealTime: worker-thread CPU is invisible to benchmark's per-process
-// CPU clock, so wall time is the only honest basis for items/sec here.
-BENCHMARK(BM_SkimmedSketchParallelIngest)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Truly concurrent ingestion (DESIGN.md §13): persistent workers, private
 // replicas, relaxed-consistency propagation into the shared synopsis.
-// HashSketch with all kernels on (SIMD included) is the aggregate-
+// HashSketch on the fast kernel (SIMD included) is the aggregate-
 // throughput target row — the release gate reads items_per_second off
 // /N where N is the runner's hardware concurrency and checks the
 // multi-thread scaling ratio against /1 (machine-aware: only enforced on
 // runners with enough cores to scale).
 
-// Defined with the kernel-ablation section below; shared here so the
+// Defined with the kernel rows below; shared here so the
 // concurrent rows are directly comparable with the /15 single-thread row.
 const std::vector<stream::StreamElement>& ZipfStream10MZ10();
 
@@ -263,8 +236,8 @@ void BM_HashSketchConcurrentIngest(benchmark::State& state) {
                           static_cast<int64_t>(stream.size()));
   state.counters["workers"] = static_cast<double>(workers);
 }
-// UseRealTime for the same reason as BM_SkimmedSketchParallelIngest:
-// worker CPU is invisible to the per-process CPU clock.
+// UseRealTime: worker-thread CPU is invisible to benchmark's per-process
+// CPU clock, so wall time is the only honest basis for items/sec here.
 BENCHMARK(BM_HashSketchConcurrentIngest)
     ->Arg(1)
     ->Arg(2)
@@ -332,13 +305,12 @@ BENCHMARK(BM_HashSketchConcurrentIngestWithReaders)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Kernel ablation (DESIGN.md §10, §13): the same single-threaded
-// 65536-element batched ingest, once per fast-path combination. Arg is a
-// bitmask — 1 = fastmod bucket reduction, 2 = plan cache, 4 = blocked
-// hash→scatter, 8 = SIMD polynomial lanes (runtime-dispatched; see the
-// simd_dispatch context field for what this machine selected) — so /0 is
-// the scalar reference, /7 the pre-SIMD all-on path, /15 the production
-// all-on path, and /1, /2, /4, /12 isolate each kernel's contribution. The
+// Kernel rows (DESIGN.md §10, §13): the same single-threaded 65536-element
+// batched ingest under each update kernel. Arg 0 is Kernel::kReference and
+// arg 15 Kernel::kFast (the names match the committed baseline rows, from
+// when the arg was a bitmask of four fast paths). /15 picks its SIMD lanes
+// by CPUID — see the simd_dispatch context field — and CI re-runs it under
+// SKIMJOIN_FORCE_SCALAR=1 to measure the scalar-lane fast kernel. The
 // stream is 10M Zipf z=1.0 (the acceptance workload), distinct from the
 // z=1.1 stream above.
 
@@ -352,13 +324,8 @@ const std::vector<stream::StreamElement>& ZipfStream10MZ10() {
   return *stream;
 }
 
-sketch::KernelOptions KernelModeFromMask(int64_t mask) {
-  sketch::KernelOptions options = sketch::KernelOptions::Scalar();
-  options.use_fastmod = (mask & 1) != 0;
-  options.use_plan_cache = (mask & 2) != 0;
-  options.use_blocked_batch = (mask & 4) != 0;
-  options.use_simd = (mask & 8) != 0;
-  return options;
+sketch::Kernel KernelFromArg(int64_t arg) {
+  return arg == 0 ? sketch::Kernel::kReference : sketch::Kernel::kFast;
 }
 
 void BM_HashSketchKernelIngest(benchmark::State& state) {
@@ -366,7 +333,7 @@ void BM_HashSketchKernelIngest(benchmark::State& state) {
   config.num_tables = 7;
   config.num_buckets = 1024;
   auto sketch = *sketch::HashSketch::Create(config, 1);
-  sketch.SetKernelOptions(KernelModeFromMask(state.range(0)));
+  sketch.SetKernel(KernelFromArg(state.range(0)));
   const auto& stream = ZipfStream10MZ10();
   const std::span<const stream::StreamElement> all(stream);
   constexpr size_t kBatch = 65536;
@@ -384,17 +351,12 @@ void BM_HashSketchKernelIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_HashSketchKernelIngest)
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(7)
-    ->Arg(12)
     ->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SkimmedSketchKernelIngest(benchmark::State& state) {
   auto sketch = *core::SkimmedSketch::Create(IngestBenchConfig(), 1);
-  sketch.SetKernelOptions(KernelModeFromMask(state.range(0)));
+  sketch.SetKernel(KernelFromArg(state.range(0)));
   const auto& stream = ZipfStream10MZ10();
   const std::span<const stream::StreamElement> all(stream);
   constexpr size_t kBatch = 65536;
@@ -412,10 +374,6 @@ void BM_SkimmedSketchKernelIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_SkimmedSketchKernelIngest)
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(7)
     ->Arg(15)
     ->Unit(benchmark::kMillisecond);
 

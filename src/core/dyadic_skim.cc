@@ -1,5 +1,6 @@
 #include "core/dyadic_skim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -33,7 +34,9 @@ uint64_t LevelSeed(uint64_t seed, uint64_t level) {
 }  // namespace
 
 DyadicSkimmer::DyadicSkimmer(uint64_t domain_size, std::vector<Level> levels)
-    : domain_size_(domain_size), levels_(std::move(levels)) {}
+    : domain_size_(domain_size), levels_(std::move(levels)) {
+  SetKernel(sketch::Kernel::kFast);
+}
 
 StatusOr<DyadicSkimmer> DyadicSkimmer::Create(
     uint64_t domain_size, const sketch::HashSketchConfig& upper_config,
@@ -98,18 +101,12 @@ void DyadicSkimmer::UpdateBatch(
   }
 }
 
-void DyadicSkimmer::SetKernelOptions(const sketch::KernelOptions& options) {
+void DyadicSkimmer::SetKernel(sketch::Kernel kernel) {
   for (uint64_t l = 1; l <= levels_.size(); ++l) {
     Level& level = levels_[l - 1];
     if (!level.sketch.has_value()) continue;
-    // Level l sees only the domain_size >> l distinct prefixes, so a plan
-    // cache larger than that is pure wasted footprint — clamp per level.
-    sketch::KernelOptions level_options = options;
-    const uint64_t prefixes = domain_size_ >> l;
-    if (level_options.plan_cache_slots > prefixes) {
-      level_options.plan_cache_slots = prefixes;
-    }
-    level.sketch->SetKernelOptions(level_options);
+    level.sketch->SetKernel(
+        kernel, std::min(sketch::kPlanCacheSlots, domain_size_ >> l));
   }
 }
 

@@ -60,10 +60,6 @@ class DyadicSkimmer {
   /// Pre-condition: every element value < domain_size().
   void UpdateBatch(std::span<const stream::StreamElement> elements);
 
-  /// Propagates fast-path kernel selection to every sketched level
-  /// (DESIGN.md §10); exact levels have no hashes and are unaffected.
-  void SetKernelOptions(const sketch::KernelOptions& options);
-
   /// Plan-cache tallies summed over the sketched levels.
   uint64_t hash_cache_hits() const;
   uint64_t hash_cache_misses() const;
@@ -141,7 +137,17 @@ class DyadicSkimmer {
     }
   };
 
+  // SkimmedSketch::SetKernel forwards its kernel to every sketched level.
+  friend class SkimmedSketch;
+
+  /// Runs the sketched levels on kFast.
   DyadicSkimmer(uint64_t domain_size, std::vector<Level> levels);
+
+  /// Selects the update kernel of every sketched level (DESIGN.md §10);
+  /// exact levels have no hashes and are unaffected. Level l sees only
+  /// domain_size >> l distinct prefixes, so its plan cache is clamped to
+  /// that many slots — a larger cache would be pure wasted footprint.
+  void SetKernel(sketch::Kernel kernel);
 
   uint64_t domain_size_;
   // levels_[l - 1] summarizes dyadic prefixes of width 2^l.

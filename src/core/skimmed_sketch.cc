@@ -129,9 +129,9 @@ void SkimmedSketch::UpdateBatch(
   if (dyadic_.has_value()) dyadic_->UpdateBatch(elements);
 }
 
-void SkimmedSketch::SetKernelOptions(const sketch::KernelOptions& options) {
-  level0_.SetKernelOptions(options);
-  if (dyadic_.has_value()) dyadic_->SetKernelOptions(options);
+void SkimmedSketch::SetKernel(sketch::Kernel kernel) {
+  level0_.SetKernel(kernel);
+  if (dyadic_.has_value()) dyadic_->SetKernel(kernel);
 }
 
 uint64_t SkimmedSketch::hash_cache_hits() const {

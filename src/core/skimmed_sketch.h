@@ -130,14 +130,12 @@ class SkimmedSketch {
   /// estimates remain valid for the in-domain sub-stream.
   uint64_t dropped_updates() const { return dropped_updates_; }
 
-  /// Selects fast-path kernels for the level-0 sketch and every sketched
-  /// dyadic level (DESIGN.md §10). Bit-identical under any setting; plan
-  /// caches are rebuilt, restarting the hit/miss tallies.
-  void SetKernelOptions(const sketch::KernelOptions& options);
+  /// Selects the update kernel for the level-0 sketch and every sketched
+  /// dyadic level (DESIGN.md §10); new sketches run kFast. Bit-identical
+  /// either way; plan caches are rebuilt, restarting the hit/miss tallies.
+  void SetKernel(sketch::Kernel kernel);
 
-  const sketch::KernelOptions& kernel_options() const {
-    return level0_.kernel_options();
-  }
+  sketch::Kernel kernel() const { return level0_.kernel(); }
 
   /// Plan-cache tallies summed over level 0 and the sketched dyadic levels;
   /// feed the `ingest.<stream>.hash_cache_*` engine metrics.

@@ -58,16 +58,10 @@ uint64_t GetU64(std::string_view bytes, size_t offset) {
   return value;
 }
 
-uint32_t FrameCrc(uint32_t type, std::string_view payload) {
-  std::string type_le;
-  PutU32(&type_le, type);
-  return util::Crc32c(payload, util::Crc32c(type_le));
-}
-
-// v2 CRC: type word, then the three trace-context words, then the payload
-// — every header byte past the length word is covered.
-uint32_t FrameCrcV2(uint32_t type, uint64_t trace_id, uint64_t span_id,
-                    uint64_t parent_span_id, std::string_view payload) {
+// Type word, then the three trace-context words, then the payload — every
+// header byte past the length word is covered.
+uint32_t FrameCrc(uint32_t type, uint64_t trace_id, uint64_t span_id,
+                  uint64_t parent_span_id, std::string_view payload) {
   std::string covered;
   covered.reserve(28);
   PutU32(&covered, type);
@@ -129,25 +123,15 @@ Status FillSockaddr(const std::string& socket_path, sockaddr_un* addr) {
 std::string EncodeFrame(uint32_t type, std::string_view payload,
                         uint64_t trace_id, uint64_t span_id,
                         uint64_t parent_span_id) {
-  const bool traced = trace_id != 0 || span_id != 0 || parent_span_id != 0;
   std::string frame;
-  if (!traced) {
-    frame.reserve(kFrameHeaderBytes + payload.size());
-    PutU32(&frame, kFrameMagic);
-    PutU32(&frame, type);
-    PutU32(&frame, static_cast<uint32_t>(payload.size()));
-    PutU32(&frame, FrameCrc(type, payload));
-  } else {
-    frame.reserve(kFrameHeaderBytesV2 + payload.size());
-    PutU32(&frame, kFrameMagicV2);
-    PutU32(&frame, type);
-    PutU32(&frame, static_cast<uint32_t>(payload.size()));
-    PutU32(&frame,
-           FrameCrcV2(type, trace_id, span_id, parent_span_id, payload));
-    PutU64(&frame, trace_id);
-    PutU64(&frame, span_id);
-    PutU64(&frame, parent_span_id);
-  }
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  PutU32(&frame, kFrameMagic);
+  PutU32(&frame, type);
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  PutU32(&frame, FrameCrc(type, trace_id, span_id, parent_span_id, payload));
+  PutU64(&frame, trace_id);
+  PutU64(&frame, span_id);
+  PutU64(&frame, parent_span_id);
   frame.append(payload);
   return frame;
 }
@@ -156,55 +140,40 @@ StatusOr<std::optional<Frame>> TryDecodeFrame(std::string_view buffer,
                                               size_t* consumed) {
   *consumed = 0;
   // A partial header can still be rejected early once the magic is
-  // known-wrong — no point waiting for a full header of garbage. The first
-  // three bytes are shared by both versions; the 4th selects one.
-  for (size_t i = 0; i < buffer.size() && i < 3; ++i) {
+  // known-wrong — no point waiting for a full header of garbage.
+  for (size_t i = 0; i < buffer.size() && i < 4; ++i) {
     if (static_cast<unsigned char>(buffer[i]) !=
         ((kFrameMagic >> (8 * i)) & 0xFF)) {
       return InvalidArgumentError("bad frame magic");
     }
   }
-  if (buffer.size() >= 4) {
-    const unsigned char version_byte = static_cast<unsigned char>(buffer[3]);
-    if (version_byte != ((kFrameMagic >> 24) & 0xFF) &&
-        version_byte != ((kFrameMagicV2 >> 24) & 0xFF)) {
-      return InvalidArgumentError("bad frame magic");
-    }
-  }
-  if (buffer.size() < kFrameHeaderBytes) return std::optional<Frame>();
-  const uint32_t magic = GetU32(buffer, 0);
-  const size_t header_bytes =
-      magic == kFrameMagicV2 ? kFrameHeaderBytesV2 : kFrameHeaderBytes;
-  const uint32_t type = GetU32(buffer, 4);
+  // The length word is checked as soon as it arrives, before the rest of
+  // the header or any payload is buffered.
+  if (buffer.size() < 12) return std::optional<Frame>();
   const uint32_t payload_len = GetU32(buffer, 8);
-  const uint32_t declared_crc = GetU32(buffer, 12);
   if (payload_len > kMaxFramePayload) {
     return InvalidArgumentError(
         "frame declares " + std::to_string(payload_len) +
         " payload bytes, above the " + std::to_string(kMaxFramePayload) +
         " cap");
   }
-  if (buffer.size() < header_bytes + payload_len) {
+  if (buffer.size() < kFrameHeaderBytes + payload_len) {
     return std::optional<Frame>();
   }
   Frame frame;
-  frame.type = type;
-  if (magic == kFrameMagicV2) {
-    frame.trace_id = GetU64(buffer, 16);
-    frame.span_id = GetU64(buffer, 24);
-    frame.parent_span_id = GetU64(buffer, 32);
-  }
-  const std::string_view payload = buffer.substr(header_bytes, payload_len);
-  const uint32_t computed_crc =
-      magic == kFrameMagicV2
-          ? FrameCrcV2(type, frame.trace_id, frame.span_id,
-                       frame.parent_span_id, payload)
-          : FrameCrc(type, payload);
-  if (computed_crc != declared_crc) {
+  frame.type = GetU32(buffer, 4);
+  const uint32_t declared_crc = GetU32(buffer, 12);
+  frame.trace_id = GetU64(buffer, 16);
+  frame.span_id = GetU64(buffer, 24);
+  frame.parent_span_id = GetU64(buffer, 32);
+  const std::string_view payload =
+      buffer.substr(kFrameHeaderBytes, payload_len);
+  if (FrameCrc(frame.type, frame.trace_id, frame.span_id,
+               frame.parent_span_id, payload) != declared_crc) {
     return InvalidArgumentError("frame crc mismatch");
   }
   frame.payload.assign(payload);
-  *consumed = header_bytes + payload_len;
+  *consumed = kFrameHeaderBytes + payload_len;
   return std::optional<Frame>(std::move(frame));
 }
 

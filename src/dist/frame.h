@@ -2,24 +2,20 @@
 // CRC-framed, length-prefixed message format over Unix-domain stream
 // sockets, with every blocking operation bounded by an explicit deadline.
 //
-// Frame layout, version 1 (all integers little-endian u32):
-//   [magic 'SKJF'][type][payload_len][crc32c(type_le || payload)][payload]
-// Version 2 appends a Dapper-style trace context (little-endian u64s):
+// Frame layout (u32 words then u64 words, all little-endian):
 //   [magic 'SKJ2'][type][payload_len][crc][trace_id][span_id]
 //   [parent_span_id][payload]
-// where the CRC covers type_le || trace_id_le || span_id_le ||
-// parent_span_id_le || payload. The version is the 4th magic byte ('F' or
-// '2'); the first three bytes stay 'S','K','J' so resync behavior is
-// identical. Encoders emit v1 whenever the trace context is all-zero —
-// an untraced fleet produces byte-identical wire traffic to the v1-only
-// protocol — and decoders accept both versions unconditionally.
+// where the CRC (crc32c) covers type_le || trace_id_le || span_id_le ||
+// parent_span_id_le || payload. The three ids carry a Dapper-style trace
+// context; an untraced frame carries zeros.
 //
-// The 16-byte (v1) / 40-byte (v2) header is validated BEFORE the payload
-// is buffered: a frame declaring more than kMaxFramePayload bytes is
-// rejected without allocation, so a corrupt length word can never balloon
-// memory. The CRC covers everything past the length word, so a flipped bit
-// anywhere past the magic fails closed (the magic itself is the resync
-// sentinel — a flipped magic byte reads as "not a frame at all").
+// The length word is validated BEFORE the rest of the 40-byte header or
+// the payload is buffered: a frame declaring more than kMaxFramePayload
+// bytes is rejected without allocation, so a corrupt length word can never
+// balloon memory. The CRC covers everything past the length word, so a
+// flipped bit anywhere past the magic fails closed (the magic itself is
+// the resync sentinel — a flipped magic byte reads as "not a frame at
+// all").
 //
 // Failure injection mirrors util/durable_file's durable:* discipline —
 // hooks compiled into the shipped path, zero-cost while inactive:
@@ -50,17 +46,13 @@
 namespace skimjoin {
 namespace dist {
 
-/// 'SKJF' as a little-endian u32 (frame version 1, no trace context).
-constexpr uint32_t kFrameMagic = 0x464A4B53;
-/// 'SKJ2' as a little-endian u32 (frame version 2, trace context header).
-constexpr uint32_t kFrameMagicV2 = 0x324A4B53;
-constexpr size_t kFrameHeaderBytes = 16;
-constexpr size_t kFrameHeaderBytesV2 = 40;
+/// 'SKJ2' as a little-endian u32.
+constexpr uint32_t kFrameMagic = 0x324A4B53;
+constexpr size_t kFrameHeaderBytes = 40;
 /// Hard payload cap, enforced before any payload allocation.
 constexpr size_t kMaxFramePayload = size_t{16} << 20;
 
-/// One decoded frame. The trace ids are all-zero for a v1 frame (or a v2
-/// frame sent without a context, which encoders never produce).
+/// One decoded frame. The trace ids are all-zero for an untraced frame.
 struct Frame {
   uint32_t type = 0;
   std::string payload;
@@ -69,8 +61,7 @@ struct Frame {
   uint64_t parent_span_id = 0;
 };
 
-/// Encodes one complete frame (header + payload): v1 when the trace ids
-/// are all zero, v2 otherwise.
+/// Encodes one complete frame (header + payload).
 std::string EncodeFrame(uint32_t type, std::string_view payload,
                         uint64_t trace_id = 0, uint64_t span_id = 0,
                         uint64_t parent_span_id = 0);
@@ -115,8 +106,8 @@ class FrameChannel {
 
   /// Sends one whole frame before `deadline`. On any error (deadline, peer
   /// gone, injected fault) the channel may hold a torn frame mid-wire and
-  /// must not be reused — callers Close() and reconnect. A non-zero trace
-  /// context upgrades the frame to v2 so the ids ride in the header.
+  /// must not be reused — callers Close() and reconnect. The trace context
+  /// rides in the frame header.
   Status Send(uint32_t type, std::string_view payload, Deadline deadline,
               uint64_t trace_id = 0, uint64_t span_id = 0,
               uint64_t parent_span_id = 0);

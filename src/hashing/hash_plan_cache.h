@@ -27,7 +27,7 @@
 //   * The cache holds DERIVED state only (plans are a pure function of the
 //     hash families), so it is excluded from serialization, Merge,
 //     CompatibleWith, and Reset: a counter reset does not invalidate plans.
-//   * Single-writer, like the sketches that own it. Each ParallelIngestor
+//   * Single-writer, like the sketches that own it. Each ingest worker's
 //     replica owns its own cache.
 //   * hits()/misses() feed the `ingest.<stream>.hash_cache_{hits,misses}`
 //     engine metrics (docs/OBSERVABILITY.md).
@@ -116,8 +116,8 @@ class HashPlanCache {
 
 /// Packing helpers shared by every sketch that stores (bucket, sign) plans:
 /// the sign's negative bit rides in bit 0 so the bucket shifts left by one.
-/// Callers guard that buckets fit 31 bits (sketch::KernelOptions plan
-/// caches are disabled beyond that — see HashSketch::SetKernelOptions).
+/// Callers guard that buckets fit 31 bits (HashSketch runs without a plan
+/// cache beyond that — see HashSketch::SetKernel).
 inline uint32_t PackBucketSign(uint64_t bucket, int64_t sign) {
   return static_cast<uint32_t>((bucket << 1) |
                                static_cast<uint64_t>(sign < 0));

@@ -59,7 +59,8 @@ class KWiseHash {
 ///
 /// The reduction runs through a precomputed 128-bit reciprocal (Lemire
 /// fastmod) by default, which is bit-identical to `%` for every dividend;
-/// set_use_fastmod(false) restores the hardware divide for ablation.
+/// set_use_fastmod(false) restores the hardware divide of the reference
+/// kernel.
 class BucketHash {
  public:
   /// Pre-condition: num_buckets >= 1.
@@ -78,13 +79,13 @@ class BucketHash {
   const KWiseHash& poly() const { return hash_; }
 
   /// Projects a field element (a raw poly() result) into [0, num_buckets),
-  /// honoring the fastmod ablation switch — the reduction half of
+  /// honoring set_use_fastmod — the reduction half of
   /// operator(), for callers that batch the polynomial separately.
   uint64_t ModReduce(uint64_t h) const {
     return use_fastmod_ ? divisor_.Mod(h) : h % num_buckets_;
   }
 
-  /// Ablation switch (KernelOptions::use_fastmod). Either setting produces
+  /// Off only under sketch::Kernel::kReference. Either setting produces
   /// identical buckets; this only selects the instruction sequence.
   void set_use_fastmod(bool on) { use_fastmod_ = on; }
   bool use_fastmod() const { return use_fastmod_; }

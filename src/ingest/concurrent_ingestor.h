@@ -1,10 +1,7 @@
-// Truly concurrent ingestion with bounded-staleness reads.
-//
-// ParallelIngestor parallelizes WITHIN a batch but still runs
-// absorb → barrier → merge as one synchronous pipeline: readers and the
-// writer take strict turns on the master synopsis. This ingestor removes
-// the turn-taking, adapting the relaxed-consistency concurrent sketches of
-// Rinberg & Keidar (PODC '20) to exact linear synopses:
+// The one multi-threaded ingestor: worker replicas of a linear synopsis,
+// propagated into a shared synopsis with bounded staleness. It adapts the
+// relaxed-consistency concurrent sketches of Rinberg & Keidar (PODC '20)
+// to exact linear synopses:
 //
 //   * Each worker owns a private replica synopsis. AbsorbBatch chunks the
 //     batch across workers and returns WITHOUT waiting — ingestion truly
@@ -24,16 +21,15 @@
 //     `propagation_interval_elements`, and once the global un-propagated
 //     backlog exceeds `max_lag_elements` a worker escalates from
 //     try_lock (contention-shy) to a blocking writer lock.
-//   * Flush() is the exact linearization point retained from the
-//     join-then-merge design: barrier the pool, then merge every replica
-//     under one writer lock. Afterwards the shared synopsis is
-//     counter-for-counter identical to a sequential ingest of everything
-//     ever submitted, and epoch_lag() == 0.
+//   * Flush() is the exact linearization point: barrier the pool, then
+//     merge every replica under one writer lock. Afterwards the shared
+//     synopsis is counter-for-counter identical to a sequential ingest of
+//     everything ever submitted, and epoch_lag() == 0. Synchronous sharded
+//     ingest is this ingestor flushed after every batch
+//     (query::Engine::UpdateBatch with shards > 1 and concurrent off).
 //
-// NUMA: replicas are CONSTRUCTED on their worker threads (first-touch
-// places counter pages on the worker's node) and Options::pin_threads
-// keeps each worker — hence its replica pages — on one CPU. Single-socket
-// machines see only the harmless affinity hint.
+// Replicas are constructed on their worker threads, so their counter
+// pages are first touched by the thread that updates them.
 //
 // Concurrency contract:
 //   * One driving thread calls AbsorbBatch / Flush / stats-mutating calls.
@@ -48,6 +44,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -77,13 +74,13 @@ struct ConcurrentIngestOptions {
   /// this, the next worker to notice propagates with a BLOCKING writer
   /// lock instead of politely skipping on contention.
   uint64_t max_lag_elements = 1 << 20;
-  /// Pin workers (and their first-touch replica pages) to CPUs.
-  bool pin_threads = false;
 };
 
 /// Relaxed-consistency concurrent ingestor over any linear synopsis.
-/// `Synopsis` needs the same surface as ParallelIngestor's: copyable,
-/// UpdateBatch(span), Reset(), Merge(const Synopsis&).
+/// `Synopsis` must be copyable and provide UpdateBatch(span), Reset(), and
+/// Merge(const Synopsis&) — HashSketch, AgmsSketch, CountMinSketch, and
+/// SkimmedSketch all qualify. A synopsis with dropped_updates() has its
+/// replicas' drops folded into stats().
 ///
 /// Heap-only (std::shared_mutex pins the address); use Create.
 template <typename Synopsis>
@@ -92,9 +89,9 @@ class ConcurrentIngestor {
   using ReadLock = std::shared_lock<std::shared_mutex>;
   using WriteLock = std::unique_lock<std::shared_mutex>;
 
-  /// Builds workers and their replicas. Replica construction happens ON
-  /// each worker thread (NUMA first-touch). `shared` must outlive the
-  /// ingestor and is the synopsis readers query.
+  /// Builds workers and their replicas (copies of `*shared`, zeroed).
+  /// Replica construction happens ON each worker thread. `shared` must
+  /// outlive the ingestor and is the synopsis readers query.
   static StatusOr<std::unique_ptr<ConcurrentIngestor>> Create(
       Synopsis* shared, ConcurrentIngestOptions options = {}) {
     if (shared == nullptr) {
@@ -111,8 +108,7 @@ class ConcurrentIngestor {
     }
     auto ingestor = std::unique_ptr<ConcurrentIngestor>(
         new ConcurrentIngestor(shared, options));
-    // First-touch: each worker constructs (and zeroes) its own replica, so
-    // the counter pages are resident on the worker's NUMA node.
+    // First-touch: each worker constructs (and zeroes) its own replica.
     for (uint64_t w = 0; w < options.num_workers; ++w) {
       ingestor->pool_->Submit(w, [state = ingestor->workers_[w].get(),
                                   prototype = shared] {
@@ -169,16 +165,26 @@ class ConcurrentIngestor {
   /// Exact linearization point: waits for every in-flight chunk, then
   /// merges all replicas under one writer lock. Afterwards shared() equals
   /// a sequential ingest of everything submitted and epoch_lag() == 0.
+  /// stats() gains one merge, the wait as absorb_nanos, and the merge as
+  /// merge_nanos.
   void Flush() {
-    metrics::TraceSpan span("concurrent_flush", "ingest");
+    metrics::TraceSpan span("replica_merge", "ingest");
+    const auto start = std::chrono::steady_clock::now();
     pool_->Barrier();
+    const auto absorbed = std::chrono::steady_clock::now();
     stats_.merges += 1;
-    WriteLock lock(mu_);
-    for (const std::unique_ptr<WorkerState>& state : workers_) {
-      PropagateLocked(state.get());
+    {
+      WriteLock lock(mu_);
+      for (const std::unique_ptr<WorkerState>& state : workers_) {
+        PropagateLocked(state.get());
+      }
     }
-    // Same saturating drop accounting as ParallelIngestor::FlushInto, but
-    // against the cumulative total since propagations happen continuously.
+    stats_.absorb_nanos += Nanos(absorbed - start);
+    stats_.merge_nanos += Nanos(std::chrono::steady_clock::now() - absorbed);
+    // Drops counted inside replicas were never truly absorbed. Saturate
+    // instead of underflowing the unsigned absorbed count: a replica can
+    // carry drops this ingestor never counted (a synopsis whose Reset
+    // keeps its drop counter).
     const uint64_t dropped = dropped_elements_.load(std::memory_order_relaxed);
     const uint64_t newly_dropped = dropped - stats_.elements_dropped;
     stats_.elements_dropped = dropped;
@@ -213,7 +219,6 @@ class ConcurrentIngestor {
   uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   uint64_t num_workers() const { return workers_.size(); }
-  uint64_t pinned_workers() const { return pool_->pinned_workers(); }
   const IngestStats& stats() const { return stats_; }
 
   /// Below this many elements per chunk, fan-out stops paying for the
@@ -235,8 +240,12 @@ class ConcurrentIngestor {
     for (uint64_t w = 0; w < options.num_workers; ++w) {
       workers_.push_back(std::make_unique<WorkerState>());
     }
-    pool_ = std::make_unique<WorkerPool>(
-        options.num_workers, WorkerPool::Options{options.pin_threads});
+    pool_ = std::make_unique<WorkerPool>(options.num_workers);
+  }
+
+  static uint64_t Nanos(std::chrono::steady_clock::duration elapsed) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   }
 
   /// Worker-side propagation policy: volunteer at the interval, insist
@@ -260,8 +269,8 @@ class ConcurrentIngestor {
   void PropagateLocked(WorkerState* state) {
     if (state->pending == 0) return;
     if constexpr (requires(const Synopsis& s) { s.dropped_updates(); }) {
-      // Same saturating drop accounting as ParallelIngestor::FlushInto:
-      // drops counted inside the replica were never truly absorbed.
+      // Drops counted inside the replica were never truly absorbed; Flush
+      // folds them into stats().
       const uint64_t dropped = state->replica->dropped_updates();
       dropped_elements_.fetch_add(dropped, std::memory_order_relaxed);
     }

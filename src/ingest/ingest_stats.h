@@ -1,5 +1,5 @@
 // Observability counters for the batched / sharded ingestion pipeline
-// (ingest/parallel_ingestor.h and query::Engine::UpdateBatch).
+// (ingest/concurrent_ingestor.h and query::Engine::UpdateBatch).
 
 #ifndef SKIMJOIN_INGEST_INGEST_STATS_H_
 #define SKIMJOIN_INGEST_INGEST_STATS_H_
@@ -23,13 +23,13 @@ struct IngestStats {
   uint64_t elements_dropped = 0;
   /// Replica-merge flushes performed.
   uint64_t merges = 0;
-  /// Wall time spent inside parallel absorb fan-out.
+  /// Wall time flushes spent waiting for workers to finish absorbing.
   uint64_t absorb_nanos = 0;
-  /// Wall time spent merging replicas into the master synopsis.
+  /// Wall time flushes spent merging replicas into the shared synopsis.
   uint64_t merge_nanos = 0;
   /// Hash plan-cache probes that hit / missed across the stream's
-  /// frequency-query synopses (inline ingest path; sharded replicas keep
-  /// their caches worker-local). Zero when the cache kernel is disabled.
+  /// frequency-query synopses (inline ingest path; worker replicas keep
+  /// their caches worker-local). Zero under sketch::Kernel::kReference.
   uint64_t hash_cache_hits = 0;
   uint64_t hash_cache_misses = 0;
 

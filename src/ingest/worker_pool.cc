@@ -2,15 +2,10 @@
 
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace skimjoin {
 namespace ingest {
 
-WorkerPool::WorkerPool(uint64_t num_workers, Options options) {
+WorkerPool::WorkerPool(uint64_t num_workers) {
   if (num_workers < 1) num_workers = 1;
   workers_.reserve(num_workers);
   for (uint64_t i = 0; i < num_workers; ++i) {
@@ -19,8 +14,7 @@ WorkerPool::WorkerPool(uint64_t num_workers, Options options) {
   // Threads start only after the workers_ vector is fully built — WorkerLoop
   // indexes into it.
   for (uint64_t i = 0; i < num_workers; ++i) {
-    workers_[i]->thread =
-        std::thread([this, i, pin = options.pin_threads] { WorkerLoop(i, pin); });
+    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -57,20 +51,7 @@ void WorkerPool::Barrier() {
   });
 }
 
-void WorkerPool::WorkerLoop(uint64_t index, bool pin) {
-  if (pin) {
-#if defined(__linux__)
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<int>(index % hw), &set);
-      if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
-        pinned_workers_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-#endif
-  }
+void WorkerPool::WorkerLoop(uint64_t index) {
   Worker& self = *workers_[index];
   for (;;) {
     std::function<void()> task;

@@ -1,12 +1,11 @@
 // A small persistent worker pool with per-worker task queues.
 //
-// ParallelIngestor and ConcurrentIngestor need the same primitive: N
-// long-lived threads, each permanently bound to one shard replica, that
-// accept closures from a single driving thread and report global
-// quiescence. Spawning std::thread per batch (the pre-pool design) cost a
-// clone+join round trip per shard per batch — microseconds that dominate
-// once the per-shard chunk drops toward kMinElementsPerShard. The pool
-// amortizes thread creation across the ingestor's lifetime.
+// ConcurrentIngestor needs N long-lived threads, each permanently bound to
+// one replica, that accept closures from a single driving thread and
+// report global quiescence. Spawning std::thread per batch would cost a
+// clone+join round trip per worker per batch — microseconds that dominate
+// once the per-worker chunk shrinks toward the ingestor's minimum chunk.
+// The pool amortizes thread creation across the ingestor's lifetime.
 //
 // Shape:
 //   * One FIFO deque + mutex + condvar PER WORKER, not a shared run queue:
@@ -18,12 +17,6 @@
 //     read worker-written state (replica contents) afterwards.
 //   * Single driver: Submit/Barrier must be called from one thread at a
 //     time (matching the single-writer ingestion model in DESIGN.md §13).
-//
-// NUMA: workers are created once and — with Options::pin_threads — pinned
-// round-robin to hardware CPUs, so pages first-touched inside a worker
-// task (e.g. a replica constructed on the worker) stay on that worker's
-// node for the pool's lifetime. On a single-socket machine pinning is a
-// cheap no-op apart from scheduler affinity.
 
 #ifndef SKIMJOIN_INGEST_WORKER_POOL_H_
 #define SKIMJOIN_INGEST_WORKER_POOL_H_
@@ -43,18 +36,9 @@ namespace ingest {
 
 class WorkerPool {
  public:
-  struct Options {
-    /// Pin worker i to hardware CPU (i mod hardware_concurrency). Best
-    /// effort: unsupported platforms and failed affinity calls degrade to
-    /// unpinned workers, never to an error.
-    bool pin_threads = false;
-  };
-
   /// Starts `num_workers` threads immediately (num_workers >= 1 is
   /// clamped). Workers idle on their condvars until tasks arrive.
-  WorkerPool(uint64_t num_workers, Options options);
-  explicit WorkerPool(uint64_t num_workers)
-      : WorkerPool(num_workers, Options{}) {}
+  explicit WorkerPool(uint64_t num_workers);
 
   /// Joins all workers. Tasks already submitted are drained first, so a
   /// destructor-ordered member pool (declared last in its owner) gives the
@@ -74,11 +58,6 @@ class WorkerPool {
 
   uint64_t num_workers() const { return workers_.size(); }
 
-  /// Number of workers whose affinity call actually succeeded.
-  uint64_t pinned_workers() const {
-    return pinned_workers_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Worker {
     std::mutex mu;
@@ -88,12 +67,11 @@ class WorkerPool {
     std::thread thread;
   };
 
-  void WorkerLoop(uint64_t index, bool pin);
+  void WorkerLoop(uint64_t index);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> pinned_workers_{0};
   std::mutex barrier_mu_;
   std::condition_variable barrier_cv_;
 };

@@ -837,12 +837,10 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
                 "restored frequency sketch disagrees with its spec");
           } else {
             state.sketch = *std::move(sketch);
-            // Deserialized sketches carry default kernel options; re-apply
-            // the engine's selection and restart the cache-delta bookkeeping.
-            state.sketch.SetKernelOptions(kernel_options_);
+            // The restored sketch's cache tallies start from zero; restart
+            // the cache-delta bookkeeping with them.
             state.cache_hits_seen = 0;
             state.cache_misses_seen = 0;
-            state.ingestor.reset();
           }
         }
       } else if (q.kind == "distinct") {

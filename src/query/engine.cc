@@ -433,12 +433,11 @@ StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
   }
   SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch sketch,
                             core::SkimmedSketch::Create(config, seed));
-  sketch.SetKernelOptions(kernel_options_);
 
   const QueryId id = next_query_id_++;
   frequency_queries_.emplace(
       id, FrequencyQueryState{std::move(sketch), stream, spec.predicate,
-                              std::nullopt, spec, seed, MakeQueryMetrics(id),
+                              spec, seed, MakeQueryMetrics(id),
                               /*cache_hits_seen=*/0, /*cache_misses_seen=*/0,
                               /*slim=*/std::nullopt,
                               /*concurrent=*/nullptr});
@@ -672,9 +671,9 @@ void Engine::ApplyToQueries(StreamId stream, const StreamUpdate& update,
           (!q.predicate || q.predicate->Matches(update.value))) {
         if (update.count != 0) {
           if (q.concurrent != nullptr) {
-            // A live concurrent ingestor means workers may be propagating
-            // into this sketch right now; the scalar path joins the same
-            // writer lock instead of racing it.
+            // A live worker ingestor means workers may be propagating into
+            // this sketch right now; the scalar path joins the same writer
+            // lock instead of racing it.
             auto lock = q.concurrent->WriterLock();
             q.sketch.Update(update.value, update.count);
           } else {
@@ -782,7 +781,8 @@ Status Engine::UpdateBatch(StreamId stream,
 
   // Frequency queries take the batch path: per query, project the batch to
   // in-domain, predicate-matching stream elements and fold them in at once
-  // (sharded across worker threads when the batch is large enough).
+  // (on worker threads when the engine has more than one shard or runs
+  // concurrent).
   std::vector<stream::StreamElement> elements;
   for (auto& [id, q] : frequency_queries_) {
     if (q.stream != stream) continue;
@@ -794,46 +794,30 @@ Status Engine::UpdateBatch(StreamId stream,
       if (update.count != 0) elements.push_back({update.value, update.count});
     }
     if (elements.empty()) continue;
-    if (ingest_options_.concurrent) {
-      // Relaxed-consistency path: hand chunks to the persistent workers
-      // and return without waiting. Staleness is bounded by the ingestor's
-      // propagation policy; FlushIngest() is the linearization point.
-      if (q.concurrent == nullptr) {
-        ingest::ConcurrentIngestOptions options;
-        options.num_workers = ingest_options_.shards;
-        options.propagation_interval_elements =
-            ingest_options_.propagation_interval_elements;
-        options.max_lag_elements = ingest_options_.max_lag_elements;
-        options.pin_threads = ingest_options_.pin_threads;
-        StatusOr<std::unique_ptr<ingest::ConcurrentIngestor<
-            core::SkimmedSketch>>>
-            created = ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
-                &q.sketch, options);
-        SKIMJOIN_RETURN_IF_ERROR(created.status());
-        q.concurrent = *std::move(created);
-      }
-      q.concurrent->AbsorbBatch(elements);
-      state.epoch_lag->Set(static_cast<double>(q.concurrent->epoch_lag()));
-    } else if (ingest_options_.shards > 1) {
-      if (!q.ingestor.has_value() ||
-          q.ingestor->num_shards() != ingest_options_.shards) {
-        StatusOr<ingest::ParallelIngestor<core::SkimmedSketch>> ingestor =
-            ingest::ParallelIngestor<core::SkimmedSketch>::Create(
-                q.sketch, ingest_options_.shards);
-        SKIMJOIN_RETURN_IF_ERROR(ingestor.status());
-        q.ingestor = *std::move(ingestor);
-      }
-      const uint64_t absorb_before = q.ingestor->stats().absorb_nanos;
-      const uint64_t merge_before = q.ingestor->stats().merge_nanos;
-      q.ingestor->IngestInto(&q.sketch, elements);
-      state.merges->Increment();
-      state.absorb_nanos->Increment(q.ingestor->stats().absorb_nanos -
-                                    absorb_before);
-      state.merge_nanos->Increment(q.ingestor->stats().merge_nanos -
-                                   merge_before);
-    } else {
+    if (ingest_options_.shards == 1 && !ingest_options_.concurrent) {
       q.sketch.UpdateBatch(elements);
       PublishHashCacheDeltas(q);
+      continue;
+    }
+    // Worker path: hand chunks to the persistent workers. Concurrent mode
+    // returns without waiting — staleness is bounded by the ingestor's
+    // propagation policy and FlushIngest() is the linearization point.
+    // Synchronous sharding flushes before returning, so reads stay exact.
+    if (q.concurrent == nullptr) {
+      ingest::ConcurrentIngestOptions options;
+      options.num_workers = ingest_options_.shards;
+      options.propagation_interval_elements =
+          ingest_options_.propagation_interval_elements;
+      options.max_lag_elements = ingest_options_.max_lag_elements;
+      SKIMJOIN_ASSIGN_OR_RETURN(
+          q.concurrent, ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
+                            &q.sketch, options));
+    }
+    q.concurrent->AbsorbBatch(elements);
+    if (ingest_options_.concurrent) {
+      state.epoch_lag->Set(static_cast<double>(q.concurrent->epoch_lag()));
+    } else {
+      FlushFrequencyIngest(q);
     }
   }
   return OkStatus();
@@ -852,48 +836,30 @@ Status Engine::SetIngestOptions(const IngestOptions& options) {
   if (options.propagation_interval_elements < 1) {
     return InvalidArgumentError("propagation interval must be >= 1");
   }
-  // Existing concurrent ingestors were built under the old configuration;
-  // linearize them out so no accepted element is lost, then let the next
-  // batch rebuild under the new knobs.
+  // Existing ingestors were built under the old configuration; linearize
+  // them out so no accepted element is lost, then let the next batch
+  // rebuild under the new knobs.
   FlushIngest();
-  for (auto& [id, q] : frequency_queries_) {
-    q.concurrent.reset();
-    // Parallel replicas are also per-shard-count; drop stale ones eagerly
-    // (the shards>1 path would rebuild anyway, this just frees memory).
-    if (q.ingestor.has_value() &&
-        q.ingestor->num_shards() != options.shards) {
-      q.ingestor.reset();
-    }
-  }
+  for (auto& [id, q] : frequency_queries_) q.concurrent.reset();
   ingest_options_ = options;
   return OkStatus();
 }
 
 void Engine::FlushIngest() {
   for (auto& [id, q] : frequency_queries_) {
-    if (q.concurrent == nullptr) continue;
-    q.concurrent->Flush();
-    StreamState& state = streams_[q.stream];
-    state.merges->Increment();
-    state.epoch_lag->Set(0.0);
+    if (q.concurrent != nullptr) FlushFrequencyIngest(q);
   }
 }
 
-void Engine::SetKernelOptions(const sketch::KernelOptions& options) {
-  kernel_options_ = options;
-  // Concurrent replicas were copied under the old kernels; linearize them
-  // out before the rebuild so no accepted element is lost.
-  FlushIngest();
-  for (auto& [id, q] : frequency_queries_) {
-    q.concurrent.reset();
-    q.sketch.SetKernelOptions(options);
-    // Replicas were copied from the sketch under the old options; drop them
-    // so the next sharded batch rebuilds with the new kernels.
-    q.ingestor.reset();
-    // The sketch's tallies restarted with its rebuilt caches.
-    q.cache_hits_seen = 0;
-    q.cache_misses_seen = 0;
-  }
+void Engine::FlushFrequencyIngest(FrequencyQueryState& q) {
+  const ingest::IngestStats before = q.concurrent->stats();
+  q.concurrent->Flush();
+  const ingest::IngestStats& after = q.concurrent->stats();
+  StreamState& state = streams_[q.stream];
+  state.merges->Increment();
+  state.absorb_nanos->Increment(after.absorb_nanos - before.absorb_nanos);
+  state.merge_nanos->Increment(after.merge_nanos - before.merge_nanos);
+  state.epoch_lag->Set(0.0);
 }
 
 StatusOr<ingest::IngestStats> Engine::StreamIngestStats(
@@ -1379,10 +1345,10 @@ HealthReport Engine::HealthReport() const {
       report.findings.push_back(
           {HealthFinding::Severity::kInfo, subject, "skew-cache-mismatch",
            "stream skew " + TablePrinter::FormatDouble(stream.profile->skew, 2) +
-               " but hash-plan-cache hit rate " +
+               " but hit rate " +
                TablePrinter::FormatDouble(stream.hash_cache_hit_rate, 2) +
-               " — a skewed stream should reuse cached plans; raise the "
-               "cache slots",
+               " on the fixed " + std::to_string(sketch::kPlanCacheSlots) +
+               "-slot hash-plan cache",
            ""});
     }
     if (stream.profile.has_value() && stream.profile->delete_ratio > 0.25) {

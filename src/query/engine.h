@@ -32,14 +32,12 @@
 #include "core/top_k.h"
 #include "ingest/concurrent_ingestor.h"
 #include "ingest/ingest_stats.h"
-#include "ingest/parallel_ingestor.h"
 #include "query/checkpoint.h"
 #include "query/multi_join.h"
 #include "query/multi_join_hash.h"
 #include "query/query.h"
 #include "query/query_cache.h"
 #include "sketch/fm_sketch.h"
-#include "sketch/kernel_options.h"
 #include "sketch/slim_view.h"
 #include "stream/frequency_vector.h"
 #include "stream/gk_quantiles.h"
@@ -127,11 +125,11 @@ struct StreamUpdate {
 
 /// The engine. Single-writer: ONE thread drives registration and ingestion
 /// (Update / UpdateBatch) at a time. UpdateBatch may internally fan a batch
-/// out across shard worker threads (see SetIngestShards), but those workers
-/// live only inside the call — externally the engine remains a single-writer
-/// structure, per the single-pass stream model and DESIGN.md's "Threading &
-/// ingestion model". With IngestOptions.concurrent on (DESIGN.md §13) the
-/// workers are persistent and outlive UpdateBatch; registration and
+/// out across ingest worker threads (see SetIngestShards) and, by default,
+/// waits for them and merges before returning — externally the engine
+/// remains a single-writer structure, per the single-pass stream model and
+/// DESIGN.md's "Threading & ingestion model". With IngestOptions.concurrent
+/// on (DESIGN.md §13) UpdateBatch returns without waiting; registration and
 /// ingestion stay single-writer, while point-frequency and heavy-hitter
 /// ANSWERS may run on the writer thread concurrently with in-flight
 /// ingestion and observe bounded-staleness snapshots until FlushIngest().
@@ -211,16 +209,17 @@ class Engine {
   Status UpdateBatch(StreamId stream, std::span<const StreamUpdate> updates);
 
   /// Worker threads UpdateBatch may fan a large batch out to (per
-  /// frequency-query synopsis, via ingest::ParallelIngestor). 1 — the
+  /// frequency-query synopsis, via ingest::ConcurrentIngestor). 1 — the
   /// default — keeps ingestion fully inline. INVALID_ARGUMENT for 0.
   /// Equivalent to SetIngestOptions with only `shards` changed.
   Status SetIngestShards(uint64_t num_shards);
 
   /// Full ingestion-concurrency configuration (DESIGN.md §13).
   struct IngestOptions {
-    /// Worker threads per frequency-query synopsis. With `concurrent` off
-    /// this is the ParallelIngestor shard count (join-then-merge inside
-    /// each UpdateBatch); with it on, the ConcurrentIngestor worker count.
+    /// ConcurrentIngestor workers per frequency-query synopsis; 1 without
+    /// `concurrent` means inline ingest. With `concurrent` off and more
+    /// than one shard, UpdateBatch flushes the ingestor before returning,
+    /// so every answer stays exact.
     uint64_t shards = 1;
     /// Relaxed-consistency concurrent ingestion: UpdateBatch hands chunks
     /// to persistent workers and returns WITHOUT waiting; workers fold
@@ -232,15 +231,14 @@ class Engine {
     /// first.
     bool concurrent = false;
     /// Propagation cadence and hard staleness bound, forwarded to
-    /// ingest::ConcurrentIngestOptions (ignored unless `concurrent`).
+    /// ingest::ConcurrentIngestOptions (they only shape staleness, so they
+    /// matter only when `concurrent` is on).
     uint64_t propagation_interval_elements = 1 << 16;
     uint64_t max_lag_elements = 1 << 20;
-    /// Pin ingest workers to CPUs (NUMA first-touch replica locality).
-    bool pin_threads = false;
   };
 
-  /// Reconfigures ingestion. Flushes and drops existing concurrent
-  /// ingestors first, so switching modes never loses elements.
+  /// Reconfigures ingestion. Flushes and drops existing worker ingestors
+  /// first, so switching modes never loses elements.
   /// INVALID_ARGUMENT for shards == 0 or a zero propagation interval.
   Status SetIngestOptions(const IngestOptions& options);
 
@@ -249,20 +247,9 @@ class Engine {
   /// Linearization point for concurrent ingestion: blocks until every
   /// element accepted by UpdateBatch is folded into its query synopsis.
   /// Afterwards answers are exact (identical to sequential ingestion) and
-  /// every `ingest.<stream>.epoch_lag` gauge reads 0. No-op when
-  /// concurrent mode is off or nothing is pending.
+  /// every `ingest.<stream>.epoch_lag` gauge reads 0. Nothing is ever
+  /// pending unless concurrent mode is on.
   void FlushIngest();
-
-  /// Selects the sketch update fast paths (DESIGN.md §10) for every
-  /// frequency-query synopsis, current and future — including synopses
-  /// replaced by RestoreCheckpoint. Bit-identical under any setting (pure
-  /// ablation/measurement knob). Rebuilds plan caches and sharded-ingest
-  /// replicas, so `ingest.<stream>.hash_cache_*` tallies restart.
-  void SetKernelOptions(const sketch::KernelOptions& options);
-
-  const sketch::KernelOptions& kernel_options() const {
-    return kernel_options_;
-  }
 
   /// The two-stage read path (DESIGN.md §11). Both stages answer
   /// bit-identically to the classic read path; both default OFF so existing
@@ -486,7 +473,7 @@ class Engine {
     metrics::Counter* absorb_nanos = nullptr;
     metrics::Counter* merge_nanos = nullptr;
     // Plan-cache hit/miss totals over this stream's frequency-query
-    // synopses, accumulated on the inline batch path (sharded replicas keep
+    // synopses, accumulated on the inline batch path (worker replicas keep
     // their caches worker-local; see docs/OBSERVABILITY.md).
     metrics::Counter* hash_cache_hits = nullptr;
     metrics::Counter* hash_cache_misses = nullptr;
@@ -538,9 +525,6 @@ class Engine {
     core::SkimmedSketch sketch;
     StreamId stream;
     std::optional<RangePredicate> predicate;
-    /// Lazily built sharded pipeline for this query's sketch; rebuilt when
-    /// the engine's shard count changes.
-    std::optional<ingest::ParallelIngestor<core::SkimmedSketch>> ingestor;
     FrequencyQuerySpec spec;
     uint64_t seed = 0;
     QueryMetrics metrics;
@@ -553,12 +537,12 @@ class Engine {
     /// ReadPathOptions.use_slim_views is on. Mutable: reads are const but
     /// refresh the view when the fat epoch advanced.
     mutable std::optional<sketch::SlimView> slim;
-    /// Relaxed-consistency ingestor over `sketch` while
-    /// IngestOptions.concurrent is on (null otherwise). Built lazily on the
-    /// first concurrent batch — by then the state is map-resident, so the
-    /// &sketch it captures is stable. Declared after `sketch` so its
-    /// destructor (which flushes pending work into the sketch and joins
-    /// the workers) runs while the sketch is still alive.
+    /// Worker ingestor over `sketch` while IngestOptions has more than one
+    /// shard or `concurrent` on (null otherwise). Built lazily on the first
+    /// worker batch — by then the state is map-resident, so the &sketch it
+    /// captures is stable. Declared after `sketch` so its destructor (which
+    /// flushes pending work into the sketch and joins the workers) runs
+    /// while the sketch is still alive.
     std::unique_ptr<ingest::ConcurrentIngestor<core::SkimmedSketch>>
         concurrent;
   };
@@ -629,13 +613,18 @@ class Engine {
   StatusOr<StreamId> FindRelation(const std::string& name) const;
 
   /// Publishes `q`'s plan-cache activity to its stream's hash_cache_*
-  /// counters as deltas against the last export (so SetKernelOptions
-  /// rebuilds, which restart the sketch-side tallies, publish cleanly).
-  /// Called from the inline batch path and, pull-style, from
-  /// RefreshMetricsGauges so scalar-only sessions stay current too.
-  /// Writer-thread only; the sharded path's replicas keep their caches
-  /// worker-local, so the counters reflect the inline path only.
+  /// counters as deltas against the last export (so a restored sketch,
+  /// whose tallies restart, publishes cleanly). Called from the inline
+  /// batch path and, pull-style, from RefreshMetricsGauges so scalar-only
+  /// sessions stay current too. Writer-thread only; worker replicas keep
+  /// their caches worker-local, so the counters reflect the inline path
+  /// only.
   void PublishHashCacheDeltas(const FrequencyQueryState& q) const;
+
+  /// Flushes `q`'s live ingestor and publishes the flush to its stream's
+  /// merges / absorb_nanos / merge_nanos counters. Pre-condition:
+  /// q.concurrent is non-null.
+  void FlushFrequencyIngest(FrequencyQueryState& q);
 
   /// Creates the `ingest.<name>.*` counters for a freshly registered
   /// stream and caches their pointers in `*state`.
@@ -673,8 +662,8 @@ class Engine {
   static void CountCacheOutcome(const QueryMetrics& metrics,
                                 QueryCache::Outcome outcome);
 
-  /// Reader lock over a frequency query's sketch when a concurrent
-  /// ingestor is live; a no-op (lockless) guard otherwise. Answer paths
+  /// Reader lock over a frequency query's sketch when a worker ingestor
+  /// is live; a no-op (lockless) guard otherwise. Answer paths
   /// hold one across every sketch read so they observe whole-epoch
   /// snapshots, never a mid-propagation state.
   using FrequencyReadLock =
@@ -702,11 +691,8 @@ class Engine {
   QueryId next_query_id_ = 1;
   // Ingestion concurrency configuration (shards + concurrent mode knobs).
   IngestOptions ingest_options_;
-  // Fast-path kernel selection applied to every frequency-query synopsis
-  // (defaults all-on; see sketch/kernel_options.h).
-  sketch::KernelOptions kernel_options_;
-  // Two-stage read path selection (defaults all-off). Like kernel_options_,
-  // survives Clear(): it is a session-level setting, not engine state.
+  // Two-stage read path selection (defaults all-off). Survives Clear(): it
+  // is a session-level setting, not engine state.
   ReadPathOptions read_path_;
   // Answer cache for the read path. Mutable: Answer* methods are const but
   // consult and populate entries (precedent: metrics_). Dropped on Clear.
@@ -714,8 +700,8 @@ class Engine {
   // Anomaly-event thresholds; +infinity disables emission (the default).
   double drift_warn_threshold_ = std::numeric_limits<double>::infinity();
   double ci_warn_rel_width_ = std::numeric_limits<double>::infinity();
-  // Runtime profiler toggle (see SetProfilerEnabled). Like kernel_options_,
-  // a session-level setting that survives Clear().
+  // Runtime profiler toggle (see SetProfilerEnabled). Like read_path_, a
+  // session-level setting that survives Clear().
   bool profiler_enabled_ = true;
 };
 

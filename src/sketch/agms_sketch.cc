@@ -44,9 +44,9 @@ void AgmsSketch::Update(uint64_t value, int64_t weight) {
 }
 
 void AgmsSketch::UpdateBatch(std::span<const stream::StreamElement> elements) {
-  if (!kernel_options_.use_blocked_batch) {
-    // Legacy cell-major reference kernel: one pass over the whole batch per
-    // cell, so each ξ family stays hot but large batches stream from L2+.
+  if (kernel_ == Kernel::kReference) {
+    // Cell-major reference kernel: one pass over the whole batch per cell,
+    // so each ξ family stays hot but large batches stream from L2+.
     for (size_t cell = 0; cell < counters_.size(); ++cell) {
       const hashing::SignHash& sign = signs_[cell];
       int64_t sum = 0;
@@ -60,19 +60,16 @@ void AgmsSketch::UpdateBatch(std::span<const stream::StreamElement> elements) {
   // Blocked kernel: element blocks outer, cells inner, so the block's
   // elements are read from L1 for all s1·s2 ξ evaluations. Per-cell block
   // partial sums regroup the same integer additions, so final counters are
-  // bit-identical to the legacy kernel.
-  const size_t block = static_cast<size_t>(
-      kernel_options_.batch_block_size < 1 ? 1
-                                           : kernel_options_.batch_block_size);
-  const hashing::SimdLevel simd = kernel_options_.use_simd
-                                      ? hashing::DetectSimdLevel()
-                                      : hashing::SimdLevel::kScalar;
+  // bit-identical to the reference kernel.
+  constexpr size_t block = kBatchBlockSize;
+  const hashing::SimdLevel simd = hashing::DetectSimdLevel();
   if (simd != hashing::SimdLevel::kScalar) {
     // SIMD kernel: the block's values deinterleave once into a contiguous
     // scratch shared by every cell, then each cell's four-wise ξ polynomial
     // evaluates over the whole block in vector lanes. The per-cell partial
     // sums keep the blocked kernel's exact grouping, so counters remain
-    // bit-identical to both scalar kernels.
+    // bit-identical to both scalar kernels (the one below runs under
+    // SKIMJOIN_FORCE_SCALAR=1 or on CPUs without AVX2).
     static thread_local std::vector<uint64_t> value_scratch;
     static thread_local std::vector<uint64_t> hash_scratch;
     for (size_t begin = 0; begin < elements.size(); begin += block) {

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "hashing/sign_hash.h"
-#include "sketch/kernel_options.h"
+#include "sketch/kernel.h"
 #include "stream/frequency_vector.h"
 #include "stream/stream_element.h"
 #include "util/estimate_report.h"
@@ -59,21 +59,19 @@ class AgmsSketch {
   }
 
   /// Applies a batch of arrivals; counter-for-counter identical to scalar
-  /// Update calls. The default kernel walks the batch in element blocks of
-  /// `batch_block_size` (cells inner, per-cell partial sum per block) so
-  /// the element block stays in L1 across all s1·s2 ξ evaluations; with
-  /// blocking disabled it falls back to the legacy cell-major sweep over
-  /// the whole batch. Identical final counters either way (integer partial
-  /// sums regroup associatively).
+  /// Update calls. The kFast kernel walks the batch in element blocks of
+  /// kBatchBlockSize (cells inner, per-cell partial sum per block, ξ
+  /// evaluated in SIMD lanes) so the element block stays in L1 across all
+  /// s1·s2 ξ evaluations; kReference sweeps the whole batch cell-major.
+  /// Identical final counters either way (integer partial sums regroup
+  /// associatively).
   void UpdateBatch(std::span<const stream::StreamElement> elements);
 
-  /// Selects fast-path kernels (DESIGN.md §10). AGMS has no bucket hashes
-  /// or plan cache; only use_blocked_batch / batch_block_size apply here.
-  void SetKernelOptions(const KernelOptions& options) {
-    kernel_options_ = options;
-  }
+  /// Selects the batch kernel (DESIGN.md §10). AGMS has no bucket hashes
+  /// or plan cache; only the batch blocking and SIMD lanes differ.
+  void SetKernel(Kernel kernel) { kernel_ = kernel; }
 
-  const KernelOptions& kernel_options() const { return kernel_options_; }
+  Kernel kernel() const { return kernel_; }
 
   /// Zeroes every counter (families untouched); see HashSketch::Reset.
   void Reset();
@@ -153,7 +151,7 @@ class AgmsSketch {
   uint64_t seed_;
   std::vector<hashing::SignHash> signs_;  // one per cell, row-major by median
   std::vector<int64_t> counters_;
-  KernelOptions kernel_options_;
+  Kernel kernel_ = Kernel::kFast;
 };
 
 }  // namespace sketch

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "sketch/plan_kernel.h"
 #include "sketch/serial_limits.h"
 #include "sketch/sketch_seed.h"
 #include "util/logging.h"
@@ -18,61 +19,27 @@ CountMinSketch::CountMinSketch(const CountMinConfig& config, uint64_t seed)
     bucket_hashes_.emplace_back(config.num_buckets, &rng);
   }
   counters_.assign(config.TotalCounters(), 0);
-  SetKernelOptions(KernelOptions{});
+  SetKernel(Kernel::kFast);
 }
 
-void CountMinSketch::SetKernelOptions(const KernelOptions& options) {
-  kernel_options_ = options;
+void CountMinSketch::SetKernel(Kernel kernel) {
+  kernel_ = kernel;
+  const bool fast = kernel == Kernel::kFast;
   for (hashing::BucketHash& hash : bucket_hashes_) {
-    hash.set_use_fastmod(options.use_fastmod);
+    hash.set_use_fastmod(fast);
   }
   // Plan words are 32-bit; a bucket count beyond 2^32 cannot be stored, so
-  // the cache quietly stands down (results are identical either way).
-  if (options.use_plan_cache && config_.num_buckets <= (uint64_t{1} << 32)) {
-    plan_cache_.emplace(options.plan_cache_slots, config_.num_tables);
+  // such shapes run the reference loops (results are identical either way).
+  if (fast && config_.num_buckets <= (uint64_t{1} << 32)) {
+    plan_cache_.emplace(kPlanCacheSlots, config_.num_tables);
   } else {
     plan_cache_.reset();
   }
 }
 
-const uint32_t* CountMinSketch::ComputePlan(uint64_t value) {
-  bool hit = false;
-  uint32_t* plan = plan_cache_->Probe(value, &hit);
-  if (!hit) FillPlan(value, plan);
-  return plan;
-}
-
-void CountMinSketch::FillPlan(uint64_t value, uint32_t* plan) const {
-  for (uint64_t table = 0; table < config_.num_tables; ++table) {
-    plan[table] = static_cast<uint32_t>(bucket_hashes_[table](value));
-  }
-}
-
-void CountMinSketch::FillPlansBlock(const uint64_t* values, size_t n,
-                                    uint32_t* plans,
-                                    hashing::SimdLevel level) const {
-  // Per-table scratch for the raw field residues; thread_local for the
-  // same reasons as the blocked kernel's plan scratch.
-  static thread_local std::vector<uint64_t> bucket_scratch;
-  bucket_scratch.resize(n);
-  const uint64_t tables = config_.num_tables;
-  for (uint64_t table = 0; table < tables; ++table) {
-    const hashing::BucketHash& bucket = bucket_hashes_[table];
-    hashing::PolyEvalBlock(bucket.poly().coefficients(), values, n,
-                           bucket_scratch.data(), level);
-    for (size_t i = 0; i < n; ++i) {
-      plans[i * tables + table] =
-          static_cast<uint32_t>(bucket.ModReduce(bucket_scratch[i]));
-    }
-  }
-}
-
-void CountMinSketch::ApplyPlan(const uint32_t* plan, int64_t weight) {
-  int64_t* row = counters_.data();
-  for (uint64_t table = 0; table < config_.num_tables; ++table) {
-    row[plan[table]] += weight;
-    row += config_.num_buckets;
-  }
+internal::PlanKernel<false> CountMinSketch::FastKernel() {
+  return {bucket_hashes_, {}, counters_, config_.num_buckets,
+          &*plan_cache_};
 }
 
 StatusOr<CountMinSketch> CountMinSketch::Create(const CountMinConfig& config,
@@ -89,7 +56,7 @@ StatusOr<CountMinSketch> CountMinSketch::Create(const CountMinConfig& config,
 void CountMinSketch::Update(uint64_t value, int64_t weight) {
   ++update_epoch_;
   if (plan_cache_) {
-    ApplyPlan(ComputePlan(value), weight);
+    FastKernel().Update(value, weight);
     return;
   }
   for (uint64_t table = 0; table < config_.num_tables; ++table) {
@@ -101,123 +68,16 @@ void CountMinSketch::Update(uint64_t value, int64_t weight) {
 void CountMinSketch::UpdateBatch(
     std::span<const stream::StreamElement> elements) {
   ++update_epoch_;
-  // The blocked kernel stores 32-bit plan words; beyond 2^32 buckets it
-  // cannot, so such shapes take the legacy kernels below.
-  if (kernel_options_.use_blocked_batch &&
-      config_.num_buckets <= (uint64_t{1} << 32)) {
-    UpdateBatchBlocked(elements);
-    return;
-  }
   if (plan_cache_) {
-    // Element-major so each element's plan is probed once, not per table.
-    for (const stream::StreamElement& element : elements) {
-      Update(element.value, element.weight);
-    }
+    FastKernel().UpdateBatch(elements);
     return;
   }
-  // Legacy table-major reference kernel.
+  // Reference kernel, table-major.
   for (uint64_t table = 0; table < config_.num_tables; ++table) {
     const hashing::BucketHash& bucket = bucket_hashes_[table];
     int64_t* row = &counters_[table * config_.num_buckets];
     for (const stream::StreamElement& element : elements) {
       row[bucket(element.value)] += element.weight;
-    }
-  }
-}
-
-void CountMinSketch::UpdateBatchBlocked(
-    std::span<const stream::StreamElement> elements) {
-  const uint64_t tables = config_.num_tables;
-  const size_t block = static_cast<size_t>(
-      kernel_options_.batch_block_size < 1 ? 1
-                                           : kernel_options_.batch_block_size);
-  // Thread-local scratch; see HashSketch::UpdateBatchBlocked.
-  static thread_local std::vector<uint32_t> plan_scratch;
-  static thread_local std::vector<int64_t> weight_scratch;
-  plan_scratch.resize(block * tables);
-  weight_scratch.resize(block);
-  constexpr size_t kPrefetchDistance = 8;
-  // Shape-adaptive staging; see HashSketch::UpdateBatchBlocked.
-  constexpr uint64_t kScatterStageBytes = uint64_t{1} << 21;
-  const bool stage = counters_.size() * sizeof(int64_t) > kScatterStageBytes;
-  const hashing::SimdLevel simd = kernel_options_.use_simd
-                                      ? hashing::DetectSimdLevel()
-                                      : hashing::SimdLevel::kScalar;
-  static thread_local std::vector<uint64_t> value_scratch;
-  if (simd != hashing::SimdLevel::kScalar) value_scratch.resize(block);
-  for (size_t begin = 0; begin < elements.size(); begin += block) {
-    const size_t n = std::min(block, elements.size() - begin);
-    // Cache hits apply on the spot; only misses stage through scratch for
-    // the table-major scatter (see HashSketch::UpdateBatchBlocked — integer
-    // adds commute, so the split is bit-identical).
-    size_t pending = 0;
-    if (simd != hashing::SimdLevel::kScalar) {
-      // SIMD phase 1: non-claiming Lookup, then one block evaluation for
-      // the misses — see HashSketch::UpdateBatchBlocked for why Probe
-      // cannot be combined with a deferred fill.
-      for (size_t i = 0; i < n; ++i) {
-        const stream::StreamElement& element = elements[begin + i];
-        if (plan_cache_) {
-          const uint32_t* plan = plan_cache_->Lookup(element.value);
-          if (plan != nullptr) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-        }
-        value_scratch[pending] = element.value;
-        weight_scratch[pending] = element.weight;
-        ++pending;
-      }
-      FillPlansBlock(value_scratch.data(), pending, plan_scratch.data(), simd);
-      if (plan_cache_) {
-        for (size_t i = 0; i < pending; ++i) {
-          std::copy_n(&plan_scratch[i * tables], tables,
-                      plan_cache_->Insert(value_scratch[i]));
-        }
-      }
-      if (!stage) {
-        for (size_t i = 0; i < pending; ++i) {
-          ApplyPlan(&plan_scratch[i * tables], weight_scratch[i]);
-        }
-        pending = 0;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const stream::StreamElement& element = elements[begin + i];
-        if (plan_cache_) {
-          bool hit = false;
-          uint32_t* plan = plan_cache_->Probe(element.value, &hit);
-          if (hit) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-          FillPlan(element.value, plan);
-          if (!stage) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-          std::copy_n(plan, tables, &plan_scratch[pending * tables]);
-        } else {
-          uint32_t* plan = &plan_scratch[pending * tables];
-          FillPlan(element.value, plan);
-          if (!stage) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-        }
-        weight_scratch[pending] = element.weight;
-        ++pending;
-      }
-    }
-    for (uint64_t table = 0; table < tables; ++table) {
-      int64_t* row = &counters_[table * config_.num_buckets];
-      for (size_t i = 0; i < pending; ++i) {
-        if (i + kPrefetchDistance < pending) {
-          __builtin_prefetch(
-              &row[plan_scratch[(i + kPrefetchDistance) * tables + table]], 1);
-        }
-        row[plan_scratch[i * tables + table]] += weight_scratch[i];
-      }
     }
   }
 }

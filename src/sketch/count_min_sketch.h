@@ -20,8 +20,7 @@
 
 #include "hashing/hash_plan_cache.h"
 #include "hashing/kwise_hash.h"
-#include "hashing/simd_hash.h"
-#include "sketch/kernel_options.h"
+#include "sketch/kernel.h"
 #include "stream/frequency_vector.h"
 #include "stream/stream_element.h"
 #include "util/estimate_report.h"
@@ -29,6 +28,10 @@
 
 namespace skimjoin {
 namespace sketch {
+namespace internal {
+template <bool kSigned>
+class PlanKernel;
+}  // namespace internal
 
 /// Shape of a Count-Min sketch.
 struct CountMinConfig {
@@ -54,18 +57,18 @@ class CountMinSketch {
   }
 
   /// Applies a batch of arrivals; counter-for-counter identical to scalar
-  /// Update calls. Blocked hash→scatter by default (see
-  /// HashSketch::UpdateBatch and DESIGN.md §10), legacy table-major when
-  /// blocking is disabled.
+  /// Update calls. Blocked hash→scatter under kFast (see
+  /// HashSketch::UpdateBatch and DESIGN.md §10), a table-major scalar loop
+  /// under kReference.
   void UpdateBatch(std::span<const stream::StreamElement> elements);
 
-  /// Selects fast-path kernels (bit-identical; DESIGN.md §10). Rebuilds or
+  /// Selects the update kernel (bit-identical; DESIGN.md §10). Rebuilds or
   /// drops the plan cache, restarting its hit/miss tallies.
-  void SetKernelOptions(const KernelOptions& options);
+  void SetKernel(Kernel kernel);
 
-  const KernelOptions& kernel_options() const { return kernel_options_; }
+  Kernel kernel() const { return kernel_; }
 
-  /// Plan-cache tallies (zero when the cache is disabled).
+  /// Plan-cache tallies (zero under kReference).
   uint64_t hash_cache_hits() const {
     return plan_cache_ ? plan_cache_->hits() : 0;
   }
@@ -151,35 +154,19 @@ class CountMinSketch {
   /// reduction order matches the legacy loop so both paths agree bit-wise.
   static double MinOverTables(const std::vector<double>& per_table);
 
-  /// Probes the plan cache for `value`; on a miss, evaluates all tables'
-  /// buckets into the claimed slot (one bucket per word; no signs here).
-  /// Pre-condition: the plan cache is enabled.
-  const uint32_t* ComputePlan(uint64_t value);
-
-  /// Evaluates every table's bucket word for `value` into `plan`.
-  void FillPlan(uint64_t value, uint32_t* plan) const;
-
-  /// SIMD form of FillPlan over a whole block: bucket plans for
-  /// values[0..n) into `plans` (element-major, n × num_tables words) via
-  /// the hashing/simd_hash.h block kernels. Word-for-word identical to
-  /// calling FillPlan per value.
-  void FillPlansBlock(const uint64_t* values, size_t n, uint32_t* plans,
-                      hashing::SimdLevel level) const;
-
-  /// Adds `weight` at each table's planned bucket.
-  void ApplyPlan(const uint32_t* plan, int64_t weight);
-
-  /// The blocked hash→scatter batch kernel (use_blocked_batch).
-  void UpdateBatchBlocked(std::span<const stream::StreamElement> elements);
+  /// The kFast kernel over this sketch (no sign families: plan words are
+  /// bare buckets). Pre-condition: the plan cache is engaged.
+  internal::PlanKernel<false> FastKernel();
 
   CountMinConfig config_;
   uint64_t seed_;
   std::vector<hashing::BucketHash> bucket_hashes_;
   std::vector<int64_t> counters_;
-  KernelOptions kernel_options_;
+  Kernel kernel_ = Kernel::kFast;
   uint64_t update_epoch_ = 0;
   // Derived acceleration state; see HashSketch for the contract (never
-  // serialized, survives Reset, disengaged when use_plan_cache is off).
+  // serialized, survives Reset, engaged exactly when the kFast kernels run:
+  // under kFast with at most 2^32 buckets).
   std::optional<hashing::HashPlanCache> plan_cache_;
 };
 

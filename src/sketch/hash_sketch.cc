@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "sketch/plan_kernel.h"
 #include "sketch/serial_limits.h"
 #include "sketch/sketch_seed.h"
 #include "util/logging.h"
@@ -24,70 +25,28 @@ HashSketch::HashSketch(const HashSketchConfig& config, uint64_t seed)
     sign_hashes_.emplace_back(&sign_rng);
   }
   counters_.assign(config.TotalCounters(), 0);
-  SetKernelOptions(KernelOptions{});
+  SetKernel(Kernel::kFast);
 }
 
-void HashSketch::SetKernelOptions(const KernelOptions& options) {
-  kernel_options_ = options;
+void HashSketch::SetKernel(Kernel kernel, uint64_t cache_slots) {
+  kernel_ = kernel;
+  const bool fast = kernel == Kernel::kFast;
   for (hashing::BucketHash& hash : bucket_hashes_) {
-    hash.set_use_fastmod(options.use_fastmod);
+    hash.set_use_fastmod(fast);
   }
   // Packed (bucket, sign) plan words are 32-bit; a bucket count beyond 2^31
-  // cannot pack, so the cache quietly stands down (the other kernels and
-  // the scalar path are unaffected — results are identical either way).
-  if (options.use_plan_cache && config_.num_buckets <= (uint64_t{1} << 31)) {
-    plan_cache_.emplace(options.plan_cache_slots, config_.num_tables);
+  // cannot pack, so such shapes run the reference loops (with fastmod) —
+  // results are identical either way.
+  if (fast && config_.num_buckets <= (uint64_t{1} << 31)) {
+    plan_cache_.emplace(cache_slots, config_.num_tables);
   } else {
     plan_cache_.reset();
   }
 }
 
-const uint32_t* HashSketch::ComputePlan(uint64_t value) {
-  bool hit = false;
-  uint32_t* plan = plan_cache_->Probe(value, &hit);
-  if (!hit) FillPlan(value, plan);
-  return plan;
-}
-
-void HashSketch::FillPlan(uint64_t value, uint32_t* plan) const {
-  for (uint64_t table = 0; table < config_.num_tables; ++table) {
-    plan[table] = hashing::PackBucketSign(bucket_hashes_[table](value),
-                                          sign_hashes_[table](value));
-  }
-}
-
-void HashSketch::FillPlansBlock(const uint64_t* values, size_t n,
-                                uint32_t* plans,
-                                hashing::SimdLevel level) const {
-  // Per-table scratch for the raw field residues; thread_local for the same
-  // reasons as the blocked kernel's plan scratch.
-  static thread_local std::vector<uint64_t> bucket_scratch;
-  static thread_local std::vector<uint64_t> sign_scratch;
-  bucket_scratch.resize(n);
-  sign_scratch.resize(n);
-  const uint64_t tables = config_.num_tables;
-  for (uint64_t table = 0; table < tables; ++table) {
-    const hashing::BucketHash& bucket = bucket_hashes_[table];
-    hashing::PolyEvalBlock(bucket.poly().coefficients(), values, n,
-                           bucket_scratch.data(), level);
-    hashing::PolyEvalBlock(sign_hashes_[table].poly().coefficients(), values,
-                           n, sign_scratch.data(), level);
-    // PackBucketSign by hand: the packed sign bit IS the residue's low bit
-    // (ξ(v) = 1 - 2·(h(v) & 1)), so no ±1 materialization is needed.
-    for (size_t i = 0; i < n; ++i) {
-      plans[i * tables + table] = static_cast<uint32_t>(
-          (bucket.ModReduce(bucket_scratch[i]) << 1) | (sign_scratch[i] & 1));
-    }
-  }
-}
-
-void HashSketch::ApplyPlan(const uint32_t* plan, int64_t weight) {
-  int64_t* row = counters_.data();
-  for (uint64_t table = 0; table < config_.num_tables; ++table) {
-    const uint32_t word = plan[table];
-    row[hashing::PlanBucket(word)] += hashing::PlanSign(word) * weight;
-    row += config_.num_buckets;
-  }
+internal::PlanKernel<true> HashSketch::FastKernel() {
+  return {bucket_hashes_, sign_hashes_, counters_, config_.num_buckets,
+          &*plan_cache_};
 }
 
 StatusOr<HashSketch> HashSketch::Create(const HashSketchConfig& config,
@@ -104,7 +63,7 @@ StatusOr<HashSketch> HashSketch::Create(const HashSketchConfig& config,
 void HashSketch::Update(uint64_t value, int64_t weight) {
   ++update_epoch_;
   if (plan_cache_) {
-    ApplyPlan(ComputePlan(value), weight);
+    FastKernel().Update(value, weight);
     return;
   }
   for (uint64_t table = 0; table < config_.num_tables; ++table) {
@@ -116,145 +75,18 @@ void HashSketch::Update(uint64_t value, int64_t weight) {
 
 void HashSketch::UpdateBatch(std::span<const stream::StreamElement> elements) {
   ++update_epoch_;
-  // The blocked kernel stores packed 32-bit plan words; beyond 2^31 buckets
-  // it cannot, so such shapes take the legacy kernels below.
-  if (kernel_options_.use_blocked_batch &&
-      config_.num_buckets <= (uint64_t{1} << 31)) {
-    UpdateBatchBlocked(elements);
-    return;
-  }
   if (plan_cache_) {
-    // Element-major so each element's plan is probed once, not per table.
-    for (const stream::StreamElement& element : elements) {
-      Update(element.value, element.weight);
-    }
+    FastKernel().UpdateBatch(elements);
     return;
   }
-  // Legacy table-major reference kernel: each table's hash families and
-  // counter row stay hot across the whole batch.
+  // Reference kernel, table-major: each table's hash families and counter
+  // row stay hot across the whole batch.
   for (uint64_t table = 0; table < config_.num_tables; ++table) {
     const hashing::BucketHash& bucket = bucket_hashes_[table];
     const hashing::SignHash& sign = sign_hashes_[table];
     int64_t* row = &counters_[table * config_.num_buckets];
     for (const stream::StreamElement& element : elements) {
       row[bucket(element.value)] += sign(element.value) * element.weight;
-    }
-  }
-}
-
-void HashSketch::UpdateBatchBlocked(
-    std::span<const stream::StreamElement> elements) {
-  const uint64_t tables = config_.num_tables;
-  const size_t block = static_cast<size_t>(
-      kernel_options_.batch_block_size < 1 ? 1
-                                           : kernel_options_.batch_block_size);
-  // Function-local thread_local scratch: zero allocations per batch, and
-  // each ParallelIngestor worker gets its own copy, so the sketch itself
-  // stays cheaply copyable.
-  static thread_local std::vector<uint32_t> plan_scratch;
-  static thread_local std::vector<int64_t> weight_scratch;
-  plan_scratch.resize(block * tables);
-  weight_scratch.resize(block);
-  constexpr size_t kPrefetchDistance = 8;
-  // Staging plans for a table-major scatter only pays once the counter
-  // array outgrows the fast cache levels — below that, every bucket line is
-  // resident anyway and the extra scratch traffic is pure loss (measured:
-  // ~20% slower at 56 KiB of counters, ~20% faster at 3.5 MiB). Small
-  // shapes therefore apply misses on the spot too.
-  constexpr uint64_t kScatterStageBytes = uint64_t{1} << 21;
-  const bool stage = counters_.size() * sizeof(int64_t) > kScatterStageBytes;
-  const hashing::SimdLevel simd = kernel_options_.use_simd
-                                      ? hashing::DetectSimdLevel()
-                                      : hashing::SimdLevel::kScalar;
-  static thread_local std::vector<uint64_t> value_scratch;
-  if (simd != hashing::SimdLevel::kScalar) value_scratch.resize(block);
-  for (size_t begin = 0; begin < elements.size(); begin += block) {
-    const size_t n = std::min(block, elements.size() - begin);
-    // Phase 1 (hash): cache hits apply on the spot — the plan words were
-    // just pulled into L1 by the probe, so staging them through scratch
-    // would only add traffic. Misses (or, with the cache off, everything)
-    // evaluate their polynomials into the scratch arrays for phase 2.
-    // Counters only ever accumulate integer adds, which commute exactly,
-    // so the hit/miss split leaves every final counter bit-identical to
-    // the scalar kernels.
-    size_t pending = 0;
-    if (simd != hashing::SimdLevel::kScalar) {
-      // SIMD phase 1: probe with the non-claiming Lookup — Probe would
-      // claim the slot before the deferred vector fill, so a duplicate
-      // value later in the block would hit a claimed-but-unfilled plan.
-      // Hits apply on the spot; misses collect into the value scratch for
-      // one block evaluation, then install into the cache. A duplicate
-      // miss inside a block is evaluated (and installed) twice with the
-      // same result — counters stay bit-identical, only the hit/miss
-      // tallies shift against the scalar phase 1.
-      for (size_t i = 0; i < n; ++i) {
-        const stream::StreamElement& element = elements[begin + i];
-        if (plan_cache_) {
-          const uint32_t* plan = plan_cache_->Lookup(element.value);
-          if (plan != nullptr) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-        }
-        value_scratch[pending] = element.value;
-        weight_scratch[pending] = element.weight;
-        ++pending;
-      }
-      FillPlansBlock(value_scratch.data(), pending, plan_scratch.data(), simd);
-      if (plan_cache_) {
-        for (size_t i = 0; i < pending; ++i) {
-          std::copy_n(&plan_scratch[i * tables], tables,
-                      plan_cache_->Insert(value_scratch[i]));
-        }
-      }
-      if (!stage) {
-        for (size_t i = 0; i < pending; ++i) {
-          ApplyPlan(&plan_scratch[i * tables], weight_scratch[i]);
-        }
-        pending = 0;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const stream::StreamElement& element = elements[begin + i];
-        if (plan_cache_) {
-          bool hit = false;
-          uint32_t* plan = plan_cache_->Probe(element.value, &hit);
-          if (hit) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-          FillPlan(element.value, plan);
-          if (!stage) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-          std::copy_n(plan, tables, &plan_scratch[pending * tables]);
-        } else {
-          uint32_t* plan = &plan_scratch[pending * tables];
-          FillPlan(element.value, plan);
-          if (!stage) {
-            ApplyPlan(plan, element.weight);
-            continue;
-          }
-        }
-        weight_scratch[pending] = element.weight;
-        ++pending;
-      }
-    }
-    // Phase 2 (scatter): table-major over the block's unapplied plans,
-    // prefetching the counter line a few elements ahead.
-    for (uint64_t table = 0; table < tables; ++table) {
-      int64_t* row = &counters_[table * config_.num_buckets];
-      for (size_t i = 0; i < pending; ++i) {
-        if (i + kPrefetchDistance < pending) {
-          const uint32_t ahead =
-              plan_scratch[(i + kPrefetchDistance) * tables + table];
-          __builtin_prefetch(&row[hashing::PlanBucket(ahead)], 1);
-        }
-        const uint32_t word = plan_scratch[i * tables + table];
-        row[hashing::PlanBucket(word)] +=
-            hashing::PlanSign(word) * weight_scratch[i];
-      }
     }
   }
 }

@@ -27,15 +27,22 @@
 #include "hashing/hash_plan_cache.h"
 #include "hashing/kwise_hash.h"
 #include "hashing/sign_hash.h"
-#include "hashing/simd_hash.h"
-#include "sketch/kernel_options.h"
+#include "sketch/kernel.h"
 #include "stream/frequency_vector.h"
 #include "stream/stream_element.h"
 #include "util/estimate_report.h"
 #include "util/status.h"
 
 namespace skimjoin {
+namespace core {
+class DyadicSkimmer;
+}  // namespace core
+
 namespace sketch {
+namespace internal {
+template <bool kSigned>
+class PlanKernel;
+}  // namespace internal
 
 /// Shape of a hash sketch.
 struct HashSketchConfig {
@@ -65,24 +72,22 @@ class HashSketch {
   }
 
   /// Applies a batch of arrivals. Counter-for-counter identical to calling
-  /// Update element by element (integer addition commutes). The default
-  /// kernel blocks the batch: it hashes `batch_block_size` elements into a
+  /// Update element by element (integer addition commutes). The kFast
+  /// kernel blocks the batch: it hashes kBatchBlockSize elements into a
   /// reusable scratch plan array, then scatters table-major with prefetch
-  /// (DESIGN.md §10); with blocking disabled it falls back to the legacy
-  /// table-major loop.
+  /// (DESIGN.md §10); kReference runs a table-major scalar loop.
   void UpdateBatch(std::span<const stream::StreamElement> elements);
 
-  /// Selects which fast-path kernels this sketch uses (DESIGN.md §10).
-  /// Every combination is bit-identical on counters; this only trades
-  /// instruction sequences. Rebuilds (or drops) the plan cache, so hit/miss
-  /// tallies restart from zero.
-  void SetKernelOptions(const KernelOptions& options);
+  /// Selects the update kernel (DESIGN.md §10); new sketches run kFast.
+  /// Both are bit-identical on counters. Rebuilds (or drops) the plan
+  /// cache, so hit/miss tallies restart from zero.
+  void SetKernel(Kernel kernel) { SetKernel(kernel, kPlanCacheSlots); }
 
-  const KernelOptions& kernel_options() const { return kernel_options_; }
+  Kernel kernel() const { return kernel_; }
 
   /// Plan-cache hit/miss tallies since the cache was (re)built; both zero
-  /// when the cache is disabled. Feed the `ingest.<stream>.hash_cache_*`
-  /// engine metrics.
+  /// under kReference. Feed the `ingest.<stream>.hash_cache_*` engine
+  /// metrics.
   uint64_t hash_cache_hits() const {
     return plan_cache_ ? plan_cache_->hits() : 0;
   }
@@ -91,8 +96,8 @@ class HashSketch {
   }
 
   /// Zeroes every counter, returning the sketch to its freshly created
-  /// state (hash families are untouched). Used by the parallel ingestor to
-  /// recycle thread-local replicas between flushes.
+  /// state (hash families are untouched). Used by the concurrent ingestor
+  /// to recycle worker replicas between propagations.
   void Reset();
 
   /// Folds a whole frequency vector in (linearity; see AgmsSketch::Absorb).
@@ -191,41 +196,30 @@ class HashSketch {
   uint64_t update_epoch() const { return update_epoch_; }
 
  private:
+  // Dyadic levels see only domain >> level distinct prefixes and size
+  // their plan caches to match.
+  friend class core::DyadicSkimmer;
+
   HashSketch(const HashSketchConfig& config, uint64_t seed);
 
-  /// Probes the plan cache for `value`; on a miss, evaluates all tables'
-  /// (bucket, sign) pairs into the claimed slot. Returns the plan either
-  /// way. Pre-condition: the plan cache is enabled.
-  const uint32_t* ComputePlan(uint64_t value);
+  /// SetKernel with a plan cache of `cache_slots` slots.
+  void SetKernel(Kernel kernel, uint64_t cache_slots);
 
-  /// Evaluates every table's packed (bucket, sign) word for `value` into
-  /// `plan` (`num_tables` words) — the full polynomial path.
-  void FillPlan(uint64_t value, uint32_t* plan) const;
-
-  /// SIMD form of FillPlan over a whole block: plans for values[0..n) into
-  /// `plans` (element-major, n × num_tables words), evaluating each table's
-  /// polynomials with the hashing/simd_hash.h block kernels at `level`.
-  /// Word-for-word identical to calling FillPlan per value.
-  void FillPlansBlock(const uint64_t* values, size_t n, uint32_t* plans,
-                      hashing::SimdLevel level) const;
-
-  /// Adds `weight` (sign-adjusted per table) at each table's planned
-  /// bucket.
-  void ApplyPlan(const uint32_t* plan, int64_t weight);
-
-  /// The blocked hash→scatter batch kernel (use_blocked_batch).
-  void UpdateBatchBlocked(std::span<const stream::StreamElement> elements);
+  /// The kFast kernel over this sketch. Pre-condition: the plan cache is
+  /// engaged.
+  internal::PlanKernel<true> FastKernel();
 
   HashSketchConfig config_;
   uint64_t seed_;
   std::vector<hashing::BucketHash> bucket_hashes_;  // one per table
   std::vector<hashing::SignHash> sign_hashes_;      // one per table
   std::vector<int64_t> counters_;                   // row-major by table
-  KernelOptions kernel_options_;
+  Kernel kernel_ = Kernel::kFast;
   uint64_t update_epoch_ = 0;
   // Derived acceleration state: never serialized, ignored by
   // CompatibleWith/Merge, and kept across Reset (plans depend only on the
-  // hash families). Disengaged when use_plan_cache is off.
+  // hash families). Engaged exactly when the kFast kernels run: under
+  // kFast with at most 2^31 buckets (plan words pack the bucket in 31 bits).
   std::optional<hashing::HashPlanCache> plan_cache_;
 };
 

@@ -1,5 +1,5 @@
-// Concurrency-plane tests (DESIGN.md §13): the persistent WorkerPool, the
-// pooled ParallelIngestor, and the relaxed-consistency ConcurrentIngestor.
+// Concurrency-plane tests (DESIGN.md §13): the persistent WorkerPool and
+// the relaxed-consistency ConcurrentIngestor.
 // Three properties matter:
 //   1. EXACTNESS — after Flush, the shared synopsis is counter-for-counter
 //      identical to a sequential ingest (linearity makes relaxation
@@ -22,7 +22,6 @@
 
 #include "gtest/gtest.h"
 #include "ingest/concurrent_ingestor.h"
-#include "ingest/parallel_ingestor.h"
 #include "ingest/worker_pool.h"
 #include "query/engine.h"
 #include "sketch/count_min_sketch.h"
@@ -86,39 +85,6 @@ TEST(WorkerPoolTest, DestructorDrainsSubmittedTasks) {
   EXPECT_EQ(300u, ran.load());
 }
 
-TEST(WorkerPoolTest, PinningIsBestEffort) {
-  ingest::WorkerPool pool(2, ingest::WorkerPool::Options{true});
-  std::atomic<uint64_t> ran{0};
-  pool.Submit(0, [&ran] { ran.fetch_add(1); });
-  pool.Submit(1, [&ran] { ran.fetch_add(1); });
-  pool.Barrier();
-  EXPECT_EQ(2u, ran.load());
-  EXPECT_LE(pool.pinned_workers(), pool.num_workers());
-}
-
-// ---- ParallelIngestor on the persistent pool -------------------------------
-
-TEST(ParallelIngestorPoolTest, ManyBatchesAcrossPoolReuseStayExact) {
-  auto sequential = *sketch::HashSketch::Create({7, 128}, 11);
-  auto master = *sketch::HashSketch::Create({7, 128}, 11);
-  auto ingestor =
-      *ingest::ParallelIngestor<sketch::HashSketch>::Create(master, 4);
-  // Many absorb/flush rounds through the same pool: exactness must survive
-  // worker-thread reuse, including batches small enough to collapse inline.
-  for (uint64_t round = 0; round < 6; ++round) {
-    const auto batch = MixedStream(round % 2 == 0 ? 40000 : 100, 1u << 14,
-                                   /*seed=*/100 + round);
-    sequential.UpdateBatch(batch);
-    ingestor.AbsorbBatch(batch);
-    if (round % 2 == 1) ingestor.FlushInto(&master);
-  }
-  ingestor.FlushInto(&master);
-  EXPECT_EQ(sequential.CounterArray().size(), master.CounterArray().size());
-  for (size_t i = 0; i < sequential.CounterArray().size(); ++i) {
-    ASSERT_EQ(sequential.CounterArray()[i], master.CounterArray()[i]) << i;
-  }
-}
-
 // ---- ConcurrentIngestor ----------------------------------------------------
 
 TEST(ConcurrentIngestorTest, CreateValidatesArguments) {
@@ -136,6 +102,30 @@ TEST(ConcurrentIngestorTest, CreateValidatesArguments) {
   EXPECT_FALSE(ingest::ConcurrentIngestor<sketch::HashSketch>::Create(
                    &sketch, zero_interval)
                    .ok());
+}
+
+TEST(ConcurrentIngestorTest, ManyFlushRoundsAcrossPoolReuseStayExact) {
+  auto sequential = *sketch::HashSketch::Create({7, 128}, 11);
+  auto master = *sketch::HashSketch::Create({7, 128}, 11);
+  ingest::ConcurrentIngestOptions options;
+  options.num_workers = 4;
+  auto ingestor = *ingest::ConcurrentIngestor<sketch::HashSketch>::Create(
+      &master, options);
+  // Many absorb/flush rounds through the same pool: exactness must survive
+  // worker-thread reuse, including batches small enough to go whole to one
+  // worker.
+  for (uint64_t round = 0; round < 6; ++round) {
+    const auto batch = MixedStream(round % 2 == 0 ? 40000 : 100, 1u << 14,
+                                   /*seed=*/100 + round);
+    sequential.UpdateBatch(batch);
+    ingestor->AbsorbBatch(batch);
+    if (round % 2 == 1) ingestor->Flush();
+  }
+  ingestor->Flush();
+  EXPECT_EQ(sequential.CounterArray().size(), master.CounterArray().size());
+  for (size_t i = 0; i < sequential.CounterArray().size(); ++i) {
+    ASSERT_EQ(sequential.CounterArray()[i], master.CounterArray()[i]) << i;
+  }
 }
 
 TEST(ConcurrentIngestorTest, FlushIsExactAgainstSequentialIngest) {

@@ -29,6 +29,8 @@ std::pair<FrameChannel, FrameChannel> LocalPair() {
 TEST(FrameCodec, RoundTripsTypeAndPayload) {
   const std::string payload = "hello skimmed sketches \x01\x00\xff";
   const std::string wire = EncodeFrame(42, payload);
+  // Untraced frames use the one 40-byte header, with zero trace ids.
+  EXPECT_EQ(wire.substr(0, 4), "SKJ2");
   ASSERT_EQ(kFrameHeaderBytes + payload.size(), wire.size());
 
   size_t consumed = 0;
@@ -37,6 +39,9 @@ TEST(FrameCodec, RoundTripsTypeAndPayload) {
   ASSERT_TRUE(decoded->has_value());
   EXPECT_EQ(42u, (*decoded)->type);
   EXPECT_EQ(payload, (*decoded)->payload);
+  EXPECT_EQ(0u, (*decoded)->trace_id);
+  EXPECT_EQ(0u, (*decoded)->span_id);
+  EXPECT_EQ(0u, (*decoded)->parent_span_id);
   EXPECT_EQ(wire.size(), consumed);
 }
 
@@ -108,33 +113,25 @@ TEST(FrameCodec, OversizedLengthRejectedBeforeAllocation) {
 }
 
 TEST(FrameCodec, BadMagicRejectedEvenOnPartialHeader) {
-  // Two bytes only, and the second already disagrees with 'SKJF': the
+  // Two bytes only, and the second already disagrees with 'SKJ2': the
   // decoder must poison the connection now, not wait for more bytes.
   const std::string junk = "XY";
   size_t consumed = 0;
   StatusOr<std::optional<Frame>> decoded = TryDecodeFrame(junk, &consumed);
   EXPECT_FALSE(decoded.ok());
+  // The retired 16-byte 'SKJF' header is not a frame either.
+  EXPECT_FALSE(TryDecodeFrame("SKJF", &consumed).ok());
 }
 
-// --- frame version 2 (trace context header) ---------------------------------
+// --- trace context header ---------------------------------------------------
 
-TEST(FrameCodecV2, AllZeroTraceContextEmitsV1) {
-  // An untraced fleet must produce byte-identical wire traffic to the
-  // v1-only protocol.
-  EXPECT_EQ(EncodeFrame(5, "payload"), EncodeFrame(5, "payload", 0, 0, 0));
-  const std::string wire = EncodeFrame(5, "payload", 0, 0, 0);
-  ASSERT_GE(wire.size(), 4u);
-  EXPECT_EQ(wire.substr(0, 4), "SKJF");
-  EXPECT_EQ(wire.size(), kFrameHeaderBytes + 7);
-}
-
-TEST(FrameCodecV2, RoundTripsTraceContext) {
+TEST(FrameCodecTraced, RoundTripsTraceContext) {
   const std::string payload = "traced \x00\xff payload";
   const std::string wire =
       EncodeFrame(42, payload, 0x1111222233334444ull, 0x5555666677778888ull,
                   0x9999aaaabbbbccccull);
   EXPECT_EQ(wire.substr(0, 4), "SKJ2");
-  ASSERT_EQ(wire.size(), kFrameHeaderBytesV2 + payload.size());
+  ASSERT_EQ(wire.size(), kFrameHeaderBytes + payload.size());
 
   size_t consumed = 0;
   StatusOr<std::optional<Frame>> decoded = TryDecodeFrame(wire, &consumed);
@@ -148,47 +145,8 @@ TEST(FrameCodecV2, RoundTripsTraceContext) {
   EXPECT_EQ(wire.size(), consumed);
 }
 
-TEST(FrameCodecV2, AnyNonZeroIdUpgradesToV2) {
-  // A root span has parent 0 and may have only trace/span set; any single
-  // non-zero id must ride the v2 header rather than being dropped.
-  const std::string wire = EncodeFrame(1, "x", 77, 0, 0);
-  EXPECT_EQ(wire.substr(0, 4), "SKJ2");
-  size_t consumed = 0;
-  StatusOr<std::optional<Frame>> decoded = TryDecodeFrame(wire, &consumed);
-  ASSERT_TRUE(decoded.ok() && decoded->has_value());
-  EXPECT_EQ(77u, (*decoded)->trace_id);
-  EXPECT_EQ(0u, (*decoded)->span_id);
-}
-
-TEST(FrameCodecV2, DecodesInterleavedV1AndV2Frames) {
-  // A mixed stream — traced and untraced peers sharing one connection —
-  // decodes frame by frame with the right context on each.
-  const std::string wire = EncodeFrame(1, "plain") +
-                           EncodeFrame(2, "traced", 9, 8, 7) +
-                           EncodeFrame(3, "plain again");
-  std::string_view rest = wire;
-  size_t consumed = 0;
-
-  StatusOr<std::optional<Frame>> first = TryDecodeFrame(rest, &consumed);
-  ASSERT_TRUE(first.ok() && first->has_value());
-  EXPECT_EQ(0u, (*first)->trace_id);
-  rest = rest.substr(consumed);
-
-  StatusOr<std::optional<Frame>> second = TryDecodeFrame(rest, &consumed);
-  ASSERT_TRUE(second.ok() && second->has_value());
-  EXPECT_EQ(9u, (*second)->trace_id);
-  EXPECT_EQ(8u, (*second)->span_id);
-  EXPECT_EQ(7u, (*second)->parent_span_id);
-  rest = rest.substr(consumed);
-
-  StatusOr<std::optional<Frame>> third = TryDecodeFrame(rest, &consumed);
-  ASSERT_TRUE(third.ok() && third->has_value());
-  EXPECT_EQ(3u, (*third)->type);
-  EXPECT_EQ(0u, (*third)->trace_id);
-}
-
-TEST(FrameCodecV2, EveryTruncationIsIncompleteNeverGarbage) {
-  const std::string wire = EncodeFrame(9, "truncate the v2 frame", 1, 2, 3);
+TEST(FrameCodecTraced, EveryTruncationIsIncompleteNeverGarbage) {
+  const std::string wire = EncodeFrame(9, "truncate the traced frame", 1, 2, 3);
   for (size_t len = 0; len < wire.size(); ++len) {
     size_t consumed = 1234;
     StatusOr<std::optional<Frame>> decoded =
@@ -199,7 +157,7 @@ TEST(FrameCodecV2, EveryTruncationIsIncompleteNeverGarbage) {
   }
 }
 
-TEST(FrameCodecV2, EveryBitFlipIsRejected) {
+TEST(FrameCodecTraced, EveryBitFlipIsRejected) {
   // The CRC must cover the trace ids too: a flipped bit anywhere in the
   // 40-byte header or payload may not decode to a Frame.
   const std::string wire = EncodeFrame(3, "flip the traced frame", 1, 2, 3);

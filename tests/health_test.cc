@@ -215,6 +215,47 @@ TEST(HealthReportTest, StreamRulesFireOnDropsAndDeletes) {
 #endif
 }
 
+// The skew-cache-mismatch rule: a stream whose mass is skewed (fitted skew
+// >= 1.2) while its plan-cache probes mostly miss. Ten values carry almost
+// all of the mass in single heavy-weight updates and every other update is
+// a distinct cold value, so the fixed-size plan cache hits well below 0.5.
+TEST(HealthReportTest, SkewedStreamWithColdPlanCacheFlagsSkewCacheMismatch) {
+  constexpr uint64_t kDomain = 1u << 22;
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"f", kDomain}).ok());
+  FrequencyQuerySpec freq;
+  freq.stream = "f";
+  ASSERT_TRUE(engine.AddFrequencyQuery(freq, 3).ok());
+  std::vector<StreamUpdate> batch;
+  for (uint64_t value = 0; value < 10; ++value) {
+    batch.push_back({.value = value, .count = 100000});
+  }
+  Rng rng(77);
+  for (int i = 0; i < 50000; ++i) {
+    batch.push_back({.value = 16 + rng.NextUint64Below(kDomain - 16),
+                     .count = 1});
+  }
+  ASSERT_TRUE(engine.UpdateBatch("f", batch).ok());
+
+  const query::HealthReport report = engine.HealthReport();
+  ASSERT_EQ(report.streams.size(), 1u);
+  EXPECT_LT(report.streams[0].hash_cache_hit_rate, 0.5);
+#ifndef SKIMJOIN_DISABLE_PROFILER
+  ASSERT_TRUE(report.streams[0].profile.has_value());
+  EXPECT_GE(report.streams[0].profile->skew, 1.2);
+  const HealthFinding* finding =
+      FindRule(report.findings, "skew-cache-mismatch", "stream f");
+  ASSERT_NE(finding, nullptr);
+  EXPECT_EQ(finding->severity, HealthFinding::Severity::kInfo);
+  // The finding states the observation; the slot count is not a setting.
+  EXPECT_NE(finding->message.find("on the fixed 16384-slot hash-plan cache"),
+            std::string::npos)
+      << finding->message;
+  EXPECT_EQ(finding->message.find("raise"), std::string::npos)
+      << finding->message;
+#endif
+}
+
 // The health gauges published by HealthReport must appear in the metrics
 // snapshot, and — the HELP-coverage satellite — every family exported to
 // Prometheus must carry a # HELP line.

@@ -1,9 +1,9 @@
 // Tests for the batched / sharded ingestion pipeline: UpdateBatch must be
 // counter-for-counter identical to scalar Update on every synopsis type,
-// ParallelIngestor must reproduce the sequential result exactly at any
-// shard count (linearity makes the parallelism lossless), and the engine
-// batch entry point must answer queries identically to element-wise
-// feeding while tracking ingest counters.
+// ConcurrentIngestor must reproduce the sequential result exactly at every
+// Flush and any worker count (linearity makes the parallelism lossless),
+// and the engine batch entry point must answer queries identically to
+// element-wise feeding while tracking ingest counters.
 
 #include <cstdint>
 #include <memory>
@@ -13,7 +13,7 @@
 
 #include "core/skimmed_sketch.h"
 #include "gtest/gtest.h"
-#include "ingest/parallel_ingestor.h"
+#include "ingest/concurrent_ingestor.h"
 #include "query/engine.h"
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
@@ -130,13 +130,13 @@ TEST(UpdateBatchTest, ResetReturnsToFreshState) {
   EXPECT_EQ(Serialized(fresh), Serialized(used));
 }
 
-TEST(ParallelIngestorTest, RejectsZeroShards) {
-  auto proto = *sketch::HashSketch::Create({5, 64}, 1);
-  EXPECT_FALSE(
-      ingest::ParallelIngestor<sketch::HashSketch>::Create(proto, 0).ok());
+ingest::ConcurrentIngestOptions Workers(uint64_t num_workers) {
+  ingest::ConcurrentIngestOptions options;
+  options.num_workers = num_workers;
+  return options;
 }
 
-TEST(ParallelIngestorTest, MatchesSequentialAtAnyShardCount) {
+TEST(ConcurrentIngestorFlushTest, MatchesSequentialAtAnyWorkerCount) {
   const auto elements = MixedStream(60000, 1u << 12, 23);
   core::SkimmedSketchConfig config;
   config.domain_size = 1u << 12;
@@ -147,61 +147,63 @@ TEST(ParallelIngestorTest, MatchesSequentialAtAnyShardCount) {
   for (const StreamElement& element : elements) sequential.Update(element);
   const std::string expected = Serialized(sequential);
 
-  for (uint64_t shards : {1u, 2u, 3u, 4u, 8u}) {
+  for (uint64_t workers : {1u, 2u, 3u, 4u, 8u}) {
     auto master = *core::SkimmedSketch::Create(config, 7);
-    auto ingestor =
-        *ingest::ParallelIngestor<core::SkimmedSketch>::Create(master, shards);
-    ingestor.IngestInto(&master, elements);
-    EXPECT_EQ(Serialized(master), expected) << shards << " shards";
+    auto ingestor = *ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
+        &master, Workers(workers));
+    ingestor->AbsorbBatch(elements);
+    ingestor->Flush();
+    EXPECT_EQ(Serialized(master), expected) << workers << " workers";
   }
 }
 
-TEST(ParallelIngestorTest, MultipleBatchesAccumulateAcrossFlushes) {
+TEST(ConcurrentIngestorFlushTest, MultipleBatchesAccumulateAcrossFlushes) {
   const auto elements = MixedStream(40000, 1u << 10, 29);
   auto sequential = *sketch::HashSketch::Create({7, 256}, 1);
   for (const StreamElement& element : elements) sequential.Update(element);
 
   auto master = *sketch::HashSketch::Create({7, 256}, 1);
-  auto ingestor =
-      *ingest::ParallelIngestor<sketch::HashSketch>::Create(master, 4);
+  auto ingestor = *ingest::ConcurrentIngestor<sketch::HashSketch>::Create(
+      &master, Workers(4));
   const std::span<const StreamElement> all(elements);
   // Two absorbs per flush, two flushes: replicas must reset cleanly between
   // flushes or counters would double.
-  ingestor.AbsorbBatch(all.subspan(0, 10000));
-  ingestor.AbsorbBatch(all.subspan(10000, 10000));
-  ingestor.FlushInto(&master);
-  ingestor.AbsorbBatch(all.subspan(20000, 20000));
-  ingestor.FlushInto(&master);
+  ingestor->AbsorbBatch(all.subspan(0, 10000));
+  ingestor->AbsorbBatch(all.subspan(10000, 10000));
+  ingestor->Flush();
+  ingestor->AbsorbBatch(all.subspan(20000, 20000));
+  ingestor->Flush();
   EXPECT_EQ(Serialized(master), Serialized(sequential));
 
-  const ingest::IngestStats& stats = ingestor.stats();
+  const ingest::IngestStats& stats = ingestor->stats();
   EXPECT_EQ(stats.elements_absorbed, 40000u);
   EXPECT_EQ(stats.batches, 3u);
   EXPECT_EQ(stats.merges, 2u);
   EXPECT_FALSE(stats.ToString().empty());
 }
 
-TEST(ParallelIngestorTest, FoldsReplicaDropCountsIntoStats) {
+TEST(ConcurrentIngestorFlushTest, FoldsReplicaDropCountsIntoStats) {
   core::SkimmedSketchConfig config;
   config.domain_size = 1u << 8;
   config.num_buckets = 64;
   auto master = *core::SkimmedSketch::Create(config, 3);
-  auto ingestor =
-      *ingest::ParallelIngestor<core::SkimmedSketch>::Create(master, 2);
+  auto ingestor = *ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
+      &master, Workers(2));
   std::vector<StreamElement> elements(20000, StreamElement{1, 1});
   elements[7].value = 1u << 9;    // out of domain
   elements[19999].value = 1u << 10;  // out of domain
-  ingestor.IngestInto(&master, elements);
-  EXPECT_EQ(ingestor.stats().elements_dropped, 2u);
-  EXPECT_EQ(ingestor.stats().elements_absorbed, 19998u);
+  ingestor->AbsorbBatch(elements);
+  ingestor->Flush();
+  EXPECT_EQ(ingestor->stats().elements_dropped, 2u);
+  EXPECT_EQ(ingestor->stats().elements_absorbed, 19998u);
   EXPECT_EQ(master.EstimatePointFrequency(1), 19998);
   EXPECT_EQ(master.dropped_updates(), 0u);  // drops stayed in the replicas
 }
 
 /// Minimal linear synopsis whose Reset deliberately KEEPS its drop counter,
-/// modeling a synopsis that treats drops as a lifetime tally (or a prototype
-/// copied from a non-reset master). Its replicas then report drops the
-/// ingestor never counted as absorbed.
+/// modeling a synopsis that treats drops as a lifetime tally. Replicas
+/// copied from a prototype with drops then report drops the ingestor never
+/// counted as absorbed.
 class StickyDropSynopsis {
  public:
   void Update(const StreamElement& element) {
@@ -225,26 +227,29 @@ class StickyDropSynopsis {
 };
 
 // Regression: replica drop counts larger than the ingestor's own absorbed
-// tally used to underflow stats_.elements_absorbed (unsigned) to ~2^64.
-// The subtraction must saturate at zero instead.
-TEST(ParallelIngestorTest, FlushSaturatesAbsorbedWhenReplicaDropsExceedIt) {
-  StickyDropSynopsis prototype;
-  // Pre-existing drops on the prototype survive Create's replica Reset, so
-  // the first flush sees 2 shards x 3 drops against 0 absorbed elements.
+// tally must not underflow stats().elements_absorbed (unsigned) to ~2^64.
+// The subtraction saturates at zero instead.
+TEST(ConcurrentIngestorFlushTest,
+     FlushSaturatesAbsorbedWhenReplicaDropsExceedIt) {
+  StickyDropSynopsis shared;
+  // Pre-existing drops on the shared synopsis survive each replica's Reset,
+  // so the flush sees 3 drops against 1 absorbed element.
   const std::vector<StreamElement> out_of_range = {{99, 1}, {99, 1}, {99, 1}};
-  prototype.UpdateBatch(out_of_range);
-  ASSERT_EQ(prototype.dropped_updates(), 3u);
+  shared.UpdateBatch(out_of_range);
+  ASSERT_EQ(shared.dropped_updates(), 3u);
 
   auto ingestor =
-      ingest::ParallelIngestor<StickyDropSynopsis>::Create(prototype, 2);
+      ingest::ConcurrentIngestor<StickyDropSynopsis>::Create(&shared,
+                                                             Workers(2));
   ASSERT_TRUE(ingestor.ok());
-  StickyDropSynopsis master;
-  ingestor->FlushInto(&master);
+  const std::vector<StreamElement> one = {{1, 1}};
+  (*ingestor)->AbsorbBatch(one);
+  (*ingestor)->Flush();
 
-  const ingest::IngestStats& stats = ingestor->stats();
+  const ingest::IngestStats& stats = (*ingestor)->stats();
   EXPECT_EQ(stats.elements_absorbed, 0u);  // saturated, not ~2^64
-  EXPECT_EQ(stats.elements_dropped, 6u);
-  EXPECT_EQ(master.total(), 0);
+  EXPECT_EQ(stats.elements_dropped, 3u);
+  EXPECT_EQ(shared.total(), 1);
 }
 
 TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {

@@ -1,9 +1,17 @@
-// Differential proof that every fast-path kernel combination (fastmod,
-// plan cache, blocked batches — DESIGN.md §10) is bit-identical to the
-// scalar reference path: same counters, same serialized bytes, for every
+// Differential proof that the fast update kernel (fastmod, plan cache,
+// blocked batches, SIMD lanes — DESIGN.md §10) is bit-identical to the
+// scalar reference kernel: same counters, same serialized bytes, for every
 // sketch family, across randomized shapes, seeds, batch splits, deletes
-// and out-of-domain values.
+// and out-of-domain values. CI runs it both with the SIMD lanes dispatched
+// and under SKIMJOIN_FORCE_SCALAR=1, which covers both phase-1 paths of the
+// blocked kernel.
+//
+// The workload's shape does the stress testing: a cold tail over a domain
+// of at least 2^20 keeps the kPlanCacheSlots-slot cache evicting, and batch
+// sizes that are not multiples of kBatchBlockSize — some below the 8-lane
+// SIMD width — force block and lane remainders on every call.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -17,63 +25,24 @@
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/hash_sketch.h"
-#include "sketch/kernel_options.h"
+#include "sketch/kernel.h"
 #include "stream/stream_element.h"
 #include "util/random.h"
 
 namespace skimjoin {
 namespace {
 
-using sketch::KernelOptions;
+using sketch::Kernel;
 using stream::StreamElement;
 
-/// The kernel combinations under test: each fast path alone, all together,
-/// and a stress shape (tiny blocks, tiny cache) that forces block remainders
-/// and constant cache eviction.
-std::vector<std::pair<std::string, KernelOptions>> KernelModes() {
-  std::vector<std::pair<std::string, KernelOptions>> modes;
-  modes.emplace_back("scalar", KernelOptions::Scalar());
-
-  KernelOptions fastmod = KernelOptions::Scalar();
-  fastmod.use_fastmod = true;
-  modes.emplace_back("fastmod", fastmod);
-
-  KernelOptions cache = KernelOptions::Scalar();
-  cache.use_plan_cache = true;
-  modes.emplace_back("cache", cache);
-
-  KernelOptions blocked = KernelOptions::Scalar();
-  blocked.use_blocked_batch = true;
-  modes.emplace_back("blocked", blocked);
-
-  KernelOptions simd = KernelOptions::Scalar();
-  simd.use_blocked_batch = true;  // the SIMD path lives in the blocked kernel
-  simd.use_simd = true;
-  modes.emplace_back("simd", simd);
-
-  KernelOptions simd_cache = simd;
-  simd_cache.use_plan_cache = true;  // Lookup/Insert miss batching
-  modes.emplace_back("simd-cache", simd_cache);
-
-  // All-on (the production default) and the stress shape both include the
-  // SIMD dispatch; block size 3 forces every vector kernel through its
-  // sub-lane-width tail path on every block.
-  modes.emplace_back("all", KernelOptions{});
-
-  KernelOptions stress;
-  stress.batch_block_size = 3;
-  stress.plan_cache_slots = 4;
-  modes.emplace_back("stress", stress);
-
-  KernelOptions stress_scalar = stress;
-  stress_scalar.use_simd = false;
-  modes.emplace_back("stress-nosimd", stress_scalar);
-  return modes;
-}
+/// Smallest cold-tail domain: far more distinct values than the plan cache
+/// has slots.
+constexpr uint64_t kColdDomain = uint64_t{1} << 20;
 
 /// A randomized workload: Zipf-ish skew (hot values repeat, exercising the
-/// plan cache), signed weights including deletes, and — when requested —
-/// values beyond `domain` to hit the drop path.
+/// plan cache), a cold tail over `domain` (cache misses and evictions),
+/// signed weights including deletes, and — when requested — values beyond
+/// `domain` to hit the drop path.
 std::vector<StreamElement> MakeWorkload(Rng* rng, uint64_t domain,
                                         uint64_t num_elements,
                                         bool include_out_of_domain) {
@@ -103,27 +72,37 @@ std::vector<StreamElement> MakeWorkload(Rng* rng, uint64_t domain,
 }
 
 /// Feeds `elements` through a mix of scalar Update calls and UpdateBatch
-/// calls of randomized sizes (including empty and size-1 batches, and sizes
-/// that are not multiples of any block size). `split_rng` must be seeded
-/// identically across modes so every mode sees the same call sequence.
+/// calls: empty batches, batches below the 8-lane SIMD width, batches
+/// inside one block, and batches spanning several blocks with a ragged
+/// tail (never a multiple of kBatchBlockSize). `split_rng` must be seeded
+/// identically across kernels so both see the same call sequence.
 template <typename Sketch>
 void ApplyWorkload(Sketch* sketch, std::span<const StreamElement> elements,
                    Rng* split_rng) {
   size_t pos = 0;
   while (pos < elements.size()) {
-    const uint64_t roll = split_rng->NextUint64Below(10);
-    if (roll == 0) {
-      sketch->Update(elements[pos]);
-      ++pos;
-    } else {
-      const size_t max_batch = elements.size() - pos;
-      size_t batch = split_rng->NextUint64Below(257);
-      if (batch > max_batch) batch = max_batch;
-      sketch->UpdateBatch(elements.subspan(pos, batch));
-      pos += batch;
+    size_t batch = 0;
+    switch (split_rng->NextUint64Below(5)) {
+      case 0:
+        sketch->Update(elements[pos]);
+        ++pos;
+        continue;
+      case 1:
+        batch = split_rng->NextUint64Below(8);  // 0..7: below lane width
+        break;
+      case 2:
+        batch = 8 + split_rng->NextUint64Below(sketch::kBatchBlockSize - 8);
+        break;
+      default:
+        batch = sketch::kBatchBlockSize * (1 + split_rng->NextUint64Below(4)) +
+                1 + split_rng->NextUint64Below(sketch::kBatchBlockSize - 1);
+        break;
     }
+    batch = std::min(batch, elements.size() - pos);
+    sketch->UpdateBatch(elements.subspan(pos, batch));
+    pos += batch;
   }
-  sketch->UpdateBatch({});  // empty batch must be a no-op in every mode
+  sketch->UpdateBatch({});  // empty batch must be a no-op in every kernel
 }
 
 template <typename Sketch>
@@ -134,45 +113,53 @@ std::string Serialize(const Sketch& sketch) {
   return std::move(out).str();
 }
 
-/// Runs `make_sketch()` once per kernel mode over the same workload and
-/// asserts every mode serializes to exactly the scalar reference bytes.
 template <typename Sketch>
-void ExpectAllModesBitIdentical(
+struct KernelPair {
+  Sketch reference;
+  Sketch fast;
+};
+
+/// Runs `make_sketch()` under the reference and the fast kernel over the
+/// same workload and asserts both serialize to the same bytes. Returns both
+/// sketches for kernel-specific checks.
+template <typename Sketch>
+KernelPair<Sketch> ExpectFastMatchesReference(
     const std::function<Sketch()>& make_sketch,
     std::span<const StreamElement> elements, uint64_t split_seed,
     const std::string& context) {
-  std::string reference;
-  std::string reference_mode;
-  for (const auto& [name, options] : KernelModes()) {
-    Sketch sketch = make_sketch();
-    sketch.SetKernelOptions(options);
-    Rng split_rng(split_seed);
-    ApplyWorkload(&sketch, elements, &split_rng);
-    const std::string bytes = Serialize(sketch);
-    if (reference_mode.empty()) {
-      reference = bytes;
-      reference_mode = name;
-      continue;
-    }
-    ASSERT_EQ(bytes, reference)
-        << context << ": mode '" << name << "' diverged from '"
-        << reference_mode << "'";
-  }
+  KernelPair<Sketch> pair{make_sketch(), make_sketch()};
+  pair.reference.SetKernel(Kernel::kReference);
+  Rng reference_split(split_seed);
+  ApplyWorkload(&pair.reference, elements, &reference_split);
+
+  EXPECT_EQ(pair.fast.kernel(), Kernel::kFast) << "new sketches run kFast";
+  Rng fast_split(split_seed);
+  ApplyWorkload(&pair.fast, elements, &fast_split);
+
+  EXPECT_EQ(Serialize(pair.fast), Serialize(pair.reference))
+      << context << ": fast kernel diverged from the reference";
+  return pair;
 }
 
-TEST(KernelDifferentialTest, HashSketchAllModesBitIdentical) {
+TEST(KernelDifferentialTest, HashSketchFastMatchesReference) {
   Rng rng(101);
   for (int trial = 0; trial < 8; ++trial) {
     sketch::HashSketchConfig config;
     config.num_tables = 1 + rng.NextUint64Below(9);
     config.num_buckets = 1 + rng.NextUint64Below(700);
+    if (trial % 4 == 3) {
+      // More than 2 MiB of counters: the blocked kernel stages its misses
+      // for the table-major scatter.
+      config.num_tables = 7 + rng.NextUint64Below(3);
+      config.num_buckets = 40000 + rng.NextUint64Below(9);
+    }
     const uint64_t seed = rng.NextUint64();
-    const uint64_t domain = 1 + rng.NextUint64Below(1u << 14);
+    const uint64_t domain = kColdDomain + rng.NextUint64Below(kColdDomain);
     const auto elements =
-        MakeWorkload(&rng, domain, 2000 + rng.NextUint64Below(3000),
+        MakeWorkload(&rng, domain, 40000 + rng.NextUint64Below(20000),
                      /*include_out_of_domain=*/false);
     const uint64_t split_seed = rng.NextUint64();
-    ExpectAllModesBitIdentical<sketch::HashSketch>(
+    const auto sketches = ExpectFastMatchesReference<sketch::HashSketch>(
         [&] {
           auto sketch = sketch::HashSketch::Create(config, seed);
           EXPECT_TRUE(sketch.ok());
@@ -182,22 +169,29 @@ TEST(KernelDifferentialTest, HashSketchAllModesBitIdentical) {
         "HashSketch trial " + std::to_string(trial) + " tables=" +
             std::to_string(config.num_tables) + " buckets=" +
             std::to_string(config.num_buckets));
+    // More misses than slots: at least the excess evicted a cached plan.
+    EXPECT_GT(sketches.fast.hash_cache_misses(), sketch::kPlanCacheSlots)
+        << "trial " << trial << " never filled the plan cache";
   }
 }
 
-TEST(KernelDifferentialTest, CountMinSketchAllModesBitIdentical) {
+TEST(KernelDifferentialTest, CountMinSketchFastMatchesReference) {
   Rng rng(202);
   for (int trial = 0; trial < 8; ++trial) {
     sketch::CountMinConfig config;
     config.num_tables = 1 + rng.NextUint64Below(7);
     config.num_buckets = 1 + rng.NextUint64Below(500);
+    if (trial % 4 == 3) {  // staged scatter, as for HashSketch
+      config.num_tables = 5 + rng.NextUint64Below(3);
+      config.num_buckets = 60000 + rng.NextUint64Below(9);
+    }
     const uint64_t seed = rng.NextUint64();
-    const uint64_t domain = 1 + rng.NextUint64Below(1u << 14);
+    const uint64_t domain = kColdDomain + rng.NextUint64Below(kColdDomain);
     const auto elements =
-        MakeWorkload(&rng, domain, 2000 + rng.NextUint64Below(3000),
+        MakeWorkload(&rng, domain, 40000 + rng.NextUint64Below(20000),
                      /*include_out_of_domain=*/false);
     const uint64_t split_seed = rng.NextUint64();
-    ExpectAllModesBitIdentical<sketch::CountMinSketch>(
+    const auto sketches = ExpectFastMatchesReference<sketch::CountMinSketch>(
         [&] {
           auto sketch = sketch::CountMinSketch::Create(config, seed);
           EXPECT_TRUE(sketch.ok());
@@ -207,22 +201,24 @@ TEST(KernelDifferentialTest, CountMinSketchAllModesBitIdentical) {
         "CountMinSketch trial " + std::to_string(trial) + " tables=" +
             std::to_string(config.num_tables) + " buckets=" +
             std::to_string(config.num_buckets));
+    EXPECT_GT(sketches.fast.hash_cache_misses(), sketch::kPlanCacheSlots)
+        << "trial " << trial << " never filled the plan cache";
   }
 }
 
-TEST(KernelDifferentialTest, AgmsSketchAllModesBitIdentical) {
+TEST(KernelDifferentialTest, AgmsSketchFastMatchesReference) {
   Rng rng(303);
   for (int trial = 0; trial < 6; ++trial) {
     sketch::AgmsConfig config;
     config.num_means = 1 + rng.NextUint64Below(48);
     config.num_medians = 1 + rng.NextUint64Below(7);
     const uint64_t seed = rng.NextUint64();
-    const uint64_t domain = 1 + rng.NextUint64Below(1u << 12);
+    const uint64_t domain = kColdDomain + rng.NextUint64Below(kColdDomain);
     const auto elements =
         MakeWorkload(&rng, domain, 1000 + rng.NextUint64Below(2000),
                      /*include_out_of_domain=*/false);
     const uint64_t split_seed = rng.NextUint64();
-    ExpectAllModesBitIdentical<sketch::AgmsSketch>(
+    ExpectFastMatchesReference<sketch::AgmsSketch>(
         [&] {
           auto sketch = sketch::AgmsSketch::Create(config, seed);
           EXPECT_TRUE(sketch.ok());
@@ -235,57 +231,52 @@ TEST(KernelDifferentialTest, AgmsSketchAllModesBitIdentical) {
   }
 }
 
-TEST(KernelDifferentialTest, SkimmedSketchAllModesBitIdentical) {
+TEST(KernelDifferentialTest, SkimmedSketchFastMatchesReference) {
   Rng rng(404);
-  for (int trial = 0; trial < 5; ++trial) {
+  for (int trial = 0; trial < 8; ++trial) {
     core::SkimmedSketchConfig config;
-    config.domain_size = uint64_t{1} << (6 + rng.NextUint64Below(8));
+    // Trials alternate the dyadic layout and a 2^20 domain (whose level-0
+    // cache evicts constantly) with small random domains.
+    config.use_dyadic_skim = (trial % 2 == 0);
+    config.domain_size = (trial / 2) % 2 == 0
+                             ? kColdDomain
+                             : uint64_t{1} << (6 + rng.NextUint64Below(8));
     config.num_tables = 1 + rng.NextUint64Below(7);
     config.num_buckets = 1 + rng.NextUint64Below(300);
-    config.use_dyadic_skim = (trial % 2 == 0);  // cover both layouts
     const uint64_t seed = rng.NextUint64();
-    // Out-of-domain values exercise the drop path in every kernel; the
-    // dropped-update tally must agree across modes as well (it is part of
-    // observable behaviour even though it is not serialized).
-    const auto elements =
-        MakeWorkload(&rng, config.domain_size,
-                     2000 + rng.NextUint64Below(3000),
-                     /*include_out_of_domain=*/true);
+    // Out-of-domain values exercise the drop path in both kernels; the
+    // dropped-update tally must agree as well (it is part of observable
+    // behaviour even though it is not serialized).
+    const uint64_t num_elements = config.domain_size == kColdDomain
+                                      ? 30000 + rng.NextUint64Below(10000)
+                                      : 2000 + rng.NextUint64Below(3000);
+    const auto elements = MakeWorkload(&rng, config.domain_size, num_elements,
+                                       /*include_out_of_domain=*/true);
     const uint64_t split_seed = rng.NextUint64();
-
-    std::string reference;
-    std::string reference_mode;
-    uint64_t reference_dropped = 0;
-    for (const auto& [name, options] : KernelModes()) {
-      auto created = core::SkimmedSketch::Create(config, seed);
-      ASSERT_TRUE(created.ok()) << created.status().ToString();
-      core::SkimmedSketch sketch = *std::move(created);
-      sketch.SetKernelOptions(options);
-      Rng split_rng(split_seed);
-      ApplyWorkload(&sketch, std::span<const StreamElement>(elements),
-                    &split_rng);
-      const std::string bytes = Serialize(sketch);
-      const std::string context =
-          "SkimmedSketch trial " + std::to_string(trial) +
-          " dyadic=" + std::to_string(config.use_dyadic_skim);
-      if (reference_mode.empty()) {
-        reference = bytes;
-        reference_mode = name;
-        reference_dropped = sketch.dropped_updates();
-        continue;
-      }
-      ASSERT_EQ(bytes, reference)
-          << context << ": mode '" << name << "' diverged from '"
-          << reference_mode << "'";
-      ASSERT_EQ(sketch.dropped_updates(), reference_dropped)
-          << context << ": drop count of mode '" << name << "' diverged";
-    }
+    const std::string context =
+        "SkimmedSketch trial " + std::to_string(trial) +
+        " dyadic=" + std::to_string(config.use_dyadic_skim) +
+        " domain=" + std::to_string(config.domain_size);
+    const auto sketches = ExpectFastMatchesReference<core::SkimmedSketch>(
+        [&] {
+          auto sketch = core::SkimmedSketch::Create(config, seed);
+          EXPECT_TRUE(sketch.ok()) << sketch.status().ToString();
+          return *std::move(sketch);
+        },
+        elements, split_seed, context);
+    EXPECT_EQ(sketches.fast.dropped_updates(),
+              sketches.reference.dropped_updates())
+        << context << ": drop counts diverged";
+    EXPECT_EQ(sketches.reference.hash_cache_hits() +
+                  sketches.reference.hash_cache_misses(),
+              0u)
+        << context << ": the reference kernel must not touch a plan cache";
   }
 }
 
 // Toggling kernels mid-stream must not disturb accumulated counters: the
 // cache is rebuilt but the counter array carries over untouched.
-TEST(KernelDifferentialTest, SwitchingModesMidStreamPreservesCounters) {
+TEST(KernelDifferentialTest, SwitchingKernelsMidStreamPreservesCounters) {
   Rng rng(505);
   sketch::HashSketchConfig config;
   config.num_tables = 5;
@@ -296,14 +287,13 @@ TEST(KernelDifferentialTest, SwitchingModesMidStreamPreservesCounters) {
 
   auto reference = sketch::HashSketch::Create(config, 99);
   ASSERT_TRUE(reference.ok());
-  reference->SetKernelOptions(KernelOptions::Scalar());
+  reference->SetKernel(Kernel::kReference);
   reference->UpdateBatch(std::span<const StreamElement>(elements));
 
   auto switched = sketch::HashSketch::Create(config, 99);
   ASSERT_TRUE(switched.ok());
-  switched->SetKernelOptions(KernelOptions{});
   switched->UpdateBatch(std::span<const StreamElement>(elements).first(half));
-  switched->SetKernelOptions(KernelOptions::Scalar());
+  switched->SetKernel(Kernel::kReference);
   switched->UpdateBatch(
       std::span<const StreamElement>(elements).subspan(half));
 
@@ -311,7 +301,7 @@ TEST(KernelDifferentialTest, SwitchingModesMidStreamPreservesCounters) {
 }
 
 // The plan cache is derived state: Reset() must clear counters while cached
-// plans stay valid, and subsequent updates must still match scalar.
+// plans stay valid, and subsequent updates must still match the reference.
 TEST(KernelDifferentialTest, ResetThenReuseStaysBitIdentical) {
   Rng rng(606);
   sketch::HashSketchConfig config;
@@ -326,12 +316,12 @@ TEST(KernelDifferentialTest, ResetThenReuseStaysBitIdentical) {
   fast->Reset();
   fast->UpdateBatch(std::span<const StreamElement>(after));
 
-  auto scalar = sketch::HashSketch::Create(config, 7);
-  ASSERT_TRUE(scalar.ok());
-  scalar->SetKernelOptions(KernelOptions::Scalar());
-  scalar->UpdateBatch(std::span<const StreamElement>(after));
+  auto reference = sketch::HashSketch::Create(config, 7);
+  ASSERT_TRUE(reference.ok());
+  reference->SetKernel(Kernel::kReference);
+  reference->UpdateBatch(std::span<const StreamElement>(after));
 
-  EXPECT_EQ(Serialize(*fast), Serialize(*scalar));
+  EXPECT_EQ(Serialize(*fast), Serialize(*reference));
 }
 
 }  // namespace
