@@ -469,22 +469,7 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
       config.recurse_slack = spec.recurse_slack;
       config.skim_margin = spec.skim_margin;
       config.use_dyadic_skim = spec.skimmed_use_dyadic;
-      if (spec.skimmed_use_dyadic) {
-        // Split the budget: half to level 0, half across the log2(m)
-        // auxiliary levels (at least one bucket each).
-        uint64_t levels = 0;
-        while ((spec.domain_size >> (levels + 1)) >= 1 &&
-               (uint64_t{1} << levels) < spec.domain_size) {
-          ++levels;
-        }
-        config.num_buckets =
-            std::max<uint64_t>(1, spec.space_counters / (2 * spec.num_tables));
-        config.dyadic_num_buckets = std::max<uint64_t>(
-            1, spec.space_counters / (2 * spec.num_tables * levels));
-      } else {
-        config.num_buckets =
-            std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
-      }
+      SKIMJOIN_RETURN_IF_ERROR(SplitSpaceBudget(spec.space_counters, &config));
       StatusOr<SkimmedSketch> f = SkimmedSketch::Create(config, seed);
       SKIMJOIN_RETURN_IF_ERROR(f.status());
       StatusOr<SkimmedSketch> g = SkimmedSketch::Create(config, seed);

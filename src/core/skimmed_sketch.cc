@@ -1,6 +1,7 @@
 #include "core/skimmed_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -32,9 +33,10 @@ Status ValidateConfig(const SkimmedSketchConfig& config) {
     return InvalidArgumentError(
         "SkimmedSketchConfig requires num_tables >= 1 and num_buckets >= 1");
   }
-  if (config.threshold_scale <= 0.0) {
+  if (!(std::isfinite(config.threshold_scale) &&
+        config.threshold_scale > 0.0)) {
     return InvalidArgumentError(
-        "SkimmedSketchConfig.threshold_scale must be positive");
+        "SkimmedSketchConfig.threshold_scale must be positive and finite");
   }
   if (config.min_threshold < 1) {
     return InvalidArgumentError(
@@ -52,6 +54,26 @@ Status ValidateConfig(const SkimmedSketchConfig& config) {
 }
 
 }  // namespace
+
+Status SplitSpaceBudget(uint64_t space_counters,
+                        SkimmedSketchConfig* config) {
+  if (config->domain_size < 2 || config->num_tables < 1) {
+    return InvalidArgumentError(
+        "splitting a space budget needs domain_size >= 2 and num_tables >= 1");
+  }
+  if (!config->use_dyadic_skim) {
+    config->num_buckets =
+        std::max<uint64_t>(1, space_counters / config->num_tables);
+    return OkStatus();
+  }
+  // ceil(log2(domain_size)) auxiliary levels.
+  const uint64_t levels = std::bit_width(config->domain_size - 1);
+  config->num_buckets =
+      std::max<uint64_t>(1, space_counters / (2 * config->num_tables));
+  config->dyadic_num_buckets = std::max<uint64_t>(
+      1, space_counters / (2 * config->num_tables * levels));
+  return OkStatus();
+}
 
 SkimmedSketch::SkimmedSketch(const SkimmedSketchConfig& config, uint64_t seed,
                              sketch::HashSketch level0,

@@ -82,6 +82,14 @@ struct SkimmedSketchConfig {
   double skim_margin = 0.0;
 };
 
+/// Carves a per-stream budget of `space_counters` counters into `config`'s
+/// bucket counts over its num_tables tables. With use_dyadic_skim, half
+/// the budget goes to level 0 and the other half is spread evenly over the
+/// log2(domain_size) auxiliary levels; without it, level 0 gets all of it.
+/// Every level keeps at least one bucket per table. INVALID_ARGUMENT when
+/// domain_size < 2 or num_tables is 0.
+Status SplitSpaceBudget(uint64_t space_counters, SkimmedSketchConfig* config);
+
 /// Per-subjoin breakdown of one join-size estimate, for diagnostics,
 /// examples and the benchmark tables.
 struct JoinEstimateBreakdown {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "core/skimmed_sketch.h"
 #include "query/multi_join.h"
@@ -18,26 +19,6 @@ namespace skimjoin {
 namespace dist {
 
 namespace {
-
-/// Builds a join-kind query's wire registration from its recorded spec.
-JoinQueryReg RegFromJoinSpec(const std::string& wire_name,
-                             const query::JoinQuerySpec& spec, uint64_t seed) {
-  JoinQueryReg reg;
-  reg.query_name = wire_name;
-  reg.left_stream = spec.left_stream;
-  reg.right_stream = spec.right_stream;
-  reg.self_join = false;
-  reg.kind = static_cast<uint32_t>(spec.estimator.kind);
-  reg.space_counters = spec.estimator.space_counters;
-  reg.num_tables = spec.estimator.num_tables;
-  reg.agms_num_medians = spec.estimator.agms_num_medians;
-  reg.threshold_scale = spec.estimator.threshold_scale;
-  reg.recurse_slack = spec.estimator.recurse_slack;
-  reg.skim_margin = spec.estimator.skim_margin;
-  reg.skimmed_use_dyadic = spec.estimator.skimmed_use_dyadic;
-  reg.seed = seed;
-  return reg;
-}
 
 /// Records wall time from construction until scope exit into a latency
 /// histogram (nanoseconds). Covers the WHOLE retrying RPC, backoffs
@@ -70,10 +51,6 @@ const char* Coordinator::RpcTypeName(MessageType type) {
       return "hello_reply";
     case MessageType::kRegisterStream:
       return "register_stream";
-    case MessageType::kRegisterJoinQuery:
-      return "register_join_query";
-    case MessageType::kRegisterFrequencyQuery:
-      return "register_frequency_query";
     case MessageType::kRegistered:
       return "registered";
     case MessageType::kUpdateBatch:
@@ -94,8 +71,6 @@ const char* Coordinator::RpcTypeName(MessageType type) {
       return "error";
     case MessageType::kRegisterRelation:
       return "register_relation";
-    case MessageType::kRegisterChainQuery:
-      return "register_chain_query";
     case MessageType::kUpdateRelation:
       return "update_relation";
     case MessageType::kMetricsRequest:
@@ -116,6 +91,8 @@ const char* Coordinator::RpcTypeName(MessageType type) {
       return "health_request";
     case MessageType::kHealthReport:
       return "health_report";
+    case MessageType::kRegisterQuery:
+      return "register_query";
   }
   return "unknown";
 }
@@ -336,100 +313,73 @@ Status Coordinator::RegisterStream(const query::StreamSpec& spec) {
 StatusOr<query::QueryId> Coordinator::AddJoinQuery(
     const query::JoinQuerySpec& spec, uint64_t seed) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.left_predicate.has_value() || spec.right_predicate.has_value()) {
-    return InvalidArgumentError(
-        "predicated join queries are not distributable");
-  }
-  if (spec.left_input != query::AggregateInput::kCount ||
-      spec.right_input != query::AggregateInput::kCount) {
-    return InvalidArgumentError(
-        "SUM-aggregate join queries are not distributable (wire "
-        "registrations carry COUNT inputs only)");
-  }
-  const auto left = stream_domains_.find(spec.left_stream);
-  const auto right = stream_domains_.find(spec.right_stream);
-  if (left == stream_domains_.end() || right == stream_domains_.end()) {
-    return NotFoundError("join query references an unregistered stream");
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kJoin;
-  info.join_spec = spec;
-  // The merge accumulator must be built from the SAME effective spec the
-  // workers use; the engine fills domain_size from the registered streams,
-  // so the coordinator does the same from its recorded registrations.
-  info.join_spec.estimator.domain_size =
-      std::max(left->second, right->second);
-  info.seed = seed;
-  const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  SKIMJOIN_RETURN_IF_ERROR(Broadcast(
-      MessageType::kRegisterJoinQuery,
-      EncodeJoinQueryReg(
-          RegFromJoinSpec(info.wire_name, info.join_spec, seed))));
-  queries_[id] = std::move(info);
-  return id;
+  return AddQuery(spec, seed);
 }
 
 StatusOr<query::QueryId> Coordinator::AddSelfJoinQuery(
     const query::SelfJoinQuerySpec& spec, uint64_t seed) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.predicate.has_value()) {
-    return InvalidArgumentError(
-        "predicated self-join queries are not distributable");
-  }
-  if (spec.input != query::AggregateInput::kCount) {
-    return InvalidArgumentError(
-        "SUM-aggregate self-join queries are not distributable (wire "
-        "registrations carry COUNT inputs only)");
-  }
-  const auto stream = stream_domains_.find(spec.stream);
-  if (stream == stream_domains_.end()) {
-    return NotFoundError("self-join query references an unregistered stream");
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kSelfJoin;
-  info.self_spec = spec;
-  info.self_spec.estimator.domain_size = stream->second;
-  info.seed = seed;
-  const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  query::JoinQuerySpec as_join;
-  as_join.left_stream = spec.stream;
-  as_join.right_stream = spec.stream;
-  as_join.estimator = info.self_spec.estimator;
-  JoinQueryReg reg = RegFromJoinSpec(info.wire_name, as_join, seed);
-  reg.self_join = true;
-  SKIMJOIN_RETURN_IF_ERROR(
-      Broadcast(MessageType::kRegisterJoinQuery, EncodeJoinQueryReg(reg)));
-  queries_[id] = std::move(info);
-  return id;
+  return AddQuery(query::AsJoinQuerySpec(spec), seed);
 }
 
 StatusOr<query::QueryId> Coordinator::AddFrequencyQuery(
     const query::FrequencyQuerySpec& spec, uint64_t seed) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.predicate.has_value()) {
-    return InvalidArgumentError(
-        "predicated frequency queries are not distributable");
+  return AddQuery(spec, seed);
+}
+
+StatusOr<query::QueryId> Coordinator::AddChainJoinQuery(
+    const query::ChainJoinQuerySpec& spec, uint64_t seed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return AddQuery(spec, seed);
+}
+
+StatusOr<query::QueryId> Coordinator::AddQuery(query::QuerySpec spec,
+                                               uint64_t seed) {
+  // Refuse what the fleet cannot serve before anything reaches the wire (a
+  // broadcast is recorded for replay).
+  if (auto* join = std::get_if<query::JoinQuerySpec>(&spec)) {
+    const auto left = stream_domains_.find(join->left_stream);
+    const auto right = stream_domains_.find(join->right_stream);
+    if (left == stream_domains_.end() || right == stream_domains_.end()) {
+      return NotFoundError("join query references an unregistered stream");
+    }
+    // The merge accumulator must be built from the SAME effective spec the
+    // workers use; the engine fills domain_size from the registered
+    // streams, so the coordinator does the same from its recorded
+    // registrations.
+    join->estimator.domain_size = std::max(left->second, right->second);
+    // Shard synopses reach the coordinator serialized, so a method whose
+    // synopsis does not serialize (sampling, partitioned AGMS) cannot be
+    // distributed; ask an accumulator built from the spec.
+    SKIMJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<core::JoinEstimatorPair> accumulator,
+        core::CreateJoinEstimatorPair(join->estimator, seed));
+    std::ostringstream record;
+    SKIMJOIN_RETURN_IF_ERROR(accumulator->SerializeTo(record));
+  } else if (const auto* frequency =
+                 std::get_if<query::FrequencyQuerySpec>(&spec)) {
+    if (stream_domains_.count(frequency->stream) == 0) {
+      return NotFoundError(
+          "frequency query references an unregistered stream");
+    }
+  } else if (const auto* chain =
+                 std::get_if<query::ChainJoinQuerySpec>(&spec)) {
+    if (chain->relations.size() < 2) {
+      return InvalidArgumentError("chain join needs at least two relations");
+    }
+    for (const std::string& relation : chain->relations) {
+      if (relation_specs_.count(relation) == 0) {
+        return NotFoundError("chain join references unregistered relation '" +
+                             relation + "'");
+      }
+    }
   }
-  if (stream_domains_.count(spec.stream) == 0) {
-    return NotFoundError("frequency query references an unregistered stream");
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kFrequency;
-  info.freq_spec = spec;
-  info.seed = seed;
   const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  FrequencyQueryReg reg;
-  reg.query_name = info.wire_name;
-  reg.stream = spec.stream;
-  reg.space_counters = spec.space_counters;
-  reg.num_tables = spec.num_tables;
-  reg.use_dyadic = spec.use_dyadic;
-  reg.seed = seed;
-  SKIMJOIN_RETURN_IF_ERROR(Broadcast(MessageType::kRegisterFrequencyQuery,
-                                     EncodeFrequencyQueryReg(reg)));
+  QueryInfo info{"q" + std::to_string(id), std::move(spec), seed};
+  SKIMJOIN_RETURN_IF_ERROR(
+      Broadcast(MessageType::kRegisterQuery,
+                EncodeQueryReg({info.wire_name, seed, info.spec})));
   queries_[id] = std::move(info);
   return id;
 }
@@ -542,9 +492,8 @@ std::vector<ShardContribution> Coordinator::PullDeltas(query::QueryId query) {
 
 StatusOr<std::unique_ptr<core::JoinEstimatorPair>> Coordinator::MergedJoinPair(
     query::QueryId query, const QueryInfo& info) {
-  const core::EstimatorSpec& spec = info.kind == QueryInfo::Kind::kJoin
-                                        ? info.join_spec.estimator
-                                        : info.self_spec.estimator;
+  const core::EstimatorSpec& spec =
+      std::get<query::JoinQuerySpec>(info.spec).estimator;
   SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
                             core::CreateJoinEstimatorPair(spec, info.seed));
   for (const auto& shard : shards_) {
@@ -563,8 +512,7 @@ StatusOr<double> Coordinator::AnswerJoin(query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_join", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kJoin &&
-      info->kind != QueryInfo::Kind::kSelfJoin) {
+  if (!std::holds_alternative<query::JoinQuerySpec>(info->spec)) {
     return InvalidArgumentError("query is not a (self-)join query");
   }
   PullDeltas(query);
@@ -578,8 +526,7 @@ StatusOr<EstimateReport> Coordinator::AnswerJoinWithReport(
   const metrics::TraceSpan span("coordinator.answer_join", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kJoin &&
-      info->kind != QueryInfo::Kind::kSelfJoin) {
+  if (!std::holds_alternative<query::JoinQuerySpec>(info->spec)) {
     return InvalidArgumentError("query is not a (self-)join query");
   }
   std::vector<ShardContribution> shards = PullDeltas(query);
@@ -600,7 +547,7 @@ StatusOr<int64_t> Coordinator::AnswerPointFrequency(query::QueryId query,
   const metrics::TraceSpan span("coordinator.answer_point", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kFrequency) {
+  if (!std::holds_alternative<query::FrequencyQuerySpec>(info->spec)) {
     return InvalidArgumentError("query is not a frequency query");
   }
   PullDeltas(query);
@@ -648,39 +595,6 @@ Status Coordinator::RegisterRelation(const query::RelationSpec& spec) {
   return OkStatus();
 }
 
-StatusOr<query::QueryId> Coordinator::AddChainJoinQuery(
-    const query::ChainJoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spec.relations.size() < 2) {
-    return InvalidArgumentError("chain join needs at least two relations");
-  }
-  for (const std::string& relation : spec.relations) {
-    if (relation_specs_.count(relation) == 0) {
-      return NotFoundError("chain join references unregistered relation '" +
-                           relation + "'");
-    }
-  }
-  QueryInfo info;
-  info.kind = QueryInfo::Kind::kChain;
-  info.chain_spec = spec;
-  info.seed = seed;
-  const query::QueryId id = next_query_id_++;
-  info.wire_name = "q" + std::to_string(id);
-  ChainQueryReg reg;
-  reg.query_name = info.wire_name;
-  reg.relations = spec.relations;
-  reg.method = static_cast<uint32_t>(spec.method);
-  reg.num_means = spec.num_means;
-  reg.num_medians = spec.num_medians;
-  reg.num_tables = spec.num_tables;
-  reg.num_buckets = spec.num_buckets;
-  reg.seed = seed;
-  SKIMJOIN_RETURN_IF_ERROR(Broadcast(MessageType::kRegisterChainQuery,
-                                     EncodeChainQueryReg(reg)));
-  queries_[id] = std::move(info);
-  return id;
-}
-
 Status Coordinator::UpdateRelation(const std::string& relation,
                                    const std::vector<uint64_t>& attributes,
                                    int64_t weight) {
@@ -718,7 +632,8 @@ Status Coordinator::UpdateRelation(const std::string& relation,
 
 StatusOr<EstimateReport> Coordinator::MergedChainReport(
     query::QueryId query, const QueryInfo& info) {
-  if (info.chain_spec.method == query::ChainJoinQuerySpec::Method::kAgmsGrid) {
+  if (std::get<query::ChainJoinQuerySpec>(info.spec).method ==
+      query::ChainJoinQuerySpec::Method::kAgmsGrid) {
     std::optional<query::MultiJoinEstimator> merged;
     for (const auto& shard : shards_) {
       const auto it = shard->deltas.find(query);
@@ -765,7 +680,7 @@ StatusOr<double> Coordinator::AnswerChainJoin(query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_chain", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kChain) {
+  if (!std::holds_alternative<query::ChainJoinQuerySpec>(info->spec)) {
     return InvalidArgumentError("query is not a chain-join query");
   }
   PullDeltas(query);
@@ -779,7 +694,7 @@ StatusOr<EstimateReport> Coordinator::AnswerChainJoinWithReport(
   const metrics::TraceSpan span("coordinator.answer_chain", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (info->kind != QueryInfo::Kind::kChain) {
+  if (!std::holds_alternative<query::ChainJoinQuerySpec>(info->spec)) {
     return InvalidArgumentError("query is not a chain-join query");
   }
   std::vector<ShardContribution> shards = PullDeltas(query);

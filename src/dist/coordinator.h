@@ -168,11 +168,8 @@ class Coordinator : public query::DistBackend {
   /// What the coordinator knows about one registered query.
   struct QueryInfo {
     std::string wire_name;  // "q<id>" on the wire
-    enum class Kind { kJoin, kSelfJoin, kFrequency, kChain } kind = Kind::kJoin;
-    query::JoinQuerySpec join_spec;        // kJoin (estimator.domain_size filled)
-    query::SelfJoinQuerySpec self_spec;    // kSelfJoin (ditto)
-    query::FrequencyQuerySpec freq_spec;   // kFrequency
-    query::ChainJoinQuerySpec chain_spec;  // kChain
+    /// As registered; a join's estimator.domain_size is filled in.
+    query::QuerySpec spec;
     uint64_t seed = 0;
   };
 
@@ -197,6 +194,10 @@ class Coordinator : public query::DistBackend {
   /// call under rpc_timeout, with jittered exponential backoff between.
   StatusOr<Frame> Rpc(ShardState& shard, MessageType type,
                       std::string_view payload);
+
+  /// Validates one query against the registered streams and relations,
+  /// broadcasts its registration, and records it. Caller holds mutex_.
+  StatusOr<query::QueryId> AddQuery(query::QuerySpec spec, uint64_t seed);
 
   /// Broadcasts one registration to every shard and records it for replay.
   /// Fails if any shard never acked (after retries) — registrations are

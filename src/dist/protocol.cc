@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "query/spec_codec.h"
 #include "util/histogram.h"
 
 namespace skimjoin {
@@ -13,10 +14,10 @@ namespace dist {
 
 namespace {
 
-// Doubles cross the wire as their IEEE-754 bit pattern (decimal u64), not
-// decimal text: the estimator knobs seed hash-family construction on both
-// ends, so a single ULP of round-trip drift would break the bit-identity
-// contract between coordinator accumulator and worker synopses.
+// Telemetry doubles (gauges, histogram sums and bounds) cross the wire as
+// their IEEE-754 bit pattern (decimal u64), so they arrive bit-exact.
+// Query-spec doubles use the spec codec's max_digits10 text instead, which
+// round-trips exactly too.
 uint64_t DoubleBits(double value) {
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -39,9 +40,6 @@ bool ReadToken(std::istringstream& in, uint64_t* out) {
   return static_cast<bool>(in >> *out);
 }
 bool ReadToken(std::istringstream& in, int64_t* out) {
-  return static_cast<bool>(in >> *out);
-}
-bool ReadToken(std::istringstream& in, uint32_t* out) {
   return static_cast<bool>(in >> *out);
 }
 bool ReadToken(std::istringstream& in, std::string* out) {
@@ -187,69 +185,25 @@ StatusOr<StreamReg> DecodeStreamReg(std::string_view payload) {
   return msg;
 }
 
-std::string EncodeJoinQueryReg(const JoinQueryReg& msg) {
+std::string EncodeQueryReg(const QueryReg& msg) {
   std::ostringstream out;
-  out << msg.query_name << ' ' << msg.left_stream << ' ' << msg.right_stream
-      << ' ' << (msg.self_join ? 1 : 0) << ' ' << msg.kind << ' '
-      << msg.space_counters << ' ' << msg.num_tables << ' '
-      << msg.agms_num_medians << ' ' << DoubleBits(msg.threshold_scale) << ' '
-      << DoubleBits(msg.recurse_slack) << ' ' << DoubleBits(msg.skim_margin)
-      << ' ' << (msg.skimmed_use_dyadic ? 1 : 0) << ' ' << msg.seed;
+  out << msg.query_name << ' ' << msg.seed << ' '
+      << query::QueryKindName(msg.spec) << ' ';
+  query::WriteQuerySpec(out, msg.spec);
   return out.str();
 }
 
-StatusOr<JoinQueryReg> DecodeJoinQueryReg(std::string_view payload) {
+StatusOr<QueryReg> DecodeQueryReg(std::string_view payload) {
   std::istringstream in{std::string(payload)};
-  JoinQueryReg msg;
-  uint64_t self_join = 0, use_dyadic = 0;
-  uint64_t scale_bits = 0, slack_bits = 0, margin_bits = 0;
-  if (!ReadToken(in, &msg.query_name) || !ReadToken(in, &msg.left_stream) ||
-      !ReadToken(in, &msg.right_stream) || !ReadToken(in, &self_join) ||
-      !ReadToken(in, &msg.kind) || !ReadToken(in, &msg.space_counters) ||
-      !ReadToken(in, &msg.num_tables) ||
-      !ReadToken(in, &msg.agms_num_medians) || !ReadToken(in, &scale_bits) ||
-      !ReadToken(in, &slack_bits) || !ReadToken(in, &margin_bits) ||
-      !ReadToken(in, &use_dyadic) || !ReadToken(in, &msg.seed)) {
-    return Malformed("join-query-registration");
-  }
-  if (self_join > 1 || use_dyadic > 1) {
-    return Malformed("join-query-registration");
+  QueryReg msg;
+  std::string kind;
+  if (!ReadToken(in, &msg.query_name) || !ReadToken(in, &msg.seed) ||
+      !ReadToken(in, &kind)) {
+    return Malformed("query-registration");
   }
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.query_name, "query name"));
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.left_stream, "stream name"));
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.right_stream, "stream name"));
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "join-query-registration"));
-  msg.self_join = self_join == 1;
-  msg.skimmed_use_dyadic = use_dyadic == 1;
-  msg.threshold_scale = DoubleFromBits(scale_bits);
-  msg.recurse_slack = DoubleFromBits(slack_bits);
-  msg.skim_margin = DoubleFromBits(margin_bits);
-  return msg;
-}
-
-std::string EncodeFrequencyQueryReg(const FrequencyQueryReg& msg) {
-  std::ostringstream out;
-  out << msg.query_name << ' ' << msg.stream << ' ' << msg.space_counters
-      << ' ' << msg.num_tables << ' ' << (msg.use_dyadic ? 1 : 0) << ' '
-      << msg.seed;
-  return out.str();
-}
-
-StatusOr<FrequencyQueryReg> DecodeFrequencyQueryReg(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  FrequencyQueryReg msg;
-  uint64_t use_dyadic = 0;
-  if (!ReadToken(in, &msg.query_name) || !ReadToken(in, &msg.stream) ||
-      !ReadToken(in, &msg.space_counters) || !ReadToken(in, &msg.num_tables) ||
-      !ReadToken(in, &use_dyadic) || !ReadToken(in, &msg.seed)) {
-    return Malformed("frequency-query-registration");
-  }
-  if (use_dyadic > 1) return Malformed("frequency-query-registration");
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.query_name, "query name"));
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.stream, "stream name"));
-  SKIMJOIN_RETURN_IF_ERROR(
-      ExpectExhausted(in, "frequency-query-registration"));
-  msg.use_dyadic = use_dyadic == 1;
+  SKIMJOIN_ASSIGN_OR_RETURN(msg.spec, query::ReadQuerySpec(kind, in));
+  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "query-registration"));
   return msg;
 }
 
@@ -343,46 +297,6 @@ StatusOr<RelationReg> DecodeRelationReg(std::string_view payload) {
   }
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.name, "relation name"));
   SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "relation-registration"));
-  return msg;
-}
-
-std::string EncodeChainQueryReg(const ChainQueryReg& msg) {
-  std::ostringstream out;
-  out << msg.query_name << ' ' << msg.method << ' ' << msg.num_means << ' '
-      << msg.num_medians << ' ' << msg.num_tables << ' ' << msg.num_buckets
-      << ' ' << msg.seed << ' ' << msg.relations.size();
-  for (const std::string& relation : msg.relations) {
-    out << ' ' << relation;
-  }
-  return out.str();
-}
-
-StatusOr<ChainQueryReg> DecodeChainQueryReg(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  ChainQueryReg msg;
-  uint64_t count = 0;
-  if (!ReadToken(in, &msg.query_name) || !ReadToken(in, &msg.method) ||
-      !ReadToken(in, &msg.num_means) || !ReadToken(in, &msg.num_medians) ||
-      !ReadToken(in, &msg.num_tables) || !ReadToken(in, &msg.num_buckets) ||
-      !ReadToken(in, &msg.seed) || !ReadToken(in, &count)) {
-    return Malformed("chain-query-registration");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.query_name, "query name"));
-  // A chain is at least 2 relations; each needs at least 2 payload bytes
-  // ("r "), so payload size bounds the count before any allocation.
-  if (count < 2 || count > payload.size()) {
-    return Malformed("chain-query-registration");
-  }
-  msg.relations.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string relation;
-    if (!ReadToken(in, &relation)) {
-      return Malformed("chain-query-registration");
-    }
-    SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(relation, "relation name"));
-    msg.relations.push_back(std::move(relation));
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "chain-query-registration"));
   return msg;
 }
 

@@ -39,8 +39,8 @@ enum class MessageType : uint32_t {
   kHello = 1,
   kHelloReply = 2,
   kRegisterStream = 3,
-  kRegisterJoinQuery = 4,
-  kRegisterFrequencyQuery = 5,
+  // 4 and 5 carried per-kind join and frequency registrations; retired in
+  // favour of kRegisterQuery and never reused.
   kRegistered = 6,
   kUpdateBatch = 7,
   kUpdateAck = 8,
@@ -51,9 +51,9 @@ enum class MessageType : uint32_t {
   kPing = 13,
   kError = 14,
   // Chain-join routing (acked by kRegistered / kUpdateAck like their
-  // stream-shaped counterparts).
+  // stream-shaped counterparts). 16 carried per-kind chain registrations;
+  // retired in favour of kRegisterQuery and never reused.
   kRegisterRelation = 15,
-  kRegisterChainQuery = 16,
   kUpdateRelation = 17,
   // Fleet telemetry plane: the coordinator pulls each worker's metrics
   // registry snapshot, event-log tail, and trace buffer on demand.
@@ -68,6 +68,8 @@ enum class MessageType : uint32_t {
   // findings (Engine::HealthReport run worker-side; findings only).
   kHealthRequest = 25,    // empty payload -> kHealthReport
   kHealthReport = 26,
+  // Any query's registration (QueryReg), acked by kRegistered.
+  kRegisterQuery = 27,
 };
 
 /// Largest element count one kUpdateBatch may declare; validated before
@@ -94,35 +96,16 @@ struct StreamReg {
   uint64_t domain_size = 0;
 };
 
-/// kRegisterJoinQuery payload: a join or self-join registration. Carries
-/// the estimator shape verbatim so every worker builds a synopsis pair
-/// bit-compatible with the coordinator's merge accumulator (same spec,
-/// same seed ⇒ same hash families). Predicated queries are not routable
-/// (the coordinator rejects them before anything reaches the wire).
-struct JoinQueryReg {
+/// kRegisterQuery payload: "<query name> <seed> <kind> <spec fields...>",
+/// the spec written as the same record a checkpoint manifest stores
+/// (query/spec_codec.h). Spec and seed travel verbatim — predicates and
+/// SUM inputs included — so every worker builds synopses bit-compatible
+/// with the coordinator's merge accumulator (same spec, same seed ⇒ same
+/// hash families).
+struct QueryReg {
   std::string query_name;
-  std::string left_stream;
-  std::string right_stream;
-  bool self_join = false;
-  uint32_t kind = 0;  // static_cast of core::EstimatorKind
-  uint64_t space_counters = 0;
-  uint64_t num_tables = 0;
-  uint64_t agms_num_medians = 0;
-  double threshold_scale = 0.0;
-  double recurse_slack = 0.0;
-  double skim_margin = 0.0;
-  bool skimmed_use_dyadic = false;
   uint64_t seed = 0;
-};
-
-/// kRegisterFrequencyQuery payload.
-struct FrequencyQueryReg {
-  std::string query_name;
-  std::string stream;
-  uint64_t space_counters = 0;
-  uint64_t num_tables = 0;
-  bool use_dyadic = false;
-  uint64_t seed = 0;
+  query::QuerySpec spec;
 };
 
 /// kUpdateBatch payload: a shard-routed slice of one logical batch.
@@ -136,21 +119,6 @@ struct RelationReg {
   std::string name;
   uint64_t arity = 1;
   uint64_t domain_size = 0;
-};
-
-/// kRegisterChainQuery payload. Like JoinQueryReg, the estimator shape and
-/// seed travel verbatim: both chain estimator families build their hash
-/// families purely from (shape, seed), so every worker's counters land in
-/// cells the coordinator's merge accumulator agrees about.
-struct ChainQueryReg {
-  std::string query_name;
-  std::vector<std::string> relations;  // chain order
-  uint32_t method = 0;  // static_cast of query::ChainJoinQuerySpec::Method
-  uint64_t num_means = 0;
-  uint64_t num_medians = 0;
-  uint64_t num_tables = 0;
-  uint64_t num_buckets = 0;
-  uint64_t seed = 0;
 };
 
 /// kUpdateRelation payload: a shard-routed slice of tuples for one
@@ -221,11 +189,8 @@ StatusOr<HelloReply> DecodeHelloReply(std::string_view payload);
 std::string EncodeStreamReg(const StreamReg& msg);
 StatusOr<StreamReg> DecodeStreamReg(std::string_view payload);
 
-std::string EncodeJoinQueryReg(const JoinQueryReg& msg);
-StatusOr<JoinQueryReg> DecodeJoinQueryReg(std::string_view payload);
-
-std::string EncodeFrequencyQueryReg(const FrequencyQueryReg& msg);
-StatusOr<FrequencyQueryReg> DecodeFrequencyQueryReg(std::string_view payload);
+std::string EncodeQueryReg(const QueryReg& msg);
+StatusOr<QueryReg> DecodeQueryReg(std::string_view payload);
 
 std::string EncodeUpdateBatch(const UpdateBatchMsg& msg);
 StatusOr<UpdateBatchMsg> DecodeUpdateBatch(std::string_view payload);
@@ -235,9 +200,6 @@ StatusOr<DeltaMsg> DecodeDelta(std::string_view payload);
 
 std::string EncodeRelationReg(const RelationReg& msg);
 StatusOr<RelationReg> DecodeRelationReg(std::string_view payload);
-
-std::string EncodeChainQueryReg(const ChainQueryReg& msg);
-StatusOr<ChainQueryReg> DecodeChainQueryReg(std::string_view payload);
 
 std::string EncodeRelationUpdate(const RelationUpdateMsg& msg);
 StatusOr<RelationUpdateMsg> DecodeRelationUpdate(std::string_view payload);

@@ -133,66 +133,15 @@ StatusOr<Frame> Worker::HandleRegisterStream(const Frame& request) {
   return MakeFrame(MessageType::kRegistered, msg.name);
 }
 
-StatusOr<Frame> Worker::HandleRegisterJoinQuery(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(JoinQueryReg msg,
-                            DecodeJoinQueryReg(request.payload));
-  if (query_ids_.count(msg.query_name) != 0) {
-    return MakeFrame(MessageType::kRegistered, msg.query_name);
+StatusOr<Frame> Worker::HandleRegisterQuery(const Frame& request) {
+  SKIMJOIN_ASSIGN_OR_RETURN(QueryReg msg, DecodeQueryReg(request.payload));
+  // Idempotent by name, like stream registration: the coordinator replays
+  // every registration when it re-adopts a restarted worker.
+  if (query_ids_.count(msg.query_name) == 0) {
+    SKIMJOIN_ASSIGN_OR_RETURN(const query::QueryId id,
+                              engine_.AddQuery(msg.spec, msg.seed));
+    query_ids_[msg.query_name] = id;
   }
-  const auto kind = static_cast<core::EstimatorKind>(msg.kind);
-  switch (kind) {
-    case core::EstimatorKind::kAgms:
-    case core::EstimatorKind::kHashSketch:
-    case core::EstimatorKind::kSkimmedSketch:
-    case core::EstimatorKind::kCountMin:
-      break;
-    default:
-      // Sampling and partitioned-AGMS synopses are not linear-mergeable
-      // (or not even serializable), so they cannot be distributed.
-      return InvalidArgumentError(
-          "estimator kind " + std::to_string(msg.kind) +
-          " is not distributable (needs a serializable, mergeable synopsis)");
-  }
-  core::EstimatorSpec estimator;
-  estimator.kind = kind;
-  estimator.space_counters = msg.space_counters;
-  estimator.num_tables = msg.num_tables;
-  estimator.agms_num_medians = msg.agms_num_medians;
-  estimator.threshold_scale = msg.threshold_scale;
-  estimator.recurse_slack = msg.recurse_slack;
-  estimator.skim_margin = msg.skim_margin;
-  estimator.skimmed_use_dyadic = msg.skimmed_use_dyadic;
-  query::QueryId id = 0;
-  if (msg.self_join) {
-    query::SelfJoinQuerySpec spec;
-    spec.stream = msg.left_stream;
-    spec.estimator = estimator;
-    SKIMJOIN_ASSIGN_OR_RETURN(id, engine_.AddSelfJoinQuery(spec, msg.seed));
-  } else {
-    query::JoinQuerySpec spec;
-    spec.left_stream = msg.left_stream;
-    spec.right_stream = msg.right_stream;
-    spec.estimator = estimator;
-    SKIMJOIN_ASSIGN_OR_RETURN(id, engine_.AddJoinQuery(spec, msg.seed));
-  }
-  query_ids_[msg.query_name] = id;
-  return MakeFrame(MessageType::kRegistered, msg.query_name);
-}
-
-StatusOr<Frame> Worker::HandleRegisterFrequencyQuery(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(FrequencyQueryReg msg,
-                            DecodeFrequencyQueryReg(request.payload));
-  if (query_ids_.count(msg.query_name) != 0) {
-    return MakeFrame(MessageType::kRegistered, msg.query_name);
-  }
-  query::FrequencyQuerySpec spec;
-  spec.stream = msg.stream;
-  spec.space_counters = msg.space_counters;
-  spec.num_tables = msg.num_tables;
-  spec.use_dyadic = msg.use_dyadic;
-  SKIMJOIN_ASSIGN_OR_RETURN(query::QueryId id,
-                            engine_.AddFrequencyQuery(spec, msg.seed));
-  query_ids_[msg.query_name] = id;
   return MakeFrame(MessageType::kRegistered, msg.query_name);
 }
 
@@ -210,36 +159,6 @@ StatusOr<Frame> Worker::HandleRegisterRelation(const Frame& request) {
     return id.status();
   }
   return MakeFrame(MessageType::kRegistered, msg.name);
-}
-
-StatusOr<Frame> Worker::HandleRegisterChainQuery(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(ChainQueryReg msg,
-                            DecodeChainQueryReg(request.payload));
-  if (query_ids_.count(msg.query_name) != 0) {
-    return MakeFrame(MessageType::kRegistered, msg.query_name);
-  }
-  query::ChainJoinQuerySpec spec;
-  spec.relations = msg.relations;
-  switch (msg.method) {
-    case static_cast<uint32_t>(query::ChainJoinQuerySpec::Method::kAgmsGrid):
-      spec.method = query::ChainJoinQuerySpec::Method::kAgmsGrid;
-      break;
-    case static_cast<uint32_t>(
-        query::ChainJoinQuerySpec::Method::kHashSketch):
-      spec.method = query::ChainJoinQuerySpec::Method::kHashSketch;
-      break;
-    default:
-      return InvalidArgumentError("unknown chain-join method " +
-                                  std::to_string(msg.method));
-  }
-  spec.num_means = msg.num_means;
-  spec.num_medians = msg.num_medians;
-  spec.num_tables = msg.num_tables;
-  spec.num_buckets = msg.num_buckets;
-  SKIMJOIN_ASSIGN_OR_RETURN(query::QueryId id,
-                            engine_.AddChainJoinQuery(spec, msg.seed));
-  query_ids_[msg.query_name] = id;
-  return MakeFrame(MessageType::kRegistered, msg.query_name);
 }
 
 StatusOr<Frame> Worker::HandleUpdateRelation(const Frame& request) {
@@ -369,14 +288,10 @@ StatusOr<Frame> Worker::Handle(const Frame& request) {
       return HelloFrame();
     case MessageType::kRegisterStream:
       return HandleRegisterStream(request);
-    case MessageType::kRegisterJoinQuery:
-      return HandleRegisterJoinQuery(request);
-    case MessageType::kRegisterFrequencyQuery:
-      return HandleRegisterFrequencyQuery(request);
+    case MessageType::kRegisterQuery:
+      return HandleRegisterQuery(request);
     case MessageType::kRegisterRelation:
       return HandleRegisterRelation(request);
-    case MessageType::kRegisterChainQuery:
-      return HandleRegisterChainQuery(request);
     case MessageType::kUpdateBatch: {
       metrics::TraceSpan span("worker.ingest", "dist");
       return HandleUpdateBatch(request);

@@ -5,9 +5,10 @@
 // engine's; the worker adds only the protocol surface and the restart
 // story:
 //
-//   * Registrations (streams, join/self-join queries, frequency queries)
-//     arrive over the wire and are IDEMPOTENT by name, so a coordinator
-//     re-adopting a restarted worker can blindly replay them.
+//   * Registrations (streams, relations, and queries of any kind, each
+//     query as its spec record) arrive over the wire and are IDEMPOTENT by
+//     name, so a coordinator re-adopting a restarted worker can blindly
+//     replay them.
 //   * Every kUpdateBatch bumps the worker's EPOCH (batches applied) and is
 //     acknowledged with it; the coordinator uses acked epochs to measure
 //     how far a restarted shard lags.
@@ -97,10 +98,8 @@ class Worker {
   StatusOr<Frame> Handle(const Frame& request);
 
   StatusOr<Frame> HandleRegisterStream(const Frame& request);
-  StatusOr<Frame> HandleRegisterJoinQuery(const Frame& request);
-  StatusOr<Frame> HandleRegisterFrequencyQuery(const Frame& request);
+  StatusOr<Frame> HandleRegisterQuery(const Frame& request);
   StatusOr<Frame> HandleRegisterRelation(const Frame& request);
-  StatusOr<Frame> HandleRegisterChainQuery(const Frame& request);
   StatusOr<Frame> HandleUpdateBatch(const Frame& request);
   StatusOr<Frame> HandleUpdateRelation(const Frame& request);
   StatusOr<Frame> HandlePullDelta(const Frame& request);

@@ -5,8 +5,9 @@
 //
 // A checkpoint is a durable file (util/durable_file.h) holding:
 //   section "manifest"     — versioned text manifest: streams, relations,
-//                            ingest stats, every query's spec + seed (with
-//                            a supported/unsupported flag), engine counters
+//                            ingest stats, every query's spec record
+//                            (query/spec_codec.h) + seed (with a
+//                            supported/unsupported flag), engine counters
 //   section "meta:<key>"   — one per caller-provided metadata entry
 //   section "query:<id>"   — the serialized synopsis of each supported
 //                            query, ascending by id
@@ -15,8 +16,8 @@
 // during save can never clobber the previous checkpoint.
 //
 // Query kinds whose synopses cannot be serialized (sampling and
-// partitioned-AGMS join estimators, chain joins) are LISTED in the
-// manifest as unsupported — never silently skipped. A strict restore of a
+// partitioned-AGMS join estimators) are LISTED in the manifest as
+// unsupported — never silently skipped. A strict restore of a
 // checkpoint containing one fails with UNIMPLEMENTED; with
 // RestoreOptions{.allow_partial = true} the restore instead recovers every
 // intact synopsis, re-registers what it can as empty, and reports each

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "hashing/simd_hash.h"
 #include "util/event_log.h"
@@ -49,6 +50,32 @@ class ScopedEstimate {
   metrics::ShardedHistogram* nanos_;
   std::chrono::steady_clock::time_point start_;
 };
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+/// The query state registered under `id` in `queries`, or null.
+template <typename Map>
+auto* FindQueryState(Map& queries, QueryId id) {
+  const auto it = queries.find(id);
+  return it == queries.end() ? nullptr : &it->second;
+}
+
+/// Replaces `*synopsis` with the one `in` holds when `compatible` accepts
+/// it against the registered synopsis.
+template <typename Synopsis, typename Compatible>
+Status ReplaceFromRecord(std::istream& in, Synopsis* synopsis,
+                         Compatible compatible) {
+  SKIMJOIN_ASSIGN_OR_RETURN(Synopsis restored, Synopsis::DeserializeFrom(in));
+  if (!compatible(restored, *synopsis)) {
+    return InvalidArgumentError(
+        "restored synopsis disagrees with its query spec");
+  }
+  *synopsis = std::move(restored);
+  return OkStatus();
+}
 
 }  // namespace
 
@@ -386,26 +413,17 @@ StatusOr<QueryId> Engine::AddJoinQuery(const JoinQuerySpec& spec,
                             core::CreateJoinEstimatorPair(estimator_spec,
                                                           seed));
 
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, seed);
   join_queries_.emplace(
       id, JoinQueryState{std::move(pair), left, right, spec.left_input,
                          spec.right_input, spec.left_predicate,
-                         spec.right_predicate, spec, seed,
-                         MakeQueryMetrics(id)});
+                         spec.right_predicate, MakeQueryMetrics(id)});
   return id;
 }
 
 StatusOr<QueryId> Engine::AddSelfJoinQuery(const SelfJoinQuerySpec& spec,
                                            uint64_t seed) {
-  JoinQuerySpec join_spec;
-  join_spec.left_stream = spec.stream;
-  join_spec.right_stream = spec.stream;
-  join_spec.estimator = spec.estimator;
-  join_spec.left_input = spec.input;
-  join_spec.right_input = spec.input;
-  join_spec.left_predicate = spec.predicate;
-  join_spec.right_predicate = spec.predicate;
-  return AddJoinQuery(join_spec, seed);
+  return AddJoinQuery(AsJoinQuerySpec(spec), seed);
 }
 
 StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
@@ -420,24 +438,15 @@ StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
   config.domain_size = streams_[stream].spec.domain_size;
   config.num_tables = spec.num_tables;
   config.use_dyadic_skim = spec.use_dyadic;
-  if (spec.use_dyadic) {
-    config.num_buckets = std::max<uint64_t>(
-        1, spec.space_counters / (2 * spec.num_tables));
-    uint64_t levels = 0;
-    while ((uint64_t{1} << levels) < config.domain_size) ++levels;
-    config.dyadic_num_buckets = std::max<uint64_t>(
-        1, spec.space_counters / (2 * spec.num_tables * levels));
-  } else {
-    config.num_buckets =
-        std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
-  }
+  SKIMJOIN_RETURN_IF_ERROR(
+      core::SplitSpaceBudget(spec.space_counters, &config));
   SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch sketch,
                             core::SkimmedSketch::Create(config, seed));
 
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, seed);
   frequency_queries_.emplace(
       id, FrequencyQueryState{std::move(sketch), stream, spec.predicate,
-                              spec, seed, MakeQueryMetrics(id),
+                              MakeQueryMetrics(id),
                               /*cache_hits_seen=*/0, /*cache_misses_seen=*/0,
                               /*slim=*/std::nullopt,
                               /*concurrent=*/nullptr});
@@ -449,10 +458,10 @@ StatusOr<QueryId> Engine::AddDistinctCountQuery(
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
   SKIMJOIN_ASSIGN_OR_RETURN(sketch::FmSketch sketch,
                             sketch::FmSketch::Create(spec.num_maps, seed));
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, seed);
   distinct_queries_.emplace(
-      id, DistinctQueryState{std::move(sketch), stream, spec.predicate, spec,
-                             seed, MakeQueryMetrics(id)});
+      id, DistinctQueryState{std::move(sketch), stream, spec.predicate,
+                             MakeQueryMetrics(id)});
   return id;
 }
 
@@ -469,10 +478,10 @@ StatusOr<QueryId> Engine::AddTopKQuery(const TopKQuerySpec& spec,
       std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
   SKIMJOIN_ASSIGN_OR_RETURN(core::TopKTracker tracker,
                             core::TopKTracker::Create(spec.k, config, seed));
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, seed);
   topk_queries_.emplace(
-      id, TopKQueryState{std::move(tracker), stream, spec.predicate, spec,
-                         seed, MakeQueryMetrics(id)});
+      id, TopKQueryState{std::move(tracker), stream, spec.predicate,
+                         MakeQueryMetrics(id)});
   return id;
 }
 
@@ -480,9 +489,9 @@ StatusOr<QueryId> Engine::AddQuantileQuery(const QuantileQuerySpec& spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
   SKIMJOIN_ASSIGN_OR_RETURN(stream::GkQuantileSummary summary,
                             stream::GkQuantileSummary::Create(spec.epsilon));
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, /*seed=*/0);
   quantile_queries_.emplace(
-      id, QuantileQueryState{std::move(summary), stream, spec.predicate, spec,
+      id, QuantileQueryState{std::move(summary), stream, spec.predicate,
                              MakeQueryMetrics(id)});
   return id;
 }
@@ -495,10 +504,10 @@ StatusOr<QueryId> Engine::AddRangeSumQuery(const RangeSumQuerySpec& spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(
       stream::WaveletSynopsis synopsis,
       stream::WaveletSynopsis::Create(streams_[stream].spec.domain_size));
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, /*seed=*/0);
   range_sum_queries_.emplace(
       id, RangeSumQueryState{std::move(synopsis), stream,
-                             spec.coefficient_budget, spec.predicate, spec,
+                             spec.coefficient_budget, spec.predicate,
                              MakeQueryMetrics(id)});
   return id;
 }
@@ -556,8 +565,6 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
 
   ChainJoinQueryState state;
   state.chain = std::move(chain);
-  state.spec = spec;
-  state.seed = seed;
   if (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid) {
     MultiJoinConfig config;
     config.num_means = spec.num_means;
@@ -579,9 +586,34 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
                               MultiJoinHashEstimator::Create(config, seed));
     state.hashed = std::move(hashed);
   }
-  const QueryId id = next_query_id_++;
+  const QueryId id = RegisterQuery(spec, seed);
   state.metrics = MakeQueryMetrics(id);
   chain_queries_.emplace(id, std::move(state));
+  return id;
+}
+
+StatusOr<QueryId> Engine::AddQuery(const QuerySpec& spec, uint64_t seed) {
+  return std::visit(
+      Overloaded{
+          [&](const JoinQuerySpec& s) { return AddJoinQuery(s, seed); },
+          [&](const FrequencyQuerySpec& s) {
+            return AddFrequencyQuery(s, seed);
+          },
+          [&](const DistinctCountQuerySpec& s) {
+            return AddDistinctCountQuery(s, seed);
+          },
+          [&](const TopKQuerySpec& s) { return AddTopKQuery(s, seed); },
+          [&](const QuantileQuerySpec& s) { return AddQuantileQuery(s); },
+          [&](const RangeSumQuerySpec& s) { return AddRangeSumQuery(s); },
+          [&](const ChainJoinQuerySpec& s) {
+            return AddChainJoinQuery(s, seed);
+          }},
+      spec);
+}
+
+QueryId Engine::RegisterQuery(QuerySpec spec, uint64_t seed) {
+  const QueryId id = next_query_id_++;
+  registrations_.emplace(id, Registration{std::move(spec), seed});
   return id;
 }
 
@@ -644,9 +676,7 @@ Status Engine::Update(StreamId stream, const StreamUpdate& update) {
   }
   state.element_count += update.count;
   state.absorbed->Increment();
-#ifndef SKIMJOIN_DISABLE_PROFILER
   if (profiler_enabled_) state.profiler->Observe(update.value, update.count);
-#endif
   ApplyToQueries(stream, update, /*include_frequency_queries=*/true);
   return OkStatus();
 }
@@ -740,12 +770,8 @@ Status Engine::UpdateBatch(StreamId stream,
   // budget.
   uint64_t absorbed = 0;
   uint64_t dropped = 0;
-#ifndef SKIMJOIN_DISABLE_PROFILER
   util::StreamProfiler* profiler =
       profiler_enabled_ ? state.profiler.get() : nullptr;
-#else
-  util::StreamProfiler* profiler = nullptr;
-#endif
   // The profiler's scalar tallies fold in once per batch: the net mass is
   // the element_count delta the loop maintains anyway, and the insert mass
   // is net + deletes — so the per-element profiler cost beyond ObserveValue
@@ -1127,25 +1153,76 @@ Status Engine::SerializeQuerySynopsis(QueryId query, std::string* out) const {
   // (like every engine read), so the const_cast mutates nothing reentrant.
   const_cast<Engine*>(this)->FlushIngest();
   std::ostringstream record;
-  if (const auto it = join_queries_.find(query); it != join_queries_.end()) {
-    SKIMJOIN_RETURN_IF_ERROR(it->second.estimator->SerializeTo(record));
-  } else if (const auto fit = frequency_queries_.find(query);
-             fit != frequency_queries_.end()) {
-    SKIMJOIN_RETURN_IF_ERROR(fit->second.sketch.SerializeTo(record));
-  } else if (const auto cit = chain_queries_.find(query);
-             cit != chain_queries_.end()) {
-    if (cit->second.grid.has_value()) {
-      SKIMJOIN_RETURN_IF_ERROR(cit->second.grid->SerializeTo(record));
-    } else {
-      SKIMJOIN_RETURN_IF_ERROR(cit->second.hashed->SerializeTo(record));
-    }
-  } else {
-    return NotFoundError(
-        "no serializable synopsis for query id " + std::to_string(query) +
-        " (only join/self-join, frequency, and chain-join queries have one)");
+  Status status = NotFoundError("unknown query id " + std::to_string(query));
+  if (const auto* q = FindQueryState(join_queries_, query)) {
+    status = q->estimator->SerializeTo(record);
+  } else if (const auto* f = FindQueryState(frequency_queries_, query)) {
+    status = f->sketch.SerializeTo(record);
+  } else if (const auto* d = FindQueryState(distinct_queries_, query)) {
+    status = d->sketch.SerializeTo(record);
+  } else if (const auto* t = FindQueryState(topk_queries_, query)) {
+    status = t->tracker.SerializeTo(record);
+  } else if (const auto* g = FindQueryState(quantile_queries_, query)) {
+    status = g->summary.SerializeTo(record);
+  } else if (const auto* r = FindQueryState(range_sum_queries_, query)) {
+    status = r->synopsis.SerializeTo(record);
+  } else if (const auto* c = FindQueryState(chain_queries_, query)) {
+    status = c->grid.has_value() ? c->grid->SerializeTo(record)
+                                 : c->hashed->SerializeTo(record);
   }
+  SKIMJOIN_RETURN_IF_ERROR(status);
   *out = std::move(record).str();
   return OkStatus();
+}
+
+Status Engine::RestoreQuerySynopsis(QueryId query, const std::string& record) {
+  std::istringstream in(record);
+  const auto same_shape = [](const auto& restored, const auto& registered) {
+    return restored.CompatibleWith(registered);
+  };
+  if (auto* q = FindQueryState(join_queries_, query)) {
+    return q->estimator->RestoreFrom(in);
+  }
+  if (auto* q = FindQueryState(frequency_queries_, query)) {
+    // The restored sketch's cache tallies start from zero; restart the
+    // cache-delta bookkeeping with them.
+    q->cache_hits_seen = 0;
+    q->cache_misses_seen = 0;
+    return ReplaceFromRecord(in, &q->sketch, same_shape);
+  }
+  if (auto* q = FindQueryState(distinct_queries_, query)) {
+    return ReplaceFromRecord(in, &q->sketch, same_shape);
+  }
+  if (auto* q = FindQueryState(topk_queries_, query)) {
+    return ReplaceFromRecord(in, &q->tracker, [](const auto& a, const auto& b) {
+      return a.k() == b.k();
+    });
+  }
+  if (auto* q = FindQueryState(quantile_queries_, query)) {
+    return ReplaceFromRecord(in, &q->summary, [](const auto& a, const auto& b) {
+      return a.epsilon() == b.epsilon();
+    });
+  }
+  if (auto* q = FindQueryState(range_sum_queries_, query)) {
+    return ReplaceFromRecord(in, &q->synopsis,
+                             [](const auto& a, const auto& b) {
+                               return a.domain_size() == b.domain_size();
+                             });
+  }
+  if (auto* q = FindQueryState(chain_queries_, query)) {
+    // The registered estimator is still all zeros, so merging the record
+    // into it restores the counters exactly — and MergeFrom rejects a
+    // record whose shape or seed disagrees.
+    if (q->grid.has_value()) {
+      SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinEstimator restored,
+                                MultiJoinEstimator::DeserializeFrom(in));
+      return q->grid->MergeFrom(restored);
+    }
+    SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinHashEstimator restored,
+                              MultiJoinHashEstimator::DeserializeFrom(in));
+    return q->hashed->MergeFrom(restored);
+  }
+  return NotFoundError("unknown query id " + std::to_string(query));
 }
 
 StatusOr<int64_t> Engine::StreamElementCount(const std::string& stream) const {
@@ -1208,7 +1285,6 @@ void Engine::RefreshMetricsGauges() const {
     q.metrics.memory_bytes->Set(static_cast<double>(
         q.grid.has_value() ? q.grid->MemoryBytes() : q.hashed->MemoryBytes()));
   }
-#ifndef SKIMJOIN_DISABLE_PROFILER
   for (const StreamState& state : streams_) {
     if (state.profiler == nullptr) continue;
     const util::StreamProfiler::Snapshot profile =
@@ -1228,7 +1304,6 @@ void Engine::RefreshMetricsGauges() const {
     metrics_.GetGauge(prefix + "net_mass")
         ->Set(static_cast<double>(profile.net_mass));
   }
-#endif
   metrics_.SetHelp("engine.num_streams", "Registered streams.");
   metrics_.SetHelp("engine.num_queries", "Registered standing queries.");
   metrics_.SetHelp("engine.ingest_shards",
@@ -1275,11 +1350,9 @@ HealthReport Engine::HealthReport() const {
         hits + misses == 0
             ? std::numeric_limits<double>::quiet_NaN()
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
-#ifndef SKIMJOIN_DISABLE_PROFILER
     if (state.profiler != nullptr) {
       health.profile = state.profiler->TakeSnapshot();
     }
-#endif
     report.streams.push_back(std::move(health));
   }
 
@@ -1442,6 +1515,7 @@ void Engine::Clear() {
   quantile_queries_.clear();
   range_sum_queries_.clear();
   chain_queries_.clear();
+  registrations_.clear();
   next_query_id_ = 1;
   ingest_options_ = IngestOptions{};
   // Entries guard on per-stream epochs that are about to reset with the

@@ -182,6 +182,11 @@ class Engine {
   StatusOr<QueryId> AddChainJoinQuery(const ChainJoinQuerySpec& spec,
                                       uint64_t seed);
 
+  /// Registers any query from its spec: the one dispatch over the seven
+  /// Add*Query methods that checkpoint restore and fleet workers use.
+  /// Quantile and range-sum queries take no seed and ignore `seed`.
+  StatusOr<QueryId> AddQuery(const QuerySpec& spec, uint64_t seed);
+
   /// Feeds one tuple into a registered relation: `attributes` carries its
   /// join-attribute values in schema order. NOT_FOUND / INVALID_ARGUMENT /
   /// OUT_OF_RANGE for unknown relations, arity mismatches, or out-of-domain
@@ -319,9 +324,7 @@ class Engine {
 
   /// Runtime toggle for the per-stream workload profiler (default on).
   /// While off, ingestion skips the profiler entirely; already-collected
-  /// profile state is kept and resumes accumulating on re-enable. Under the
-  /// SKIMJOIN_DISABLE_PROFILER compile flag the ingest-path calls are
-  /// compiled out and this toggle has no effect.
+  /// profile state is kept and resumes accumulating on re-enable.
   void SetProfilerEnabled(bool enabled) { profiler_enabled_ = enabled; }
   bool profiler_enabled() const { return profiler_enabled_; }
 
@@ -422,9 +425,9 @@ class Engine {
   /// spec + seed, and each supported query's synopsis — to `path` as one
   /// per-section-checksummed durable file, committed atomically (a crash
   /// mid-save never clobbers an existing checkpoint at `path`). Queries
-  /// whose synopses cannot be serialized are recorded in the manifest as
-  /// unsupported. `metadata` is an arbitrary caller-owned map round-tripped
-  /// through RestoreCheckpoint. Defined in checkpoint.cc.
+  /// whose synopses SerializeQuerySynopsis cannot write are recorded in
+  /// the manifest as unsupported. `metadata` is an arbitrary caller-owned
+  /// map round-tripped through RestoreCheckpoint. Defined in checkpoint.cc.
   Status SaveCheckpoint(
       const std::string& path,
       const std::map<std::string, std::string>& metadata = {}) const;
@@ -439,12 +442,11 @@ class Engine {
                                             const RestoreOptions& options = {});
 
   /// Writes one query's synopsis as its family's self-describing text
-  /// record (the same serializers checkpoints use): a join/self-join
-  /// query's estimator-pair record, a frequency query's skimmed-sketch
-  /// record, or a chain-join query's multi-join estimator record. This is the payload of a distributed worker's delta pull — a
-  /// compatible synopsis on the coordinator can Merge/RestoreFrom it.
-  /// NOT_FOUND for an unknown id or a query kind without a serializable
-  /// synopsis; UNIMPLEMENTED for non-serializable estimator methods.
+  /// record: the one per-kind synopsis dispatch, shared by checkpoints and
+  /// a distributed worker's delta pulls (a compatible synopsis on the
+  /// coordinator can Merge/RestoreFrom it). NOT_FOUND for an unknown id;
+  /// UNIMPLEMENTED for the non-serializable join methods (sampling and
+  /// partitioned AGMS).
   Status SerializeQuerySynopsis(QueryId query, std::string* out) const;
 
   /// Drops every stream, relation, and query, returning the engine to its
@@ -453,12 +455,7 @@ class Engine {
 
   uint64_t num_streams() const { return streams_.size(); }
   uint64_t num_relations() const { return relations_.size(); }
-  uint64_t num_queries() const {
-    return join_queries_.size() + frequency_queries_.size() +
-           distinct_queries_.size() + topk_queries_.size() +
-           quantile_queries_.size() + range_sum_queries_.size() +
-           chain_queries_.size();
-  }
+  uint64_t num_queries() const { return registrations_.size(); }
 
  private:
   struct StreamState {
@@ -505,9 +502,14 @@ class Engine {
     metrics::Counter* cache_invalidations = nullptr;
   };
 
+  /// How to re-create one query: what SaveCheckpoint records per query.
+  struct Registration {
+    QuerySpec spec;
+    uint64_t seed = 0;
+  };
+
   /// A join (or self-join) query: the estimator pair plus the routing data
-  /// needed to feed it. Every query state also keeps the registration spec
-  /// and seed so SaveCheckpoint can record how to re-create the query.
+  /// needed to feed it.
   struct JoinQueryState {
     std::unique_ptr<core::JoinEstimatorPair> estimator;
     StreamId left;
@@ -516,8 +518,6 @@ class Engine {
     AggregateInput right_input;
     std::optional<RangePredicate> left_predicate;
     std::optional<RangePredicate> right_predicate;
-    JoinQuerySpec spec;
-    uint64_t seed = 0;
     QueryMetrics metrics;
   };
 
@@ -525,8 +525,6 @@ class Engine {
     core::SkimmedSketch sketch;
     StreamId stream;
     std::optional<RangePredicate> predicate;
-    FrequencyQuerySpec spec;
-    uint64_t seed = 0;
     QueryMetrics metrics;
     /// Sketch-side plan-cache tallies already exported to the stream's
     /// hash_cache_* counters; the batch path and the (const, writer-thread)
@@ -551,8 +549,6 @@ class Engine {
     sketch::FmSketch sketch;
     StreamId stream;
     std::optional<RangePredicate> predicate;
-    DistinctCountQuerySpec spec;
-    uint64_t seed = 0;
     QueryMetrics metrics;
   };
 
@@ -560,8 +556,6 @@ class Engine {
     core::TopKTracker tracker;
     StreamId stream;
     std::optional<RangePredicate> predicate;
-    TopKQuerySpec spec;
-    uint64_t seed = 0;
     QueryMetrics metrics;
   };
 
@@ -569,7 +563,6 @@ class Engine {
     stream::GkQuantileSummary summary;
     StreamId stream;
     std::optional<RangePredicate> predicate;
-    QuantileQuerySpec spec;
     QueryMetrics metrics;
   };
 
@@ -578,7 +571,6 @@ class Engine {
     StreamId stream;
     uint64_t coefficient_budget;
     std::optional<RangePredicate> predicate;
-    RangeSumQuerySpec spec;
     QueryMetrics metrics;
   };
 
@@ -593,12 +585,18 @@ class Engine {
     std::optional<MultiJoinEstimator> grid;
     std::optional<MultiJoinHashEstimator> hashed;
     std::vector<StreamId> chain;  // relation ids, chain order
-    ChainJoinQuerySpec spec;
-    uint64_t seed = 0;
     QueryMetrics metrics;
   };
 
   StatusOr<StreamId> FindStream(const std::string& name) const;
+
+  /// Hands out the next query id and records how to re-create the query.
+  QueryId RegisterQuery(QuerySpec spec, uint64_t seed);
+
+  /// Inverse of SerializeQuerySynopsis: splices `record` into the freshly
+  /// registered (still empty) query `query`. INVALID_ARGUMENT when the
+  /// record is malformed or disagrees with the query's spec.
+  Status RestoreQuerySynopsis(QueryId query, const std::string& record);
 
   static int64_t WeightFor(AggregateInput input, const StreamUpdate& update) {
     return input == AggregateInput::kCount ? update.count : update.measure;
@@ -688,6 +686,8 @@ class Engine {
   std::unordered_map<QueryId, QuantileQueryState> quantile_queries_;
   std::unordered_map<QueryId, RangeSumQueryState> range_sum_queries_;
   std::unordered_map<QueryId, ChainJoinQueryState> chain_queries_;
+  // Every registered query, ascending by id.
+  std::map<QueryId, Registration> registrations_;
   QueryId next_query_id_ = 1;
   // Ingestion concurrency configuration (shards + concurrent mode knobs).
   IngestOptions ingest_options_;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/join_estimators.h"
@@ -68,6 +69,17 @@ struct SelfJoinQuerySpec {
   AggregateInput input = AggregateInput::kCount;
   std::optional<RangePredicate> predicate;
 };
+
+/// The join spec a self-join registers as: left and right are one stream.
+inline JoinQuerySpec AsJoinQuerySpec(const SelfJoinQuerySpec& spec) {
+  return {.left_stream = spec.stream,
+          .right_stream = spec.stream,
+          .estimator = spec.estimator,
+          .left_input = spec.input,
+          .right_input = spec.input,
+          .left_predicate = spec.predicate,
+          .right_predicate = spec.predicate};
+}
 
 /// Point-frequency / heavy-hitter tracking over one stream, answered from a
 /// skimmed sketch.
@@ -147,6 +159,14 @@ struct ChainJoinQuerySpec {
   uint64_t num_tables = 5;
   uint64_t num_buckets = 64;
 };
+
+/// Any standing query's registration spec (Engine::AddQuery). A self-join
+/// is a JoinQuerySpec with left_stream == right_stream, which is how
+/// Engine::AddSelfJoinQuery records it.
+using QuerySpec =
+    std::variant<JoinQuerySpec, FrequencyQuerySpec, DistinctCountQuerySpec,
+                 TopKQuerySpec, QuantileQuerySpec, RangeSumQuerySpec,
+                 ChainJoinQuerySpec>;
 
 }  // namespace query
 }  // namespace skimjoin

@@ -37,7 +37,7 @@
 // snapshot of the exported gauges sees monitoring-grade values, never UB.
 // Hot-path cost is a handful of arithmetic ops plus one open-addressed
 // probe; the engine additionally gates every call behind a runtime toggle
-// and the SKIMJOIN_DISABLE_PROFILER compile-time kill switch.
+// (Engine::SetProfilerEnabled).
 
 #ifndef SKIMJOIN_UTIL_STREAM_PROFILER_H_
 #define SKIMJOIN_UTIL_STREAM_PROFILER_H_

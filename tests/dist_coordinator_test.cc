@@ -1,9 +1,10 @@
 // Coordinator tests against real in-process workers (each Serve()-ing on
 // its own thread over a real Unix socket): merged answers are bit-identical
-// to a single local engine, RPCs stay inside their deadline + retry budget
-// when a shard is unreachable, chaos-injected frame corruption is retried
-// through, a dead shard degrades answers to flagged partials, and a worker
-// restarted from its checkpoint is re-adopted without double-merging.
+// to a single local engine (predicated and SUM queries included), RPCs stay
+// inside their deadline + retry budget when a shard is unreachable,
+// chaos-injected frame corruption is retried through, a dead shard
+// degrades answers to flagged partials, and a worker restarted from its
+// checkpoint (chain joins included) is re-adopted without double-merging.
 
 #include "dist/coordinator.h"
 
@@ -13,11 +14,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/worker.h"
 #include "gtest/gtest.h"
 #include "query/engine.h"
+#include "sketch/partitioned_agms.h"
+#include "stream/frequency_vector.h"
 #include "util/event_log.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -537,16 +541,179 @@ TEST(CoordinatorTest, FleetTraceTogglesAndDumpsWorkerSpans) {
   EXPECT_EQ(empty->find("\"worker.ingest\""), std::string::npos);
 }
 
+// Sampling and partitioned-AGMS synopses do not serialize, so they cannot
+// travel as deltas: the coordinator refuses them before anything reaches
+// the wire, and the refusal leaves nothing behind to replay.
 TEST(CoordinatorTest, RejectsNonDistributableSpecs) {
-  Coordinator coordinator(
-      {{"s0", ::testing::TempDir() + "/coord_reject.sock"}}, FastOptions());
-  query::JoinQuerySpec predicated = SkimmedJoinSpec();
-  predicated.left_predicate = query::RangePredicate{0, 100};
-  EXPECT_FALSE(coordinator.AddJoinQuery(predicated, 1).ok());
+  const std::string dir = ::testing::TempDir();
+  WorkerOptions options = MakeWorkerOptions(dir + "/coord_reject.sock", "s0");
+  options.checkpoint_path = dir + "/coord_reject.ckpt";
+  ::unlink(options.checkpoint_path.c_str());
+  WorkerHarness w0(options);
+  Coordinator coordinator({{"s0", options.socket_path}}, FastOptions());
+  ASSERT_TRUE(coordinator.RegisterStream({"f", 1u << 12}).ok());
+  ASSERT_TRUE(coordinator.RegisterStream({"g", 1u << 12}).ok());
 
+  query::JoinQuerySpec sampling = SkimmedJoinSpec();
+  sampling.estimator.kind = core::EstimatorKind::kSampling;
+  EXPECT_EQ(coordinator.AddJoinQuery(sampling, 1).status().code(),
+            StatusCode::kUnimplemented);
+  query::JoinQuerySpec partitioned = SkimmedJoinSpec();
+  partitioned.estimator.kind = core::EstimatorKind::kPartitionedAgms;
+  EXPECT_EQ(coordinator.AddJoinQuery(partitioned, 1).status().code(),
+            StatusCode::kInvalidArgument);  // no plan can reach a worker
+  stream::FrequencyVector stats(1u << 12);
+  for (uint64_t v = 0; v < stats.domain_size(); ++v) stats.Add(v, 1);
+  partitioned.estimator.partition_plan =
+      std::make_shared<sketch::PartitionPlan>(
+          *sketch::PlanPartitions(stats, stats, 2, 64, 4));
+  EXPECT_EQ(coordinator.AddJoinQuery(partitioned, 1).status().code(),
+            StatusCode::kUnimplemented);
+
+  // Nothing was recorded: a distributable query still registers, and the
+  // registrations a restarted worker is re-adopted with all replay.
+  StatusOr<query::QueryId> join =
+      coordinator.AddJoinQuery(SkimmedJoinSpec(), 1);
+  ASSERT_TRUE(join.ok()) << join.status();
+  ASSERT_TRUE(coordinator.CheckpointShards().ok());
+  w0.Restart();
+  ASSERT_TRUE(coordinator.UpdateBatch("f", Workload(1, 50)).ok());
+  EXPECT_TRUE(coordinator.AnswerJoin(*join).ok());
+}
+
+// Predicates and SUM inputs travel in the registration's spec record, so
+// each worker filters and weights its own elements; shard merges stay
+// exact by linearity.
+TEST(CoordinatorTest, PredicatedAndSumQueriesMatchLocalEngine) {
+  const std::string dir = ::testing::TempDir();
+  WorkerHarness w0(MakeWorkerOptions(dir + "/coord_pred_0.sock", "s0"));
+  WorkerHarness w1(MakeWorkerOptions(dir + "/coord_pred_1.sock", "s1"));
+  Coordinator coordinator({{"s0", dir + "/coord_pred_0.sock"},
+                           {"s1", dir + "/coord_pred_1.sock"}},
+                          FastOptions());
+  query::Engine engine;
+  for (const char* name : {"f", "g"}) {
+    ASSERT_TRUE(coordinator.RegisterStream({name, 1u << 12}).ok());
+    ASSERT_TRUE(engine.RegisterStream({name, 1u << 12}).ok());
+  }
+
+  query::JoinQuerySpec predicated = SkimmedJoinSpec();
+  predicated.left_predicate = query::RangePredicate{100, 3000};
+  predicated.right_predicate = query::RangePredicate{0, 2047};
   query::JoinQuerySpec sum_join = SkimmedJoinSpec();
   sum_join.left_input = query::AggregateInput::kMeasure;
-  EXPECT_FALSE(coordinator.AddJoinQuery(sum_join, 1).ok());
+  sum_join.estimator.kind = core::EstimatorKind::kHashSketch;
+  query::SelfJoinQuerySpec sum_self;
+  sum_self.stream = "g";
+  sum_self.estimator.space_counters = 512;
+  sum_self.input = query::AggregateInput::kMeasure;
+  sum_self.predicate = query::RangePredicate{10, 4000};
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 512;
+  frequency.predicate = query::RangePredicate{0, 999};
+
+  std::vector<std::pair<query::QueryId, query::QueryId>> joins;
+  for (const query::JoinQuerySpec& spec : {predicated, sum_join}) {
+    StatusOr<query::QueryId> dist = coordinator.AddJoinQuery(spec, 41);
+    StatusOr<query::QueryId> local = engine.AddJoinQuery(spec, 41);
+    ASSERT_TRUE(dist.ok()) << dist.status();
+    ASSERT_TRUE(local.ok()) << local.status();
+    joins.emplace_back(*dist, *local);
+  }
+  StatusOr<query::QueryId> dist_self =
+      coordinator.AddSelfJoinQuery(sum_self, 42);
+  StatusOr<query::QueryId> local_self = engine.AddSelfJoinQuery(sum_self, 42);
+  ASSERT_TRUE(dist_self.ok()) << dist_self.status();
+  ASSERT_TRUE(local_self.ok()) << local_self.status();
+  joins.emplace_back(*dist_self, *local_self);
+  StatusOr<query::QueryId> dist_freq =
+      coordinator.AddFrequencyQuery(frequency, 43);
+  StatusOr<query::QueryId> local_freq = engine.AddFrequencyQuery(frequency, 43);
+  ASSERT_TRUE(dist_freq.ok()) << dist_freq.status();
+  ASSERT_TRUE(local_freq.ok()) << local_freq.status();
+
+  for (const auto& [stream, seed] :
+       {std::pair<const char*, uint64_t>{"f", 1}, {"g", 2}}) {
+    std::vector<query::StreamUpdate> updates = Workload(seed, 800);
+    for (size_t i = 0; i < updates.size(); ++i) {
+      updates[i].measure = static_cast<int64_t>(i % 13) - 3;
+    }
+    ASSERT_TRUE(coordinator.UpdateBatch(stream, updates).ok());
+    ASSERT_TRUE(engine.UpdateBatch(stream, updates).ok());
+  }
+
+  for (const auto& [dist, local] : joins) {
+    StatusOr<double> dist_answer = coordinator.AnswerJoin(dist);
+    StatusOr<double> local_answer = engine.AnswerJoin(local);
+    ASSERT_TRUE(dist_answer.ok()) << dist_answer.status();
+    ASSERT_TRUE(local_answer.ok()) << local_answer.status();
+    EXPECT_EQ(*local_answer, *dist_answer) << "query " << local;
+    EXPECT_NE(*local_answer, 0.0) << "query " << local;
+  }
+  for (const uint64_t value : {uint64_t{5}, uint64_t{500}, uint64_t{2000}}) {
+    EXPECT_EQ(*engine.AnswerPointFrequency(*local_freq, value),
+              *coordinator.AnswerPointFrequency(*dist_freq, value))
+        << value;
+  }
+}
+
+// Chain joins checkpoint like every other synopsis, so a worker holding
+// one restarts from its checkpoint and the coordinator's merged answer is
+// unchanged, for both chain methods.
+TEST(CoordinatorTest, WorkerWithChainJoinRestartsFromCheckpoint) {
+  for (const query::ChainJoinQuerySpec::Method method :
+       {query::ChainJoinQuerySpec::Method::kAgmsGrid,
+        query::ChainJoinQuerySpec::Method::kHashSketch}) {
+    const std::string dir = ::testing::TempDir();
+    const std::string tag =
+        method == query::ChainJoinQuerySpec::Method::kAgmsGrid ? "grid"
+                                                               : "hash";
+    std::vector<std::unique_ptr<WorkerHarness>> workers;
+    std::vector<ShardAddress> shards;
+    for (int i = 0; i < 2; ++i) {
+      WorkerOptions options = MakeWorkerOptions(
+          dir + "/coord_chain_restart_" + tag + std::to_string(i) + ".sock",
+          "s" + std::to_string(i));
+      options.checkpoint_path =
+          dir + "/coord_chain_restart_" + tag + std::to_string(i) + ".ckpt";
+      // TempDir persists across runs; a stale checkpoint would smuggle
+      // last run's state into this one.
+      ::unlink(options.checkpoint_path.c_str());
+      shards.push_back({options.shard_name, options.socket_path});
+      workers.push_back(std::make_unique<WorkerHarness>(options));
+    }
+    Coordinator coordinator(shards, FastOptions());
+    ASSERT_TRUE(coordinator.RegisterRelation({"a", 1, 64}).ok());
+    ASSERT_TRUE(coordinator.RegisterRelation({"b", 2, 64}).ok());
+    ASSERT_TRUE(coordinator.RegisterRelation({"c", 1, 64}).ok());
+    query::ChainJoinQuerySpec spec;
+    spec.relations = {"a", "b", "c"};
+    spec.method = method;
+    spec.num_means = 16;
+    spec.num_medians = 3;
+    StatusOr<query::QueryId> chain = coordinator.AddChainJoinQuery(spec, 9);
+    ASSERT_TRUE(chain.ok()) << chain.status();
+    Rng rng(11);
+    for (int t = 0; t < 120; ++t) {
+      const uint64_t x = rng.NextUint64Below(64);
+      const uint64_t y = rng.NextUint64Below(64);
+      ASSERT_TRUE(coordinator.UpdateRelation("a", {x}, 1).ok());
+      ASSERT_TRUE(coordinator.UpdateRelation("b", {x, y}, 1).ok());
+      ASSERT_TRUE(coordinator.UpdateRelation("c", {y}, 1).ok());
+    }
+    ASSERT_TRUE(coordinator.CheckpointShards().ok());
+    StatusOr<double> before = coordinator.AnswerChainJoin(*chain);
+    ASSERT_TRUE(before.ok()) << tag << ": " << before.status();
+
+    for (const auto& worker : workers) worker->Restart();
+    StatusOr<double> after = coordinator.AnswerChainJoin(*chain);
+    ASSERT_TRUE(after.ok()) << tag << ": " << after.status();
+    EXPECT_EQ(*before, *after) << tag;
+    for (const query::DistShardStatus& status : coordinator.ShardStatuses()) {
+      EXPECT_EQ(status.incarnation, 2u) << tag << " " << status.shard;
+    }
+  }
 }
 
 }  // namespace

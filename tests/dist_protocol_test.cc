@@ -1,13 +1,17 @@
-// Codec tests for the fleet-telemetry protocol messages (dist/protocol):
-// exact round trips for every new payload type, the HelloReply trace-clock
-// token's backward compatibility, and decoder hardening — declared counts
-// are validated before allocation and mangled payloads return a Status,
-// never crash.
+// Codec tests for the protocol messages (dist/protocol): exact round trips
+// for the query registration of every kind and for the telemetry payloads,
+// the HelloReply trace-clock token's backward compatibility, and decoder
+// hardening — declared counts are validated before allocation and mangled
+// payloads return a Status, never crash.
 
 #include "dist/protocol.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -72,27 +76,168 @@ TEST(RelationCodec, RegAndUpdateRoundTrip) {
   EXPECT_EQ(update2->tuples[1].weight, -5);
 }
 
-TEST(ChainQueryCodec, RoundTripsEstimatorShape) {
-  ChainQueryReg reg;
-  reg.query_name = "q7";
-  reg.relations = {"r1", "r2", "r3"};
-  reg.method = 1;
-  reg.num_means = 64;
-  reg.num_medians = 5;
-  reg.num_tables = 5;
-  reg.num_buckets = 128;
-  reg.seed = 0xdeadbeef;
-  StatusOr<ChainQueryReg> decoded =
-      DecodeChainQueryReg(EncodeChainQueryReg(reg));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->query_name, "q7");
-  EXPECT_EQ(decoded->relations, reg.relations);
-  EXPECT_EQ(decoded->method, 1u);
-  EXPECT_EQ(decoded->num_means, 64u);
-  EXPECT_EQ(decoded->num_medians, 5u);
-  EXPECT_EQ(decoded->num_tables, 5u);
-  EXPECT_EQ(decoded->num_buckets, 128u);
-  EXPECT_EQ(decoded->seed, 0xdeadbeefu);
+// One registration per query kind, each exercising every field its spec
+// record carries: predicates, SUM inputs, names that need escaping, and
+// doubles with no short decimal form.
+std::vector<QueryReg> OneRegistrationPerKind() {
+  query::JoinQuerySpec join;
+  join.left_stream = "left side";
+  join.right_stream = "r%ight";
+  join.estimator.kind = core::EstimatorKind::kSkimmedSketch;
+  join.estimator.space_counters = 2048;
+  join.estimator.agms_num_medians = 3;
+  join.estimator.num_tables = 5;
+  join.estimator.threshold_scale = 0.1;
+  join.estimator.recurse_slack = std::nextafter(1.0, 0.0);
+  join.estimator.skim_margin = 5e-324;
+  join.estimator.skimmed_use_dyadic = true;
+  join.left_input = query::AggregateInput::kMeasure;
+  join.left_predicate = query::RangePredicate{7, 900};
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 1000;
+  frequency.num_tables = 3;
+  frequency.use_dyadic = false;
+  frequency.predicate = query::RangePredicate{0, UINT64_MAX};
+  query::DistinctCountQuerySpec distinct;
+  distinct.stream = "d";
+  distinct.num_maps = 16;
+  query::TopKQuerySpec topk;
+  topk.stream = "t";
+  topk.k = 3;
+  query::QuantileQuerySpec quantile;
+  quantile.stream = "q";
+  quantile.epsilon = 0.1;
+  quantile.predicate = query::RangePredicate{2, 2};
+  query::RangeSumQuerySpec range_sum;
+  range_sum.stream = "w";
+  range_sum.coefficient_budget = 31;
+  query::ChainJoinQuerySpec chain;
+  chain.relations = {"r1", "r 2", "r3"};
+  chain.method = query::ChainJoinQuerySpec::Method::kAgmsGrid;
+  chain.num_means = 8;
+  chain.num_medians = 3;
+  return {{"q1", 0xdeadbeef, join},      {"q2", 1, frequency},
+          {"q3", 2, distinct},           {"q4", 3, topk},
+          {"q5", 0, quantile},           {"q6", 0, range_sum},
+          {"q7", UINT64_MAX, chain}};
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(QueryRegCodec, RoundTripsEveryKind) {
+  for (const QueryReg& reg : OneRegistrationPerKind()) {
+    const std::string wire = EncodeQueryReg(reg);
+    StatusOr<QueryReg> decoded = DecodeQueryReg(wire);
+    ASSERT_TRUE(decoded.ok()) << wire << ": " << decoded.status();
+    EXPECT_EQ(decoded->query_name, reg.query_name);
+    EXPECT_EQ(decoded->seed, reg.seed);
+    EXPECT_EQ(decoded->spec.index(), reg.spec.index()) << wire;
+    // Every field is on the wire, so a decoded registration re-encodes to
+    // the same bytes.
+    EXPECT_EQ(EncodeQueryReg(*decoded), wire);
+  }
+}
+
+TEST(QueryRegCodec, CarriesPredicatesInputsAndNames) {
+  const std::vector<QueryReg> regs = OneRegistrationPerKind();
+  StatusOr<QueryReg> join = DecodeQueryReg(EncodeQueryReg(regs[0]));
+  ASSERT_TRUE(join.ok()) << join.status();
+  const auto& spec = std::get<query::JoinQuerySpec>(join->spec);
+  EXPECT_EQ(spec.left_stream, "left side");
+  EXPECT_EQ(spec.right_stream, "r%ight");
+  EXPECT_EQ(spec.estimator.kind, core::EstimatorKind::kSkimmedSketch);
+  EXPECT_TRUE(spec.estimator.skimmed_use_dyadic);
+  EXPECT_EQ(spec.left_input, query::AggregateInput::kMeasure);
+  EXPECT_EQ(spec.right_input, query::AggregateInput::kCount);
+  ASSERT_TRUE(spec.left_predicate.has_value());
+  EXPECT_EQ(spec.left_predicate->lo, 7u);
+  EXPECT_EQ(spec.left_predicate->hi, 900u);
+  EXPECT_FALSE(spec.right_predicate.has_value());
+
+  StatusOr<QueryReg> chain = DecodeQueryReg(EncodeQueryReg(regs[6]));
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  const auto& chain_spec = std::get<query::ChainJoinQuerySpec>(chain->spec);
+  EXPECT_EQ(chain_spec.relations,
+            (std::vector<std::string>{"r1", "r 2", "r3"}));
+  EXPECT_EQ(chain_spec.method, query::ChainJoinQuerySpec::Method::kAgmsGrid);
+  EXPECT_EQ(chain->seed, UINT64_MAX);
+}
+
+TEST(QueryRegCodec, SpecDoublesRoundTripBitExactly) {
+  for (const double value :
+       {0.1, std::nextafter(1.0, 0.0), 5e-324, 1.0 / 3.0, 2.0, 1e300}) {
+    query::JoinQuerySpec join;
+    join.left_stream = "f";
+    join.right_stream = "g";
+    join.estimator.threshold_scale = value;
+    join.estimator.recurse_slack = value;
+    join.estimator.skim_margin = value;
+    query::QuantileQuerySpec quantile;
+    quantile.stream = "f";
+    quantile.epsilon = value;
+    StatusOr<QueryReg> j = DecodeQueryReg(EncodeQueryReg({"q", 1, join}));
+    StatusOr<QueryReg> q = DecodeQueryReg(EncodeQueryReg({"q", 1, quantile}));
+    ASSERT_TRUE(j.ok()) << j.status();
+    ASSERT_TRUE(q.ok()) << q.status();
+    const core::EstimatorSpec& est =
+        std::get<query::JoinQuerySpec>(j->spec).estimator;
+    EXPECT_TRUE(SameBits(est.threshold_scale, value)) << value;
+    EXPECT_TRUE(SameBits(est.recurse_slack, value)) << value;
+    EXPECT_TRUE(SameBits(est.skim_margin, value)) << value;
+    EXPECT_TRUE(SameBits(
+        std::get<query::QuantileQuerySpec>(q->spec).epsilon, value))
+        << value;
+  }
+}
+
+TEST(QueryRegCodec, TruncationAtEveryPrefixFailsCleanly) {
+  for (const QueryReg& reg : OneRegistrationPerKind()) {
+    const std::string wire = EncodeQueryReg(reg);
+    for (size_t len = 0; len < wire.size(); ++len) {
+      const std::string_view prefix(wire.data(), len);
+      // No prefix may crash or over-allocate; one that stops at a token
+      // boundary lacks whole fields and must be refused.
+      const StatusOr<QueryReg> decoded = DecodeQueryReg(prefix);
+      if (wire[len] == ' ') {
+        EXPECT_FALSE(decoded.ok()) << "prefix " << len << " of " << wire;
+      }
+    }
+  }
+}
+
+TEST(QueryRegCodec, HostileRelationCountIsRejectedBeforeAllocation) {
+  // 2^24 relations (the manifest's own cap) declared in a payload that has
+  // room for two: the count is bounded by the bytes left, so the decoder
+  // refuses before reserving anything.
+  EXPECT_FALSE(
+      DecodeQueryReg("q 1 chain 16777216 a b hashsketch 1 1 1 1").ok());
+  EXPECT_FALSE(DecodeQueryReg(
+                   "q 1 chain 18446744073709551615 a b hashsketch 1 1 1 1")
+                   .ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 chain 3 a b hashsketch 1 1 1 1").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 chain 1 a hashsketch 1 1 1 1").ok());
+  EXPECT_TRUE(DecodeQueryReg("q 1 chain 2 a b hashsketch 1 1 1 1").ok());
+}
+
+TEST(QueryRegCodec, MalformedFieldsAreRefused) {
+  EXPECT_FALSE(DecodeQueryReg("").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 nosuchkind f").ok());
+  EXPECT_FALSE(  // query names are wire names: at most 256 bytes
+      DecodeQueryReg(std::string(300, 'n') + " 1 distinct f 16 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f 16 pred 9 3").ok());  // lo > hi
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f 16 maybe").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f%zz 16 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f 16 nopred extra").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 quantile f 0.1x nopred").ok());
+  EXPECT_FALSE(
+      DecodeQueryReg("q 1 join f g bogus 64 5 7 2 0.5 0 0 0 0 nopred nopred")
+          .ok());
+  EXPECT_FALSE(
+      DecodeQueryReg("q 1 chain 2 a b neither 1 1 1 1").ok());
+  EXPECT_TRUE(DecodeQueryReg("q 1 distinct f 16 nopred").ok());
 }
 
 TEST(MetricsSnapshotCodec, RoundTripsEverySection) {
@@ -294,7 +439,6 @@ TEST(TelemetryCodecHardening, DecodersSurviveEveryTruncation) {
       EncodeEventBatch(batch),
       EncodeTraceEvents(trace),
       EncodeRelationUpdate({"r", 2, {{{1, 2}, 1}}}),
-      EncodeChainQueryReg({"q", {"r1", "r2"}, 0, 8, 3, 3, 16, 5}),
       EncodeHealthReport(
           {{{query::HealthFinding::Severity::kWarn, "s", "r", "m", ""}}}),
   };
@@ -307,7 +451,6 @@ TEST(TelemetryCodecHardening, DecodersSurviveEveryTruncation) {
       (void)DecodeEventBatch(prefix);
       (void)DecodeTraceEvents(prefix);
       (void)DecodeRelationUpdate(prefix);
-      (void)DecodeChainQueryReg(prefix);
       (void)DecodeHealthReport(prefix);
     }
   }

@@ -1,6 +1,10 @@
 #include "query/engine.h"
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "stream/zipf.h"
@@ -47,6 +51,65 @@ TEST(EngineTest, JoinQueryRequiresMatchingDomains) {
   StatusOr<QueryId> query = engine.AddJoinQuery(BasicJoinSpec(), 1);
   ASSERT_FALSE(query.ok());
   EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, JoinQueryRejectsNonFiniteThresholdScale) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream(Packets()).ok());
+  ASSERT_TRUE(engine.RegisterStream(Flows()).ok());
+  for (const double scale : {std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    JoinQuerySpec spec = BasicJoinSpec();
+    spec.estimator.threshold_scale = scale;
+    EXPECT_EQ(engine.AddJoinQuery(spec, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << scale;
+  }
+  EXPECT_EQ(engine.num_queries(), 0u);
+}
+
+// AddQuery is the one registration dispatch: every spec kind registers
+// exactly as its own Add*Query does.
+TEST(EngineTest, AddQueryDispatchesEverySpecKind) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"s", 1u << 8}).ok());
+  ASSERT_TRUE(engine.RegisterRelation({"r0", 1, 16}).ok());
+  ASSERT_TRUE(engine.RegisterRelation({"r1", 1, 16}).ok());
+  JoinQuerySpec join;
+  join.left_stream = "s";
+  join.right_stream = "s";
+  join.estimator.space_counters = 256;
+  FrequencyQuerySpec frequency;
+  frequency.stream = "s";
+  frequency.space_counters = 256;
+  DistinctCountQuerySpec distinct;
+  distinct.stream = "s";
+  TopKQuerySpec topk;
+  topk.stream = "s";
+  topk.space_counters = 256;
+  QuantileQuerySpec quantile;
+  quantile.stream = "s";
+  RangeSumQuerySpec range_sum;
+  range_sum.stream = "s";
+  ChainJoinQuerySpec chain;
+  chain.relations = {"r0", "r1"};
+  const std::vector<QuerySpec> specs = {join,     frequency, distinct, topk,
+                                        quantile, range_sum, chain};
+  for (const QuerySpec& spec : specs) {
+    StatusOr<QueryId> id = engine.AddQuery(spec, 7);
+    ASSERT_TRUE(id.ok()) << id.status();
+    std::string synopsis;
+    EXPECT_TRUE(engine.SerializeQuerySynopsis(*id, &synopsis).ok()) << *id;
+  }
+  EXPECT_EQ(engine.num_queries(), specs.size());
+  ASSERT_TRUE(engine.Update("s", StreamUpdate{3, 2, 0}).ok());
+  EXPECT_EQ(*engine.AnswerPointFrequency(2, 3), 2);
+  EXPECT_EQ(*engine.AnswerQuantile(5, 0.5), 3u);
+  EXPECT_TRUE(engine.AnswerChainJoin(7).ok());
+  frequency.stream = "nope";
+  EXPECT_EQ(engine.AddQuery(frequency, 1).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(EngineTest, UpdateValidatesStreamAndDomain) {

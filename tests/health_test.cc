@@ -181,10 +181,8 @@ TEST(HealthReportTest, StreamProfileAccessorAndKillSwitch) {
   StatusOr<util::StreamProfiler::Snapshot> profile =
       engine.StreamProfile("f");
   ASSERT_TRUE(profile.ok());
-#ifndef SKIMJOIN_DISABLE_PROFILER
   EXPECT_EQ(profile->observations, 1u);
   EXPECT_EQ(profile->net_mass, 2);
-#endif
 
   // The runtime kill switch stops observation without losing prior state.
   engine.SetProfilerEnabled(false);
@@ -192,9 +190,7 @@ TEST(HealthReportTest, StreamProfileAccessorAndKillSwitch) {
   ASSERT_TRUE(engine.Update("f", {.value = 4, .count = 1}).ok());
   profile = engine.StreamProfile("f");
   ASSERT_TRUE(profile.ok());
-#ifndef SKIMJOIN_DISABLE_PROFILER
   EXPECT_EQ(profile->observations, 1u);
-#endif
 }
 
 TEST(HealthReportTest, StreamRulesFireOnDropsAndDeletes) {
@@ -210,9 +206,7 @@ TEST(HealthReportTest, StreamRulesFireOnDropsAndDeletes) {
 
   const query::HealthReport report = engine.HealthReport();
   EXPECT_NE(FindRule(report.findings, "domain-drops", "stream f"), nullptr);
-#ifndef SKIMJOIN_DISABLE_PROFILER
   EXPECT_NE(FindRule(report.findings, "delete-heavy", "stream f"), nullptr);
-#endif
 }
 
 // The skew-cache-mismatch rule: a stream whose mass is skewed (fitted skew
@@ -240,7 +234,6 @@ TEST(HealthReportTest, SkewedStreamWithColdPlanCacheFlagsSkewCacheMismatch) {
   const query::HealthReport report = engine.HealthReport();
   ASSERT_EQ(report.streams.size(), 1u);
   EXPECT_LT(report.streams[0].hash_cache_hit_rate, 0.5);
-#ifndef SKIMJOIN_DISABLE_PROFILER
   ASSERT_TRUE(report.streams[0].profile.has_value());
   EXPECT_GE(report.streams[0].profile->skew, 1.2);
   const HealthFinding* finding =
@@ -253,7 +246,6 @@ TEST(HealthReportTest, SkewedStreamWithColdPlanCacheFlagsSkewCacheMismatch) {
       << finding->message;
   EXPECT_EQ(finding->message.find("raise"), std::string::npos)
       << finding->message;
-#endif
 }
 
 // The health gauges published by HealthReport must appear in the metrics

@@ -83,6 +83,19 @@ TEST(CreateJoinEstimatorPairTest, DyadicSkimStaysInsideBudget) {
   EXPECT_LE((*pair)->SpaceCounters(), 2 * spec.space_counters);
 }
 
+// The dyadic split used to divide by log2(domain) before the sketch could
+// reject a domain too small to split (SIGFPE for domains 0 and 1).
+TEST(CreateJoinEstimatorPairTest, DyadicSkimRejectsDomainsTooSmallToSplit) {
+  for (const uint64_t domain : {uint64_t{0}, uint64_t{1}}) {
+    EstimatorSpec spec = BaseSpec(EstimatorKind::kSkimmedSketch);
+    spec.skimmed_use_dyadic = true;
+    spec.domain_size = domain;
+    EXPECT_EQ(CreateJoinEstimatorPair(spec, 9).status().code(),
+              StatusCode::kInvalidArgument)
+        << domain;
+  }
+}
+
 TEST(JoinEstimatorPairTest, SketchEstimatorsTrackExactJoin) {
   constexpr uint64_t kDomain = 1u << 10;
   const FrequencyVector f =

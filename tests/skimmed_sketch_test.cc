@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -71,6 +72,64 @@ TEST(SkimmedSketchTest, CreateValidatesConfig) {
   config = BaseConfig();
   config.domain_size = 1000;
   EXPECT_TRUE(SkimmedSketch::Create(config, 1).ok());
+}
+
+// NaN fails `<= 0.0` and +inf passes it, yet neither is a usable scale:
+// the skim threshold would cast a non-finite double to an integer.
+TEST(SkimmedSketchTest, CreateRejectsNonFiniteThresholdScale) {
+  for (const double scale : {std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    SkimmedSketchConfig config = BaseConfig();
+    config.threshold_scale = scale;
+    EXPECT_EQ(SkimmedSketch::Create(config, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << scale;
+  }
+}
+
+TEST(SplitSpaceBudgetTest, RejectsDomainsTooSmallToSplit) {
+  for (const bool dyadic : {false, true}) {
+    for (const uint64_t domain : {uint64_t{0}, uint64_t{1}}) {
+      SkimmedSketchConfig config;
+      config.domain_size = domain;
+      config.use_dyadic_skim = dyadic;
+      EXPECT_EQ(SplitSpaceBudget(4096, &config).code(),
+                StatusCode::kInvalidArgument)
+          << domain << " " << dyadic;
+    }
+  }
+  SkimmedSketchConfig no_tables;
+  no_tables.num_tables = 0;
+  EXPECT_EQ(SplitSpaceBudget(4096, &no_tables).code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The split every caller used before it was shared: space / tables
+// buckets without dyadic levels; with them, half the budget to level 0 and
+// the other half over log2(domain) levels, at least one bucket each.
+TEST(SplitSpaceBudgetTest, SplitIsUnchangedForValidShapes) {
+  struct Case {
+    uint64_t space, tables, domain;
+    bool dyadic;
+    uint64_t level0, upper;
+  };
+  for (const Case& c : std::vector<Case>{{4096, 7, 1u << 10, true, 292, 29},
+                                         {4096, 7, 1u << 16, true, 292, 18},
+                                         {4096, 7, 1u << 16, false, 585, 0},
+                                         {512, 4, 1u << 10, true, 64, 6},
+                                         {1000, 5, 2, true, 100, 100},
+                                         {8, 7, 1u << 20, true, 1, 1},
+                                         {5, 5, 1000, false, 1, 0}}) {
+    SkimmedSketchConfig config;
+    config.domain_size = c.domain;
+    config.num_tables = c.tables;
+    config.use_dyadic_skim = c.dyadic;
+    config.dyadic_num_buckets = 0;
+    ASSERT_TRUE(SplitSpaceBudget(c.space, &config).ok());
+    EXPECT_EQ(config.num_buckets, c.level0) << c.space << "/" << c.domain;
+    EXPECT_EQ(config.dyadic_num_buckets, c.upper) << c.space << "/" << c.domain;
+  }
 }
 
 TEST(SkimmedSketchTest, EmptySketchEstimatesZeroJoin) {
