@@ -1,7 +1,7 @@
-// Read-side throughput for the two-stage read path (DESIGN.md §11): point
-// and join queries per second through the engine's Answer* calls, with the
-// epoch-invalidated query cache and slim views toggled by a bitmask arg
-// (1 = query cache, 2 = slim views, 3 = both; 0 = fat path, no cache).
+// Read-side throughput for the read path (DESIGN.md §11): point and join
+// queries per second through the engine's Answer* calls, with the
+// epoch-invalidated query cache toggled by the arg (1 = query cache,
+// 0 = no cache).
 //
 // Three workload shapes:
 //   * BM_PointQueryQps   — repeated point queries over a hot working set on
@@ -40,10 +40,9 @@ constexpr uint64_t kDomain = 1u << 16;
 constexpr uint64_t kHotValues = 64;
 constexpr int kLatencySampleEvery = 16;
 
-query::Engine::ReadPathOptions ReadPathFromMask(int64_t mask) {
+query::Engine::ReadPathOptions ReadPathFromArg(int64_t cached) {
   query::Engine::ReadPathOptions options;
-  options.use_query_cache = (mask & 1) != 0;
-  options.use_slim_views = (mask & 2) != 0;
+  options.use_query_cache = cached != 0;
   return options;
 }
 
@@ -83,7 +82,7 @@ void BM_PointQueryQps(benchmark::State& state) {
   const StatusOr<query::QueryId> id = engine.AddFrequencyQuery(freq, 1);
   SKIMJOIN_CHECK(id.ok());
   SKIMJOIN_CHECK(engine.UpdateBatch("f", ZipfUpdates1M()).ok());
-  engine.SetReadPathOptions(ReadPathFromMask(state.range(0)));
+  engine.SetReadPathOptions(ReadPathFromArg(state.range(0)));
 
   Histogram latency;
   uint64_t value = 0;
@@ -105,7 +104,7 @@ void BM_PointQueryQps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   ExportLatency(state, latency);
 }
-BENCHMARK(BM_PointQueryQps)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_PointQueryQps)->Arg(0)->Arg(1);
 
 void BM_JoinQueryQps(benchmark::State& state) {
   query::Engine engine;
@@ -124,7 +123,7 @@ void BM_JoinQueryQps(benchmark::State& state) {
   const std::span<const query::StreamUpdate> prefix(updates.data(), 200'000);
   SKIMJOIN_CHECK(engine.UpdateBatch("f", prefix).ok());
   SKIMJOIN_CHECK(engine.UpdateBatch("g", prefix).ok());
-  engine.SetReadPathOptions(ReadPathFromMask(state.range(0)));
+  engine.SetReadPathOptions(ReadPathFromArg(state.range(0)));
 
   Histogram latency;
   int64_t sample_countdown = kLatencySampleEvery;
@@ -164,7 +163,7 @@ void BM_LiveIngestMixQps(benchmark::State& state) {
   const auto& updates = ZipfUpdates1M();
   const std::span<const query::StreamUpdate> all(updates);
   SKIMJOIN_CHECK(engine.UpdateBatch("f", all.first(100'000)).ok());
-  engine.SetReadPathOptions(ReadPathFromMask(state.range(0)));
+  engine.SetReadPathOptions(ReadPathFromArg(state.range(0)));
 
   size_t offset = 100'000;
   for (auto _ : state) {
@@ -179,7 +178,7 @@ void BM_LiveIngestMixQps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kBurst));
 }
-BENCHMARK(BM_LiveIngestMixQps)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_LiveIngestMixQps)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace skimjoin

@@ -66,7 +66,7 @@ Status JoinEstimatorPair::RestoreFrom(std::istream&) {
                             "' does not support serialization");
 }
 
-Status JoinEstimatorPair::MergeFrom(const JoinEstimatorPair&) {
+Status JoinEstimatorPair::MergeFrom(std::istream&) {
   return UnimplementedError(std::string("join estimator '") + Name() +
                             "' does not support merging");
 }
@@ -94,12 +94,6 @@ Status ReadPairHeader(std::istream& in, const char* kind) {
   return OkStatus();
 }
 
-Status MergeMismatch(const char* kind) {
-  return InvalidArgumentError(
-      std::string("cannot merge into join estimator '") + kind +
-      "': peer is a different method or an incompatible shape/seed");
-}
-
 // Shared by the sketch-backed pairs' HealthProbe overrides: probe both
 // synopses and tag which stream each probe belongs to.
 template <typename Sketch>
@@ -121,21 +115,29 @@ Status SerializePair(std::ostream& out, const char* kind, const Sketch& f,
   return g.SerializeTo(out);
 }
 
+/// Reads one pair record and replaces `*f`, `*g` with it or, with `merge`,
+/// adds it counter-for-counter.
 template <typename Sketch>
-Status RestorePair(std::istream& in, const char* kind, Sketch* f, Sketch* g) {
+Status RestorePair(std::istream& in, const char* kind, bool merge, Sketch* f,
+                   Sketch* g) {
   SKIMJOIN_RETURN_IF_ERROR(ReadPairHeader(in, kind));
   SKIMJOIN_ASSIGN_OR_RETURN(Sketch restored_f, Sketch::DeserializeFrom(in));
   SKIMJOIN_ASSIGN_OR_RETURN(Sketch restored_g, Sketch::DeserializeFrom(in));
-  // The pair being restored into was created from the checkpointed spec +
-  // seed, so a shape/seed mismatch means the record belongs to a different
-  // query — refuse rather than splice in foreign hash families.
+  // The pair was created from the record's spec + seed, so a shape/seed
+  // mismatch means the record belongs to a different query — refuse
+  // rather than splice in foreign hash families.
   if (!restored_f.CompatibleWith(*f) || !restored_g.CompatibleWith(*g)) {
     return InvalidArgumentError(
         std::string("join-pair record for '") + kind +
         "' is incompatible with this pair's configuration");
   }
-  *f = std::move(restored_f);
-  *g = std::move(restored_g);
+  if (merge) {
+    f->Merge(restored_f);
+    g->Merge(restored_g);
+  } else {
+    *f = std::move(restored_f);
+    *g = std::move(restored_g);
+  }
   return OkStatus();
 }
 
@@ -169,17 +171,10 @@ class AgmsPair final : public JoinEstimatorPair {
     return SerializePair(out, Name(), f_, g_);
   }
   Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), &f_, &g_);
+    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
   }
-  Status MergeFrom(const JoinEstimatorPair& other) override {
-    const auto* peer = dynamic_cast<const AgmsPair*>(&other);
-    if (peer == nullptr || !f_.CompatibleWith(peer->f_) ||
-        !g_.CompatibleWith(peer->g_)) {
-      return MergeMismatch(Name());
-    }
-    f_.Merge(peer->f_);
-    g_.Merge(peer->g_);
-    return OkStatus();
+  Status MergeFrom(std::istream& in) override {
+    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
   }
 
   std::vector<SynopsisHealth> HealthProbe() const override {
@@ -221,17 +216,10 @@ class HashSketchPair final : public JoinEstimatorPair {
     return SerializePair(out, Name(), f_, g_);
   }
   Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), &f_, &g_);
+    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
   }
-  Status MergeFrom(const JoinEstimatorPair& other) override {
-    const auto* peer = dynamic_cast<const HashSketchPair*>(&other);
-    if (peer == nullptr || !f_.CompatibleWith(peer->f_) ||
-        !g_.CompatibleWith(peer->g_)) {
-      return MergeMismatch(Name());
-    }
-    f_.Merge(peer->f_);
-    g_.Merge(peer->g_);
-    return OkStatus();
+  Status MergeFrom(std::istream& in) override {
+    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
   }
 
   std::vector<SynopsisHealth> HealthProbe() const override {
@@ -271,17 +259,10 @@ class SkimmedPair final : public JoinEstimatorPair {
     return SerializePair(out, Name(), f_, g_);
   }
   Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), &f_, &g_);
+    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
   }
-  Status MergeFrom(const JoinEstimatorPair& other) override {
-    const auto* peer = dynamic_cast<const SkimmedPair*>(&other);
-    if (peer == nullptr || !f_.CompatibleWith(peer->f_) ||
-        !g_.CompatibleWith(peer->g_)) {
-      return MergeMismatch(Name());
-    }
-    f_.Merge(peer->f_);
-    g_.Merge(peer->g_);
-    return OkStatus();
+  Status MergeFrom(std::istream& in) override {
+    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
   }
 
   std::vector<SynopsisHealth> HealthProbe() const override {
@@ -323,17 +304,10 @@ class CountMinPair final : public JoinEstimatorPair {
     return SerializePair(out, Name(), f_, g_);
   }
   Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), &f_, &g_);
+    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
   }
-  Status MergeFrom(const JoinEstimatorPair& other) override {
-    const auto* peer = dynamic_cast<const CountMinPair*>(&other);
-    if (peer == nullptr || !f_.CompatibleWith(peer->f_) ||
-        !g_.CompatibleWith(peer->g_)) {
-      return MergeMismatch(Name());
-    }
-    f_.Merge(peer->f_);
-    g_.Merge(peer->g_);
-    return OkStatus();
+  Status MergeFrom(std::istream& in) override {
+    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
   }
 
   std::vector<SynopsisHealth> HealthProbe() const override {

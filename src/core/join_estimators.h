@@ -129,18 +129,17 @@ class JoinEstimatorPair {
   /// lists them as unsupported rather than silently skipping them).
   virtual Status SerializeTo(std::ostream& out) const;
 
-  /// Replaces the synopses of a freshly created pair (same spec and seed)
-  /// with the state in a record written by SerializeTo. INVALID_ARGUMENT
-  /// when the record's shape or seed disagrees with this pair.
+  /// Replaces the synopses with the state in a record written by
+  /// SerializeTo for a pair of the same spec and seed. INVALID_ARGUMENT
+  /// when the record's method, shape or seed disagrees with this pair.
   virtual Status RestoreFrom(std::istream& in);
 
-  /// Adds another pair's synopses counter-for-counter (sketch linearity):
-  /// merging shard-local pairs is bit-identical to having ingested all the
-  /// shards' arrivals into one pair. INVALID_ARGUMENT when `other` is a
-  /// different method or an incompatible shape/seed; UNIMPLEMENTED for the
-  /// non-linear methods (sampling, partitioned AGMS). The distributed
-  /// coordinator's merge step is built on this.
-  virtual Status MergeFrom(const JoinEstimatorPair& other);
+  /// Adds the synopses in such a record counter-for-counter (sketch
+  /// linearity): merging shard-local records is bit-identical to having
+  /// ingested all the shards' arrivals into one pair. Errors as
+  /// RestoreFrom; both are UNIMPLEMENTED for the methods that do not
+  /// serialize (sampling, partitioned AGMS).
+  virtual Status MergeFrom(std::istream& in);
 
   /// Read-only health probes of both synopses, F first (role "f") then G
   /// (role "g"). Default: empty — the sampling and partitioned-AGMS methods

@@ -3,15 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <variant>
 
-#include "core/skimmed_sketch.h"
-#include "query/multi_join.h"
-#include "query/multi_join_hash.h"
+#include "query/spec_codec.h"
 #include "util/event_log.h"
 #include "util/logging.h"
 
@@ -40,6 +36,18 @@ class LatencyScope {
   metrics::ShardedHistogram* histogram_;
   std::chrono::steady_clock::time_point start_;
 };
+
+/// A merged report is partial unless every shard's delta was fresh and
+/// caught up with the epochs it acknowledged.
+EstimateReport WithShards(EstimateReport report,
+                          std::vector<ShardContribution> shards) {
+  report.partial = false;
+  for (const ShardContribution& shard : shards) {
+    if (!shard.fresh || shard.epochs_behind > 0) report.partial = true;
+  }
+  report.shards = std::move(shards);
+  return report;
+}
 
 }  // namespace
 
@@ -298,89 +306,35 @@ Status Coordinator::Broadcast(MessageType type, const std::string& payload) {
 Status Coordinator::RegisterStream(const query::StreamSpec& spec) {
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(spec.name, "stream name"));
-  if (stream_domains_.count(spec.name) != 0) {
-    return AlreadyExistsError("stream '" + spec.name + "' already registered");
-  }
+  SKIMJOIN_RETURN_IF_ERROR(engine_.RegisterStream(spec).status());
   StreamReg reg;
   reg.name = spec.name;
   reg.domain_size = spec.domain_size;
-  SKIMJOIN_RETURN_IF_ERROR(
-      Broadcast(MessageType::kRegisterStream, EncodeStreamReg(reg)));
-  stream_domains_[spec.name] = spec.domain_size;
-  return OkStatus();
+  return Broadcast(MessageType::kRegisterStream, EncodeStreamReg(reg));
 }
 
-StatusOr<query::QueryId> Coordinator::AddJoinQuery(
-    const query::JoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return AddQuery(spec, seed);
-}
-
-StatusOr<query::QueryId> Coordinator::AddSelfJoinQuery(
-    const query::SelfJoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return AddQuery(query::AsJoinQuerySpec(spec), seed);
-}
-
-StatusOr<query::QueryId> Coordinator::AddFrequencyQuery(
-    const query::FrequencyQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return AddQuery(spec, seed);
-}
-
-StatusOr<query::QueryId> Coordinator::AddChainJoinQuery(
-    const query::ChainJoinQuerySpec& spec, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return AddQuery(spec, seed);
-}
-
-StatusOr<query::QueryId> Coordinator::AddQuery(query::QuerySpec spec,
+StatusOr<query::QueryId> Coordinator::AddQuery(const query::QuerySpec& spec,
                                                uint64_t seed) {
-  // Refuse what the fleet cannot serve before anything reaches the wire (a
-  // broadcast is recorded for replay).
-  if (auto* join = std::get_if<query::JoinQuerySpec>(&spec)) {
-    const auto left = stream_domains_.find(join->left_stream);
-    const auto right = stream_domains_.find(join->right_stream);
-    if (left == stream_domains_.end() || right == stream_domains_.end()) {
-      return NotFoundError("join query references an unregistered stream");
-    }
-    // The merge accumulator must be built from the SAME effective spec the
-    // workers use; the engine fills domain_size from the registered
-    // streams, so the coordinator does the same from its recorded
-    // registrations.
-    join->estimator.domain_size = std::max(left->second, right->second);
-    // Shard synopses reach the coordinator serialized, so a method whose
-    // synopsis does not serialize (sampling, partitioned AGMS) cannot be
-    // distributed; ask an accumulator built from the spec.
-    SKIMJOIN_ASSIGN_OR_RETURN(
-        std::unique_ptr<core::JoinEstimatorPair> accumulator,
-        core::CreateJoinEstimatorPair(join->estimator, seed));
-    std::ostringstream record;
-    SKIMJOIN_RETURN_IF_ERROR(accumulator->SerializeTo(record));
-  } else if (const auto* frequency =
-                 std::get_if<query::FrequencyQuerySpec>(&spec)) {
-    if (stream_domains_.count(frequency->stream) == 0) {
-      return NotFoundError(
-          "frequency query references an unregistered stream");
-    }
-  } else if (const auto* chain =
-                 std::get_if<query::ChainJoinQuerySpec>(&spec)) {
-    if (chain->relations.size() < 2) {
-      return InvalidArgumentError("chain join needs at least two relations");
-    }
-    for (const std::string& relation : chain->relations) {
-      if (relation_specs_.count(relation) == 0) {
-        return NotFoundError("chain join references unregistered relation '" +
-                             relation + "'");
-      }
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!std::holds_alternative<query::JoinQuerySpec>(spec) &&
+      !std::holds_alternative<query::FrequencyQuerySpec>(spec) &&
+      !std::holds_alternative<query::ChainJoinQuerySpec>(spec)) {
+    return UnimplementedError(std::string("the fleet cannot answer ") +
+                              query::QueryKindName(spec) + " queries");
   }
-  const query::QueryId id = next_query_id_++;
-  QueryInfo info{"q" + std::to_string(id), std::move(spec), seed};
+  // The engine runs the workers' own checks; what it refuses never reaches
+  // the wire or the replay log.
+  SKIMJOIN_ASSIGN_OR_RETURN(const query::QueryId id,
+                            engine_.AddQuery(spec, seed));
+  // Shard synopses reach the coordinator serialized, so a join method whose
+  // synopsis does not serialize (sampling, partitioned AGMS) cannot be
+  // distributed. Its engine registration stays behind, never answered.
+  std::string record;
+  SKIMJOIN_RETURN_IF_ERROR(engine_.SerializeQuerySynopsis(id, &record));
   SKIMJOIN_RETURN_IF_ERROR(
       Broadcast(MessageType::kRegisterQuery,
-                EncodeQueryReg({info.wire_name, seed, info.spec})));
-  queries_[id] = std::move(info);
+                EncodeQueryReg({"q" + std::to_string(id), seed, spec})));
+  queries_.insert(id);
   return id;
 }
 
@@ -397,9 +351,7 @@ Status Coordinator::UpdateBatch(const std::string& stream,
   // zero wire-format impact — while tracing is off).
   const metrics::TraceSpan span("coordinator.update_batch", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stream_domains_.count(stream) == 0) {
-    return NotFoundError("unknown stream '" + stream + "'");
-  }
+  SKIMJOIN_RETURN_IF_ERROR(engine_.StreamElementCount(stream).status());
   // Route each element to value % num_shards, preserving arrival order
   // within a shard. Counter merges commute, so any value-deterministic
   // routing keeps the merged synopsis bit-identical to single-engine
@@ -429,25 +381,22 @@ Status Coordinator::UpdateBatch(const std::string& stream,
   return first_failure;
 }
 
-StatusOr<Coordinator::QueryInfo*> Coordinator::FindQuery(
+StatusOr<std::vector<ShardContribution>> Coordinator::Refresh(
     query::QueryId query) {
-  const auto it = queries_.find(query);
-  if (it == queries_.end()) return NotFoundError("unknown query id");
-  return &it->second;
-}
-
-std::vector<ShardContribution> Coordinator::PullDeltas(query::QueryId query) {
-  const QueryInfo& info = queries_.at(query);
+  if (queries_.count(query) == 0) {
+    return NotFoundError("unknown query id " + std::to_string(query));
+  }
+  const std::string wire_name = "q" + std::to_string(query);
   ++pull_round_;
   std::vector<ShardContribution> contributions;
   contributions.reserve(shards_.size());
+  std::vector<std::string> records;
   for (const auto& shard : shards_) {
-    StatusOr<Frame> reply =
-        Rpc(*shard, MessageType::kPullDelta, info.wire_name);
+    StatusOr<Frame> reply = Rpc(*shard, MessageType::kPullDelta, wire_name);
     if (reply.ok() &&
         reply->type == static_cast<uint32_t>(MessageType::kDelta)) {
       StatusOr<DeltaMsg> delta = DecodeDelta(reply->payload);
-      if (delta.ok() && delta->query_name == info.wire_name) {
+      if (delta.ok() && delta->query_name == wire_name) {
         CachedDelta& cached = shard->deltas[query];
         cached.synopsis = std::move(delta->synopsis);
         cached.incarnation = delta->incarnation;
@@ -472,6 +421,7 @@ std::vector<ShardContribution> Coordinator::PullDeltas(query::QueryId query) {
     contribution.health = HealthName(shard->health);
     const auto it = shard->deltas.find(query);
     if (it != shard->deltas.end() && it->second.valid) {
+      records.push_back(it->second.synopsis);
       contribution.fresh = it->second.round == pull_round_;
       contribution.epoch = it->second.epoch;
       contribution.epochs_behind =
@@ -487,112 +437,50 @@ std::vector<ShardContribution> Coordinator::PullDeltas(query::QueryId query) {
     }
     contributions.push_back(std::move(contribution));
   }
-  return contributions;
-}
-
-StatusOr<std::unique_ptr<core::JoinEstimatorPair>> Coordinator::MergedJoinPair(
-    query::QueryId query, const QueryInfo& info) {
-  const core::EstimatorSpec& spec =
-      std::get<query::JoinQuerySpec>(info.spec).estimator;
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
-                            core::CreateJoinEstimatorPair(spec, info.seed));
-  for (const auto& shard : shards_) {
-    const auto it = shard->deltas.find(query);
-    if (it == shard->deltas.end() || !it->second.valid) continue;
-    SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> piece,
-                              core::CreateJoinEstimatorPair(spec, info.seed));
-    std::istringstream in(it->second.synopsis);
-    SKIMJOIN_RETURN_IF_ERROR(piece->RestoreFrom(in));
-    SKIMJOIN_RETURN_IF_ERROR(merged->MergeFrom(*piece));
+  if (records.empty()) {
+    return FailedPreconditionError("no shard has delivered a delta for query " +
+                                   std::to_string(query) + " yet");
   }
-  return merged;
+  SKIMJOIN_RETURN_IF_ERROR(engine_.LoadQuerySynopsis(query, records));
+  return contributions;
 }
 
 StatusOr<double> Coordinator::AnswerJoin(query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_join", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (!std::holds_alternative<query::JoinQuerySpec>(info->spec)) {
-    return InvalidArgumentError("query is not a (self-)join query");
-  }
-  PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
-                            MergedJoinPair(query, *info));
-  return merged->Estimate();
+  SKIMJOIN_RETURN_IF_ERROR(Refresh(query).status());
+  return engine_.AnswerJoin(query);
 }
 
 StatusOr<EstimateReport> Coordinator::AnswerJoinWithReport(
     query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_join", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (!std::holds_alternative<query::JoinQuerySpec>(info->spec)) {
-    return InvalidArgumentError("query is not a (self-)join query");
-  }
-  std::vector<ShardContribution> shards = PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(std::unique_ptr<core::JoinEstimatorPair> merged,
-                            MergedJoinPair(query, *info));
+  SKIMJOIN_ASSIGN_OR_RETURN(std::vector<ShardContribution> shards,
+                            Refresh(query));
   SKIMJOIN_ASSIGN_OR_RETURN(EstimateReport report,
-                            merged->EstimateWithReport());
-  report.partial = false;
-  for (const ShardContribution& shard : shards) {
-    if (!shard.fresh || shard.epochs_behind > 0) report.partial = true;
-  }
-  report.shards = std::move(shards);
-  return report;
+                            engine_.AnswerJoinWithReport(query));
+  return WithShards(std::move(report), std::move(shards));
 }
 
 StatusOr<int64_t> Coordinator::AnswerPointFrequency(query::QueryId query,
                                                     uint64_t value) {
   const metrics::TraceSpan span("coordinator.answer_point", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (!std::holds_alternative<query::FrequencyQuerySpec>(info->spec)) {
-    return InvalidArgumentError("query is not a frequency query");
-  }
-  PullDeltas(query);
-  std::optional<core::SkimmedSketch> merged;
-  for (const auto& shard : shards_) {
-    const auto it = shard->deltas.find(query);
-    if (it == shard->deltas.end() || !it->second.valid) continue;
-    std::istringstream in(it->second.synopsis);
-    SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch piece,
-                              core::SkimmedSketch::DeserializeFrom(in));
-    if (!merged.has_value()) {
-      merged.emplace(std::move(piece));
-    } else {
-      if (!merged->CompatibleWith(piece)) {
-        return InternalError(
-            "shard deltas disagree on frequency-sketch configuration");
-      }
-      merged->Merge(piece);
-    }
-  }
-  if (!merged.has_value()) {
-    return FailedPreconditionError(
-        "no shard delta available for this frequency query");
-  }
-  return merged->EstimatePointFrequency(value);
+  SKIMJOIN_RETURN_IF_ERROR(Refresh(query).status());
+  return engine_.AnswerPointFrequency(query, value);
 }
 
 Status Coordinator::RegisterRelation(const query::RelationSpec& spec) {
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(spec.name, "relation name"));
-  if (relation_specs_.count(spec.name) != 0) {
-    return AlreadyExistsError("relation '" + spec.name +
-                              "' already registered");
-  }
-  if (spec.arity < 1 || spec.arity > 64) {
-    return InvalidArgumentError("relation arity must be in [1, 64]");
-  }
+  SKIMJOIN_RETURN_IF_ERROR(engine_.RegisterRelation(spec).status());
+  relation_arities_[spec.name] = spec.arity;
   RelationReg reg;
   reg.name = spec.name;
   reg.arity = spec.arity;
   reg.domain_size = spec.domain_size;
-  SKIMJOIN_RETURN_IF_ERROR(
-      Broadcast(MessageType::kRegisterRelation, EncodeRelationReg(reg)));
-  relation_specs_[spec.name] = spec;
-  return OkStatus();
+  return Broadcast(MessageType::kRegisterRelation, EncodeRelationReg(reg));
 }
 
 Status Coordinator::UpdateRelation(const std::string& relation,
@@ -600,14 +488,14 @@ Status Coordinator::UpdateRelation(const std::string& relation,
                                    int64_t weight) {
   const metrics::TraceSpan span("coordinator.update_relation", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = relation_specs_.find(relation);
-  if (it == relation_specs_.end()) {
+  const auto it = relation_arities_.find(relation);
+  if (it == relation_arities_.end()) {
     return NotFoundError("unknown relation '" + relation + "'");
   }
-  if (attributes.size() != it->second.arity) {
+  if (attributes.size() != it->second) {
     return InvalidArgumentError(
         "tuple arity mismatch: relation '" + relation + "' has arity " +
-        std::to_string(it->second.arity) + ", got " +
+        std::to_string(it->second) + ", got " +
         std::to_string(attributes.size()) + " attributes");
   }
   // Route by the first attribute. Any value-deterministic routing keeps
@@ -617,7 +505,7 @@ Status Coordinator::UpdateRelation(const std::string& relation,
   ShardState& shard = *shards_[ShardIndexFor(attributes[0])];
   RelationUpdateMsg msg;
   msg.relation = relation;
-  msg.arity = it->second.arity;
+  msg.arity = it->second;
   msg.tuples.push_back({attributes, weight});
   SKIMJOIN_ASSIGN_OR_RETURN(
       Frame reply,
@@ -630,82 +518,22 @@ Status Coordinator::UpdateRelation(const std::string& relation,
   return OkStatus();
 }
 
-StatusOr<EstimateReport> Coordinator::MergedChainReport(
-    query::QueryId query, const QueryInfo& info) {
-  if (std::get<query::ChainJoinQuerySpec>(info.spec).method ==
-      query::ChainJoinQuerySpec::Method::kAgmsGrid) {
-    std::optional<query::MultiJoinEstimator> merged;
-    for (const auto& shard : shards_) {
-      const auto it = shard->deltas.find(query);
-      if (it == shard->deltas.end() || !it->second.valid) continue;
-      std::istringstream in(it->second.synopsis);
-      SKIMJOIN_ASSIGN_OR_RETURN(query::MultiJoinEstimator piece,
-                                query::MultiJoinEstimator::DeserializeFrom(in));
-      if (!merged.has_value()) {
-        merged.emplace(std::move(piece));
-      } else {
-        // MergeFrom validates config and seed — disagreeing shard deltas
-        // surface here instead of silently summing incompatible grids.
-        SKIMJOIN_RETURN_IF_ERROR(merged->MergeFrom(piece));
-      }
-    }
-    if (!merged.has_value()) {
-      return FailedPreconditionError(
-          "no shard delta available for this chain-join query");
-    }
-    return merged->EstimateWithReport();
-  }
-  std::optional<query::MultiJoinHashEstimator> merged;
-  for (const auto& shard : shards_) {
-    const auto it = shard->deltas.find(query);
-    if (it == shard->deltas.end() || !it->second.valid) continue;
-    std::istringstream in(it->second.synopsis);
-    SKIMJOIN_ASSIGN_OR_RETURN(
-        query::MultiJoinHashEstimator piece,
-        query::MultiJoinHashEstimator::DeserializeFrom(in));
-    if (!merged.has_value()) {
-      merged.emplace(std::move(piece));
-    } else {
-      SKIMJOIN_RETURN_IF_ERROR(merged->MergeFrom(piece));
-    }
-  }
-  if (!merged.has_value()) {
-    return FailedPreconditionError(
-        "no shard delta available for this chain-join query");
-  }
-  return merged->EstimateWithReport();
-}
-
 StatusOr<double> Coordinator::AnswerChainJoin(query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_chain", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (!std::holds_alternative<query::ChainJoinQuerySpec>(info->spec)) {
-    return InvalidArgumentError("query is not a chain-join query");
-  }
-  PullDeltas(query);
-  SKIMJOIN_ASSIGN_OR_RETURN(EstimateReport report,
-                            MergedChainReport(query, *info));
-  return report.estimate;
+  SKIMJOIN_RETURN_IF_ERROR(Refresh(query).status());
+  return engine_.AnswerChainJoin(query);
 }
 
 StatusOr<EstimateReport> Coordinator::AnswerChainJoinWithReport(
     query::QueryId query) {
   const metrics::TraceSpan span("coordinator.answer_chain", "dist");
   std::lock_guard<std::mutex> lock(mutex_);
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryInfo * info, FindQuery(query));
-  if (!std::holds_alternative<query::ChainJoinQuerySpec>(info->spec)) {
-    return InvalidArgumentError("query is not a chain-join query");
-  }
-  std::vector<ShardContribution> shards = PullDeltas(query);
+  SKIMJOIN_ASSIGN_OR_RETURN(std::vector<ShardContribution> shards,
+                            Refresh(query));
   SKIMJOIN_ASSIGN_OR_RETURN(EstimateReport report,
-                            MergedChainReport(query, *info));
-  report.partial = false;
-  for (const ShardContribution& shard : shards) {
-    if (!shard.fresh || shard.epochs_behind > 0) report.partial = true;
-  }
-  report.shards = std::move(shards);
-  return report;
+                            engine_.AnswerChainJoinWithReport(query));
+  return WithShards(std::move(report), std::move(shards));
 }
 
 StatusOr<metrics::Snapshot> Coordinator::FleetMetricsSnapshot() {

@@ -3,8 +3,15 @@
 // back, and answers by LINEARITY — every distributable synopsis is a
 // vector of counters, so summing shard synopses counter-for-counter yields
 // exactly the synopsis one engine would have built from the whole stream.
-// With every shard fresh, coordinator answers are bit-identical to that
-// single engine's (the integration test pins this).
+//
+// One query::Engine does the query work. The coordinator's private engine
+// mirrors every registration and never ingests: streams, relations and
+// queries register there first, so only specs the workers' own engines
+// accept reach the wire and the replay log. An answer pulls every shard's
+// delta, loads their merge into that engine's synopsis
+// (Engine::LoadQuerySynopsis) and asks the engine, so with every shard
+// fresh, coordinator answers are bit-identical to a single engine's (the
+// integration test pins this).
 //
 // Robustness model (the headline of this subsystem):
 //   * Every RPC is bounded by a deadline and a retry budget with
@@ -17,9 +24,9 @@
 //     `rpc_retry` info event; per-shard `dist.<shard>.*` counters/gauges
 //     live in the coordinator's metrics registry.
 //   * Re-adoption: the hello handshake carries the worker's incarnation;
-//     a changed incarnation means "restarted from checkpoint", and the
-//     coordinator replays its recorded registrations (idempotent on the
-//     worker) before using the shard again.
+//     a changed incarnation means "restarted" (from its checkpoint or
+//     empty), and the coordinator replays its recorded registrations
+//     (idempotent on the worker) before using the shard again.
 //   * No double-merge by construction: deltas are full synopsis state, and
 //     the coordinator keeps exactly one cached delta per (shard, query),
 //     replaced wholesale on every successful pull. A restarted worker's
@@ -37,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +52,7 @@
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "query/dist_backend.h"
+#include "query/engine.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -79,12 +88,11 @@ class Coordinator : public query::DistBackend {
 
   // --- query::DistBackend -------------------------------------------------
   Status RegisterStream(const query::StreamSpec& spec) override;
-  StatusOr<query::QueryId> AddJoinQuery(const query::JoinQuerySpec& spec,
-                                        uint64_t seed) override;
-  StatusOr<query::QueryId> AddSelfJoinQuery(
-      const query::SelfJoinQuerySpec& spec, uint64_t seed) override;
-  StatusOr<query::QueryId> AddFrequencyQuery(
-      const query::FrequencyQuerySpec& spec, uint64_t seed) override;
+  /// Join, frequency and chain-join queries; UNIMPLEMENTED for the kinds
+  /// the fleet cannot answer and for joins whose synopsis does not
+  /// serialize (sampling, partitioned AGMS).
+  StatusOr<query::QueryId> AddQuery(const query::QuerySpec& spec,
+                                    uint64_t seed) override;
   Status Update(const std::string& stream,
                 const query::StreamUpdate& update) override;
   Status UpdateBatch(const std::string& stream,
@@ -94,8 +102,6 @@ class Coordinator : public query::DistBackend {
   StatusOr<int64_t> AnswerPointFrequency(query::QueryId query,
                                          uint64_t value) override;
   Status RegisterRelation(const query::RelationSpec& spec) override;
-  StatusOr<query::QueryId> AddChainJoinQuery(
-      const query::ChainJoinQuerySpec& spec, uint64_t seed) override;
   Status UpdateRelation(const std::string& relation,
                         const std::vector<uint64_t>& attributes,
                         int64_t weight) override;
@@ -112,6 +118,24 @@ class Coordinator : public query::DistBackend {
   std::vector<query::DistShardStatus> ShardStatuses() override;
   uint64_t NumShards() const override { return shards_.size(); }
   metrics::Registry* MetricsRegistry() override { return &metrics_; }
+
+  /// Per-kind forms of AddQuery, mirroring query::Engine's.
+  StatusOr<query::QueryId> AddJoinQuery(const query::JoinQuerySpec& spec,
+                                        uint64_t seed) {
+    return AddQuery(spec, seed);
+  }
+  StatusOr<query::QueryId> AddSelfJoinQuery(
+      const query::SelfJoinQuerySpec& spec, uint64_t seed) {
+    return AddQuery(query::AsJoinQuerySpec(spec), seed);
+  }
+  StatusOr<query::QueryId> AddFrequencyQuery(
+      const query::FrequencyQuerySpec& spec, uint64_t seed) {
+    return AddQuery(spec, seed);
+  }
+  StatusOr<query::QueryId> AddChainJoinQuery(
+      const query::ChainJoinQuerySpec& spec, uint64_t seed) {
+    return AddQuery(spec, seed);
+  }
 
   /// Which shard an element routes to: value % NumShards(). Exposed so
   /// tests can aim updates at a chosen victim shard.
@@ -165,14 +189,6 @@ class Coordinator : public query::DistBackend {
     metrics::Gauge* epoch_gauge = nullptr;
   };
 
-  /// What the coordinator knows about one registered query.
-  struct QueryInfo {
-    std::string wire_name;  // "q<id>" on the wire
-    /// As registered; a join's estimator.domain_size is filled in.
-    query::QuerySpec spec;
-    uint64_t seed = 0;
-  };
-
   /// One registration message, recorded in order for replay after a worker
   /// restart.
   struct RegistrationRecord {
@@ -195,10 +211,6 @@ class Coordinator : public query::DistBackend {
   StatusOr<Frame> Rpc(ShardState& shard, MessageType type,
                       std::string_view payload);
 
-  /// Validates one query against the registered streams and relations,
-  /// broadcasts its registration, and records it. Caller holds mutex_.
-  StatusOr<query::QueryId> AddQuery(query::QuerySpec spec, uint64_t seed);
-
   /// Broadcasts one registration to every shard and records it for replay.
   /// Fails if any shard never acked (after retries) — registrations are
   /// the one operation that must reach everyone before use.
@@ -208,22 +220,12 @@ class Coordinator : public query::DistBackend {
   void MarkSuccess(ShardState& shard);
   void PublishHealth(ShardState& shard);
 
-  /// Pulls `query`'s delta from every shard (one new round); failures keep
-  /// the stale cache. Returns per-shard contributions for the report.
-  std::vector<ShardContribution> PullDeltas(query::QueryId query);
-
-  /// Merges every cached delta of a join-kind query into a freshly built
-  /// accumulator pair.
-  StatusOr<std::unique_ptr<core::JoinEstimatorPair>> MergedJoinPair(
-      query::QueryId query, const QueryInfo& info);
-
-  /// Merges every cached delta of a chain query (grid or hash method) and
-  /// reports the merged estimate. FAILED_PRECONDITION when no shard has
-  /// contributed a delta yet.
-  StatusOr<EstimateReport> MergedChainReport(query::QueryId query,
-                                             const QueryInfo& info);
-
-  StatusOr<QueryInfo*> FindQuery(query::QueryId query);
+  /// Pulls `query`'s delta from every shard (one new round; failures keep
+  /// the stale cache) and loads the merge of every cached delta into the
+  /// engine's synopsis. Returns per-shard contributions for the report.
+  /// NOT_FOUND for an unknown query; FAILED_PRECONDITION when no shard has
+  /// delivered a delta yet.
+  StatusOr<std::vector<ShardContribution>> Refresh(query::QueryId query);
 
   /// The `dist.rpc.<type>.latency_ns` histogram for one message type,
   /// created on first use and cached (registry instruments are stable).
@@ -244,13 +246,16 @@ class Coordinator : public query::DistBackend {
   CoordinatorOptions options_;
   metrics::Registry metrics_;
   Rng jitter_rng_;
-  std::map<std::string, uint64_t> stream_domains_;
-  std::map<std::string, query::RelationSpec> relation_specs_;
-  std::map<query::QueryId, QueryInfo> queries_;
+  /// Mirrors every registration and never ingests: it validates specs and
+  /// answers from the merged shard synopses.
+  query::Engine engine_;
+  /// Relation arities, for routing UpdateRelation tuples.
+  std::map<std::string, uint64_t> relation_arities_;
+  /// Queries registered fleet-wide ("q<id>" on the wire); ids are engine_'s.
+  std::set<query::QueryId> queries_;
   std::vector<RegistrationRecord> registrations_;
   /// MessageType → latency histogram, filled lazily by RpcLatencyHistogram.
   std::unordered_map<uint32_t, metrics::ShardedHistogram*> rpc_latency_;
-  query::QueryId next_query_id_ = 1;
   uint64_t pull_round_ = 0;
 };
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <span>
 #include <utility>
 
@@ -30,6 +31,16 @@ bool ParseU64(const std::string& text, uint64_t* out) {
   if (errno != 0 || end == nullptr || *end != '\0') return false;
   *out = static_cast<uint64_t>(value);
   return true;
+}
+
+/// The incarnation of a worker that restores no checkpoint: drawn at
+/// random, so a restart that lost its state never repeats the incarnation
+/// an earlier life advertised (the coordinator re-adopts on any change).
+/// Nonzero, and far enough below 2^64 that restored lives can count up.
+uint64_t FreshIncarnation() {
+  std::random_device device;
+  const uint64_t drawn = (uint64_t{device()} << 32) ^ device();
+  return (drawn >> 2) + 1;
 }
 
 Frame MakeFrame(MessageType type, std::string payload) {
@@ -57,8 +68,11 @@ StatusOr<std::unique_ptr<Worker>> Worker::Create(const WorkerOptions& options) {
 }
 
 Status Worker::RestoreIfPresent() {
-  if (options_.checkpoint_path.empty()) return OkStatus();
-  if (!std::ifstream(options_.checkpoint_path).good()) return OkStatus();
+  if (options_.checkpoint_path.empty() ||
+      !std::ifstream(options_.checkpoint_path).good()) {
+    incarnation_ = FreshIncarnation();
+    return OkStatus();
+  }
   SKIMJOIN_ASSIGN_OR_RETURN(
       query::RestoreReport report,
       engine_.RestoreCheckpoint(options_.checkpoint_path));

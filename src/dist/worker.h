@@ -17,6 +17,8 @@
 //     the checkpoint's metadata; on startup it restores the newest
 //     checkpoint and advertises incarnation+1, which is what tells the
 //     coordinator "I am the same shard, restarted, at this older epoch".
+//     A worker that restores nothing advertises a random incarnation, so
+//     an empty restart is re-adopted (registrations replayed) as well.
 //
 // Serve() is a single-threaded poll loop (the engine is single-writer by
 // contract), handling any number of concurrent connections; a torn or
@@ -48,7 +50,7 @@ struct WorkerOptions {
   /// Shard name advertised in the hello handshake.
   std::string shard_name = "shard";
   /// Engine checkpoint file; empty disables persistence (a killed worker
-  /// then restarts empty, at incarnation 1 / epoch 0).
+  /// then restarts empty, at a fresh random incarnation and epoch 0).
   std::string checkpoint_path;
   /// Auto-checkpoint every N applied update batches (0 = only on explicit
   /// kCheckpoint requests).
@@ -60,8 +62,8 @@ struct WorkerOptions {
 class Worker {
  public:
   /// Binds the socket and, when a checkpoint exists at checkpoint_path,
-  /// restores it (bumping the incarnation). The returned worker is ready
-  /// for Serve().
+  /// restores it (bumping the incarnation; otherwise the incarnation is
+  /// fresh and random). The returned worker is ready for Serve().
   static StatusOr<std::unique_ptr<Worker>> Create(const WorkerOptions& options);
 
   Worker(const Worker&) = delete;
@@ -87,7 +89,8 @@ class Worker {
   explicit Worker(WorkerOptions options);
 
   /// Restores the checkpoint if one exists; sets incarnation_/epoch_ and
-  /// rebuilds the query-name map from the checkpoint metadata.
+  /// rebuilds the query-name map from the checkpoint metadata. Without a
+  /// checkpoint, draws a fresh incarnation.
   Status RestoreIfPresent();
 
   /// SaveCheckpoint with the worker's protocol bookkeeping as metadata.
@@ -115,9 +118,10 @@ class Worker {
   Listener listener_;
   query::Engine engine_;
   std::atomic<bool> stop_{false};
-  /// Bumped on every restore-from-checkpoint; starts at 1 for a fresh
-  /// worker so "0" unambiguously means "never seen" on the coordinator.
-  uint64_t incarnation_ = 1;
+  /// The stored incarnation + 1 after a restore-from-checkpoint, else a
+  /// fresh random one; never 0, which means "never seen" on the
+  /// coordinator.
+  uint64_t incarnation_ = 0;
   /// Update batches applied since the shard's birth (restored from
   /// checkpoint metadata, so a restart resumes at the checkpointed epoch).
   uint64_t epoch_ = 0;

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -427,7 +428,8 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
         payload_it == query_payloads.end()
             ? IoError("synopsis section for query " + std::to_string(q.id) +
                       " is missing")
-            : RestoreQuerySynopsis(q.id, *payload_it->second);
+            : LoadQuerySynopsis(
+                  q.id, std::span<const std::string>(payload_it->second, 1));
     if (!synopsis_status.ok()) {
       if (!options.allow_partial) return fail(synopsis_status);
       report.lost.push_back({q.id, kind,

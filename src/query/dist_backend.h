@@ -45,12 +45,9 @@ class DistBackend {
   virtual ~DistBackend() = default;
 
   virtual Status RegisterStream(const StreamSpec& spec) = 0;
-  virtual StatusOr<QueryId> AddJoinQuery(const JoinQuerySpec& spec,
-                                         uint64_t seed) = 0;
-  virtual StatusOr<QueryId> AddSelfJoinQuery(const SelfJoinQuerySpec& spec,
-                                             uint64_t seed) = 0;
-  virtual StatusOr<QueryId> AddFrequencyQuery(const FrequencyQuerySpec& spec,
-                                              uint64_t seed) = 0;
+  /// Registers any query from its spec, like Engine::AddQuery; a backend
+  /// refuses the kinds it cannot answer before anything reaches a shard.
+  virtual StatusOr<QueryId> AddQuery(const QuerySpec& spec, uint64_t seed) = 0;
 
   virtual Status Update(const std::string& stream,
                         const StreamUpdate& update) = 0;
@@ -67,12 +64,6 @@ class DistBackend {
   virtual Status RegisterRelation(const RelationSpec& spec) {
     (void)spec;
     return UnimplementedError("backend does not support relations");
-  }
-  virtual StatusOr<QueryId> AddChainJoinQuery(const ChainJoinQuerySpec& spec,
-                                              uint64_t seed) {
-    (void)spec;
-    (void)seed;
-    return UnimplementedError("backend does not support chain joins");
   }
   virtual Status UpdateRelation(const std::string& relation,
                                 const std::vector<uint64_t>& attributes,

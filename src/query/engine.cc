@@ -63,17 +63,32 @@ auto* FindQueryState(Map& queries, QueryId id) {
   return it == queries.end() ? nullptr : &it->second;
 }
 
-/// Replaces `*synopsis` with the one `in` holds when `compatible` accepts
-/// it against the registered synopsis.
+/// Sets `*synopsis` to the merge of `records` (DeserializeFrom records that
+/// `compatible` accepts against the registered synopsis): the first
+/// replaces it, later ones merge in. Families without a Merge take one.
 template <typename Synopsis, typename Compatible>
-Status ReplaceFromRecord(std::istream& in, Synopsis* synopsis,
-                         Compatible compatible) {
-  SKIMJOIN_ASSIGN_OR_RETURN(Synopsis restored, Synopsis::DeserializeFrom(in));
-  if (!compatible(restored, *synopsis)) {
+Status LoadRecords(std::span<const std::string> records, Synopsis* synopsis,
+                   Compatible compatible) {
+  constexpr bool kMergeable = requires(Synopsis& s) { s.Merge(s); };
+  if (!kMergeable && records.size() != 1) {
     return InvalidArgumentError(
-        "restored synopsis disagrees with its query spec");
+        "this synopsis family loads exactly one record");
   }
-  *synopsis = std::move(restored);
+  for (size_t i = 0; i < records.size(); ++i) {
+    std::istringstream in(records[i]);
+    SKIMJOIN_ASSIGN_OR_RETURN(Synopsis loaded, Synopsis::DeserializeFrom(in));
+    if (!compatible(loaded, *synopsis)) {
+      return InvalidArgumentError(
+          "synopsis record disagrees with its query spec");
+    }
+    if constexpr (kMergeable) {
+      if (i > 0) {
+        synopsis->Merge(loaded);
+        continue;
+      }
+    }
+    *synopsis = std::move(loaded);
+  }
   return OkStatus();
 }
 
@@ -263,8 +278,8 @@ QueryCache::Epochs Engine::EpochsFor(const JoinQueryState& q) const {
           streams_[q.right].absorbed->Value()};
 }
 
-QueryCache::Epochs Engine::EpochsFor(const FrequencyQueryState& q) const {
-  return {streams_[q.stream].absorbed->Value()};
+QueryCache::Epochs Engine::EpochsFor(const FrequencyQueryState& q) {
+  return {q.sketch.update_epoch()};
 }
 
 void Engine::CountCacheOutcome(const QueryMetrics& metrics,
@@ -288,9 +303,6 @@ void Engine::CountCacheOutcome(const QueryMetrics& metrics,
 
 void Engine::SetReadPathOptions(const ReadPathOptions& options) {
   if (!options.use_query_cache) query_cache_.DropAll();
-  if (!options.use_slim_views) {
-    for (auto& [id, q] : frequency_queries_) q.slim.reset();
-  }
   read_path_ = options;
 }
 
@@ -448,7 +460,6 @@ StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
       id, FrequencyQueryState{std::move(sketch), stream, spec.predicate,
                               MakeQueryMetrics(id),
                               /*cache_hits_seen=*/0, /*cache_misses_seen=*/0,
-                              /*slim=*/std::nullopt,
                               /*concurrent=*/nullptr});
   return id;
 }
@@ -1000,6 +1011,11 @@ StatusOr<int64_t> Engine::AnswerPointFrequency(QueryId query,
     return OutOfRangeError("value outside the domain of stream " +
                            state.spec.name);
   }
+  // Under concurrent ingestion: a whole-epoch (bounded-staleness) snapshot
+  // of the sketch, taken without blocking in-flight absorbs. The cache
+  // guard is read under the same lock, so a propagation or FlushIngest
+  // that moves the sketch invalidates what was cached before it.
+  const FrequencyReadLock read_lock = ReadLockFor(q);
   QueryCache::Epochs epochs{};
   if (read_path_.use_query_cache) {
     epochs = EpochsFor(q);
@@ -1022,23 +1038,7 @@ StatusOr<int64_t> Engine::AnswerPointFrequency(QueryId query,
   }
   metrics::TraceSpan span("estimate", "query");
   ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  // Under concurrent ingestion: a whole-epoch (bounded-staleness) snapshot
-  // of the sketch, taken without blocking in-flight absorbs.
-  const FrequencyReadLock read_lock = ReadLockFor(q);
-  int64_t estimate;
-  if (read_path_.use_slim_views) {
-    // Two-stage read: refresh the slim view iff the fat epoch advanced,
-    // then answer from the packed counters — bit-identical to the fat
-    // sketch's COUNTSKETCH median.
-    if (!q.slim.has_value()) {
-      q.slim.emplace(q.sketch.level0());
-    } else {
-      q.slim->Refresh(q.sketch.level0());
-    }
-    estimate = q.slim->PointEstimate(value);
-  } else {
-    estimate = q.sketch.EstimatePointFrequency(value);
-  }
+  const int64_t estimate = q.sketch.EstimatePointFrequency(value);
   if (read_path_.use_query_cache) {
     query_cache_.StorePoint(query, value, epochs, estimate);
   }
@@ -1175,52 +1175,54 @@ Status Engine::SerializeQuerySynopsis(QueryId query, std::string* out) const {
   return OkStatus();
 }
 
-Status Engine::RestoreQuerySynopsis(QueryId query, const std::string& record) {
-  std::istringstream in(record);
-  const auto same_shape = [](const auto& restored, const auto& registered) {
-    return restored.CompatibleWith(registered);
+Status Engine::LoadQuerySynopsis(QueryId query,
+                                 std::span<const std::string> records) {
+  if (records.empty()) {
+    return InvalidArgumentError("a synopsis load needs at least one record");
+  }
+  // A loaded synopsis can repeat an epoch a cached answer was keyed on.
+  query_cache_.DropQuery(query);
+  const auto same_shape = [](const auto& loaded, const auto& registered) {
+    return loaded.CompatibleWith(registered);
   };
   if (auto* q = FindQueryState(join_queries_, query)) {
-    return q->estimator->RestoreFrom(in);
+    for (size_t i = 0; i < records.size(); ++i) {
+      std::istringstream in(records[i]);
+      SKIMJOIN_RETURN_IF_ERROR(i == 0 ? q->estimator->RestoreFrom(in)
+                                      : q->estimator->MergeFrom(in));
+    }
+    return OkStatus();
   }
   if (auto* q = FindQueryState(frequency_queries_, query)) {
-    // The restored sketch's cache tallies start from zero; restart the
-    // cache-delta bookkeeping with them.
+    // Quiesce a live ingestor (its destructor flushes and joins the
+    // workers) before replacing the sketch it feeds. The loaded sketch's
+    // cache tallies start from zero; restart the bookkeeping with them.
+    q->concurrent.reset();
     q->cache_hits_seen = 0;
     q->cache_misses_seen = 0;
-    return ReplaceFromRecord(in, &q->sketch, same_shape);
+    return LoadRecords(records, &q->sketch, same_shape);
   }
   if (auto* q = FindQueryState(distinct_queries_, query)) {
-    return ReplaceFromRecord(in, &q->sketch, same_shape);
+    return LoadRecords(records, &q->sketch, same_shape);
   }
   if (auto* q = FindQueryState(topk_queries_, query)) {
-    return ReplaceFromRecord(in, &q->tracker, [](const auto& a, const auto& b) {
+    return LoadRecords(records, &q->tracker, [](const auto& a, const auto& b) {
       return a.k() == b.k();
     });
   }
   if (auto* q = FindQueryState(quantile_queries_, query)) {
-    return ReplaceFromRecord(in, &q->summary, [](const auto& a, const auto& b) {
+    return LoadRecords(records, &q->summary, [](const auto& a, const auto& b) {
       return a.epsilon() == b.epsilon();
     });
   }
   if (auto* q = FindQueryState(range_sum_queries_, query)) {
-    return ReplaceFromRecord(in, &q->synopsis,
-                             [](const auto& a, const auto& b) {
-                               return a.domain_size() == b.domain_size();
-                             });
+    return LoadRecords(records, &q->synopsis, [](const auto& a, const auto& b) {
+      return a.domain_size() == b.domain_size();
+    });
   }
   if (auto* q = FindQueryState(chain_queries_, query)) {
-    // The registered estimator is still all zeros, so merging the record
-    // into it restores the counters exactly — and MergeFrom rejects a
-    // record whose shape or seed disagrees.
-    if (q->grid.has_value()) {
-      SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinEstimator restored,
-                                MultiJoinEstimator::DeserializeFrom(in));
-      return q->grid->MergeFrom(restored);
-    }
-    SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinHashEstimator restored,
-                              MultiJoinHashEstimator::DeserializeFrom(in));
-    return q->hashed->MergeFrom(restored);
+    return q->grid.has_value() ? LoadRecords(records, &*q->grid, same_shape)
+                               : LoadRecords(records, &*q->hashed, same_shape);
   }
   return NotFoundError("unknown query id " + std::to_string(query));
 }
@@ -1459,7 +1461,8 @@ HealthReport Engine::HealthReport() const {
              synopsis + " counter p99 at " +
                  TablePrinter::FormatDouble(100.0 * health.int32_saturation,
                                             1) +
-                 "% of int32 — slim views will fall back to int64",
+                 "% of int32 — an early warning of heavy weights; counters "
+                 "are int64",
              ""});
       }
       if ((!std::isnan(health.collision_pressure) &&

@@ -38,7 +38,6 @@
 #include "query/query.h"
 #include "query/query_cache.h"
 #include "sketch/fm_sketch.h"
-#include "sketch/slim_view.h"
 #include "stream/frequency_vector.h"
 #include "stream/gk_quantiles.h"
 #include "stream/wavelet.h"
@@ -256,22 +255,20 @@ class Engine {
   /// pending unless concurrent mode is on.
   void FlushIngest();
 
-  /// The two-stage read path (DESIGN.md §11). Both stages answer
-  /// bit-identically to the classic read path; both default OFF so existing
-  /// embedders see no behavior change until they opt in.
+  /// The read path (DESIGN.md §11). The cache answers bit-identically to
+  /// a recomputation and defaults OFF, so existing embedders see no
+  /// behavior change until they opt in.
   struct ReadPathOptions {
     /// Epoch-invalidated answer cache over AnswerJoin /
-    /// AnswerPointFrequency (query/query_cache.h): an answer is recomputed
-    /// only when a participating stream's absorbed-element epoch advanced.
+    /// AnswerPointFrequency (query/query_cache.h): a join answer is
+    /// recomputed only when a participating stream's absorbed-element
+    /// epoch advanced, a point answer only when its synopsis's update
+    /// epoch did.
     bool use_query_cache = false;
-    /// Serve point frequencies from an epoch-gated sketch::SlimView of
-    /// each frequency query's level-0 sketch instead of the fat sketch.
-    bool use_slim_views = false;
   };
 
   /// Selects the read path. Turning the cache off drops every cached
-  /// entry; turning slim views off drops the views (both rebuild from the
-  /// fat synopses on the next enable, so toggling is always safe).
+  /// entry, so toggling is always safe.
   void SetReadPathOptions(const ReadPathOptions& options);
 
   const ReadPathOptions& read_path_options() const { return read_path_; }
@@ -443,11 +440,24 @@ class Engine {
 
   /// Writes one query's synopsis as its family's self-describing text
   /// record: the one per-kind synopsis dispatch, shared by checkpoints and
-  /// a distributed worker's delta pulls (a compatible synopsis on the
-  /// coordinator can Merge/RestoreFrom it). NOT_FOUND for an unknown id;
+  /// a distributed worker's delta pulls. NOT_FOUND for an unknown id;
   /// UNIMPLEMENTED for the non-serializable join methods (sampling and
   /// partitioned AGMS).
   Status SerializeQuerySynopsis(QueryId query, std::string* out) const;
+
+  /// Inverse of SerializeQuerySynopsis: sets `query`'s synopsis to the
+  /// merge of `records`, each written by SerializeQuerySynopsis for a
+  /// query of the same spec and seed. The synopses are linear, so the
+  /// merge of shard records equals one synopsis that saw every shard's
+  /// elements. Checkpoint restore passes one record and a distributed
+  /// coordinator one per shard; top-k, quantile and range-sum synopses do
+  /// not merge and take exactly one. Drops the query's cached answers.
+  /// NOT_FOUND for an unknown id; INVALID_ARGUMENT for no records, a
+  /// malformed record, or one that disagrees with the query's spec (a bad
+  /// first record leaves the synopsis as it was, a later one leaves the
+  /// merge of the records before it).
+  Status LoadQuerySynopsis(QueryId query,
+                           std::span<const std::string> records);
 
   /// Drops every stream, relation, and query, returning the engine to its
   /// freshly constructed state (ingest shards included).
@@ -531,10 +541,6 @@ class Engine {
     /// pull-style RefreshMetricsGauges publish deltas against these.
     mutable uint64_t cache_hits_seen = 0;
     mutable uint64_t cache_misses_seen = 0;
-    /// Epoch-gated slim view over the sketch's level-0, built lazily while
-    /// ReadPathOptions.use_slim_views is on. Mutable: reads are const but
-    /// refresh the view when the fat epoch advanced.
-    mutable std::optional<sketch::SlimView> slim;
     /// Worker ingestor over `sketch` while IngestOptions has more than one
     /// shard or `concurrent` on (null otherwise). Built lazily on the first
     /// worker batch — by then the state is map-resident, so the &sketch it
@@ -593,11 +599,6 @@ class Engine {
   /// Hands out the next query id and records how to re-create the query.
   QueryId RegisterQuery(QuerySpec spec, uint64_t seed);
 
-  /// Inverse of SerializeQuerySynopsis: splices `record` into the freshly
-  /// registered (still empty) query `query`. INVALID_ARGUMENT when the
-  /// record is malformed or disagrees with the query's spec.
-  Status RestoreQuerySynopsis(QueryId query, const std::string& record);
-
   static int64_t WeightFor(AggregateInput input, const StreamUpdate& update) {
     return input == AggregateInput::kCount ? update.count : update.measure;
   }
@@ -651,10 +652,12 @@ class Engine {
   void RecordReportMetrics(QueryId query, const QueryMetrics& metrics,
                            const EstimateReport& report) const;
 
-  /// The participating streams' absorbed-element epochs, in a fixed
-  /// per-query order — the QueryCache guard vector.
+  /// The QueryCache guard vector: a join's participating streams'
+  /// absorbed-element epochs, a frequency query's sketch update epoch.
+  /// The latter moves with every propagation merge and flush, so read it
+  /// under ReadLockFor(q).
   QueryCache::Epochs EpochsFor(const JoinQueryState& q) const;
-  QueryCache::Epochs EpochsFor(const FrequencyQueryState& q) const;
+  static QueryCache::Epochs EpochsFor(const FrequencyQueryState& q);
 
   /// Bumps the matching `query.<id>.cache_*` counter for one lookup.
   static void CountCacheOutcome(const QueryMetrics& metrics,

@@ -186,19 +186,19 @@ StatusOr<MultiJoinEstimator> MultiJoinEstimator::DeserializeFrom(
   return estimator;
 }
 
-Status MultiJoinEstimator::MergeFrom(const MultiJoinEstimator& other) {
-  if (seed_ != other.seed_ || config_.num_means != other.config_.num_means ||
-      config_.num_medians != other.config_.num_medians ||
-      config_.relation_attributes != other.config_.relation_attributes) {
-    return InvalidArgumentError(
-        "multi-join merge requires identical config and seed");
-  }
+bool MultiJoinEstimator::CompatibleWith(const MultiJoinEstimator& other) const {
+  return seed_ == other.seed_ && config_.num_means == other.config_.num_means &&
+         config_.num_medians == other.config_.num_medians &&
+         config_.relation_attributes == other.config_.relation_attributes;
+}
+
+void MultiJoinEstimator::Merge(const MultiJoinEstimator& other) {
+  SKIMJOIN_CHECK(CompatibleWith(other)) << "merging incompatible multi-joins";
   for (size_t r = 0; r < counters_.size(); ++r) {
     for (size_t cell = 0; cell < counters_[r].size(); ++cell) {
       counters_[r][cell] += other.counters_[r][cell];
     }
   }
-  return OkStatus();
 }
 
 uint64_t MultiJoinEstimator::MemoryBytes() const {

@@ -82,12 +82,15 @@ class MultiJoinEstimator {
   /// counter allocation.
   static StatusOr<MultiJoinEstimator> DeserializeFrom(std::istream& in);
 
+  /// True when config and seed match: different sign families are not
+  /// summable.
+  bool CompatibleWith(const MultiJoinEstimator& other) const;
+
   /// Adds `other`'s counters into this estimator. The atomic sketches are
   /// linear in the tuple weights, so merging shard-partial estimators is
   /// exact — the merged state equals one estimator that saw every tuple.
-  /// INVALID_ARGUMENT unless config and seed match (different hash
-  /// families are not summable).
-  Status MergeFrom(const MultiJoinEstimator& other);
+  /// Pre-condition: CompatibleWith(other).
+  void Merge(const MultiJoinEstimator& other);
 
   uint64_t seed() const { return seed_; }
 

@@ -208,14 +208,17 @@ StatusOr<MultiJoinHashEstimator> MultiJoinHashEstimator::DeserializeFrom(
   return estimator;
 }
 
-Status MultiJoinHashEstimator::MergeFrom(const MultiJoinHashEstimator& other) {
-  if (seed_ != other.seed_ ||
-      config_.num_relations != other.config_.num_relations ||
-      config_.num_tables != other.config_.num_tables ||
-      config_.num_buckets != other.config_.num_buckets) {
-    return InvalidArgumentError(
-        "multi-join-hash merge requires identical config and seed");
-  }
+bool MultiJoinHashEstimator::CompatibleWith(
+    const MultiJoinHashEstimator& other) const {
+  return seed_ == other.seed_ &&
+         config_.num_relations == other.config_.num_relations &&
+         config_.num_tables == other.config_.num_tables &&
+         config_.num_buckets == other.config_.num_buckets;
+}
+
+void MultiJoinHashEstimator::Merge(const MultiJoinHashEstimator& other) {
+  SKIMJOIN_CHECK(CompatibleWith(other))
+      << "merging incompatible multi-join-hash estimators";
   for (size_t r = 0; r < counters_.size(); ++r) {
     for (size_t t = 0; t < counters_[r].size(); ++t) {
       for (size_t i = 0; i < counters_[r][t].size(); ++i) {
@@ -223,7 +226,6 @@ Status MultiJoinHashEstimator::MergeFrom(const MultiJoinHashEstimator& other) {
       }
     }
   }
-  return OkStatus();
 }
 
 uint64_t MultiJoinHashEstimator::MemoryBytes() const {

@@ -82,10 +82,13 @@ class MultiJoinHashEstimator {
   /// counter allocation.
   static StatusOr<MultiJoinHashEstimator> DeserializeFrom(std::istream& in);
 
+  /// True when config and seed match (the hash families agree).
+  bool CompatibleWith(const MultiJoinHashEstimator& other) const;
+
   /// Adds `other`'s counters into this estimator — exact for
   /// shard-partitioned tuple streams (the counters are linear in the
-  /// weights). INVALID_ARGUMENT unless config and seed match.
-  Status MergeFrom(const MultiJoinHashEstimator& other);
+  /// weights). Pre-condition: CompatibleWith(other).
+  void Merge(const MultiJoinHashEstimator& other);
 
   uint64_t seed() const { return seed_; }
 

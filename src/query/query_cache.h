@@ -1,15 +1,16 @@
 // Epoch-invalidated answer cache for standing queries (DESIGN.md §11).
 //
 // Sketch linearity buys exact invalidation for free: an answer derived
-// from a set of synopses can only change when one of the participating
-// streams absorbs an element, and the engine already counts every absorbed
-// element per stream (`ingest.<stream>.elements_absorbed`). A cache entry
-// therefore stores the answer together with the epoch vector — the
-// absorbed-counter value of every participating stream at computation
-// time — and a lookup succeeds only when the current epoch vector matches
-// entry-for-entry. No TTLs, no heuristics: a hit is provably the same
-// answer a recomputation would produce (the answer paths are
-// deterministic), and any answer-changing update bumps at least one epoch.
+// from a set of synopses can only change when one of them changes. A cache
+// entry therefore stores the answer together with an epoch vector taken at
+// computation time — for a join, the absorbed-element counters of its two
+// streams (`ingest.<stream>.elements_absorbed`; join synopses absorb
+// inline); for a point read, its sketch's own update epoch, which also
+// moves when concurrent ingestion propagates or flushes — and a lookup
+// succeeds only when the current epoch vector matches entry-for-entry. No
+// TTLs, no heuristics: a hit is provably the same answer a recomputation
+// would produce (the answer paths are deterministic), and any
+// answer-changing update bumps at least one epoch.
 //
 // A lookup that finds an entry whose epochs no longer match counts as an
 // invalidation (the entry is replaced on the following Store); one that
@@ -36,7 +37,7 @@ namespace query {
 /// computation produced.
 class QueryCache {
  public:
-  /// The participating streams' epoch values, in a fixed per-query order.
+  /// The participating epoch values, in a fixed per-query order.
   /// Fixed-size (two slots cover every cached query shape: joins have two
   /// participants, point queries one with the spare slot zero) so building
   /// and comparing an epoch vector never allocates — the hit path is meant

@@ -86,9 +86,8 @@ const std::vector<std::pair<std::string, std::string>>& CommandRegistry() {
            "alerts <rel_error> <ci_width> — warn-event thresholds for "
            "accuracy drift / CI blow-up (inf disables)"},
           {"cache",
-           "cache <on|off> | cache slim <on|off> | cache status <q> — "
-           "two-stage read path: epoch-invalidated query cache and slim "
-           "views"},
+           "cache <on|off> | cache status <q> — epoch-invalidated query "
+           "cache (read path)"},
           {"help", "help — print this list"},
           {"quit", "quit — stop reading commands"},
       };
@@ -161,6 +160,12 @@ bool IsLocalOnlyCommand(const std::string& command) {
 
 const std::vector<std::pair<std::string, std::string>>& Shell::CommandHelp() {
   return CommandRegistry();
+}
+
+StatusOr<QueryId> Shell::AddQuery(const QuerySpec& spec) {
+  const uint64_t seed = next_seed_++;
+  return dist_ != nullptr ? dist_->AddQuery(spec, seed)
+                          : engine_.AddQuery(spec, seed);
 }
 
 bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
@@ -349,9 +354,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
                      " (agms | hash-sketch | skimmed | count-min | sampling)");
       return true;
     }
-    StatusOr<QueryId> id = dist_ != nullptr
-                               ? dist_->AddJoinQuery(spec, next_seed_++)
-                               : engine_.AddJoinQuery(spec, next_seed_++);
+    StatusOr<QueryId> id = AddQuery(spec);
     if (!id.ok()) {
       Error(out, id.status());
       return true;
@@ -372,9 +375,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "query name already in use: " + name);
       return true;
     }
-    StatusOr<QueryId> id = dist_ != nullptr
-                               ? dist_->AddFrequencyQuery(spec, next_seed_++)
-                               : engine_.AddFrequencyQuery(spec, next_seed_++);
+    StatusOr<QueryId> id = AddQuery(spec);
     if (!id.ok()) {
       Error(out, id.status());
       return true;
@@ -395,7 +396,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "query name already in use: " + name);
       return true;
     }
-    StatusOr<QueryId> id = engine_.AddDistinctCountQuery(spec, next_seed_++);
+    StatusOr<QueryId> id = AddQuery(spec);
     if (!id.ok()) {
       Error(out, id.status());
       return true;
@@ -415,7 +416,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "query name already in use: " + name);
       return true;
     }
-    StatusOr<QueryId> id = engine_.AddTopKQuery(spec, next_seed_++);
+    StatusOr<QueryId> id = AddQuery(spec);
     if (!id.ok()) {
       Error(out, id.status());
       return true;
@@ -773,25 +774,12 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
   if (command == "cache") {
     std::string sub;
     if (!(fields >> sub)) {
-      Error(out, "usage: cache <on|off> | cache slim <on|off> | "
-                 "cache status <q>");
+      Error(out, "usage: cache <on|off> | cache status <q>");
       return true;
     }
     if (sub == "on" || sub == "off") {
       Engine::ReadPathOptions options = engine_.read_path_options();
       options.use_query_cache = (sub == "on");
-      engine_.SetReadPathOptions(options);
-      Ok(out);
-      return true;
-    }
-    if (sub == "slim") {
-      std::string mode;
-      if (!(fields >> mode) || (mode != "on" && mode != "off")) {
-        Error(out, "usage: cache slim <on|off>");
-        return true;
-      }
-      Engine::ReadPathOptions options = engine_.read_path_options();
-      options.use_slim_views = (mode == "on");
       engine_.SetReadPathOptions(options);
       Ok(out);
       return true;
@@ -819,14 +807,11 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
         return true;
       }
       out << "ok cache=" << (stats->enabled ? "on" : "off")
-          << " slim=" << (engine_.read_path_options().use_slim_views ? "on"
-                                                                     : "off")
           << " hits=" << stats->hits << " misses=" << stats->misses
           << " invalidations=" << stats->invalidations << "\n";
       return true;
     }
-    Error(out, "usage: cache <on|off> | cache slim <on|off> | "
-               "cache status <q>");
+    Error(out, "usage: cache <on|off> | cache status <q>");
     return true;
   }
   if (command == "point") {

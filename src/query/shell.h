@@ -67,7 +67,6 @@
 //                                             (`inf` disables one)
 //   cache <on|off>                            toggle the epoch-invalidated
 //                                             query cache (read path)
-//   cache slim <on|off>                       toggle slim-view point reads
 //   cache status <q>                          cache hit/miss/invalidation
 //                                             counters for one query
 //   help                                      print this list
@@ -148,6 +147,10 @@ class Shell {
   const Engine& engine() const { return engine_; }
 
  private:
+  /// Registers a query on the attached backend, else on the local engine,
+  /// with the next query seed (see `seed <n>`).
+  StatusOr<QueryId> AddQuery(const QuerySpec& spec);
+
   Engine engine_;
   DistBackend* dist_ = nullptr;
   std::function<void()> post_command_hook_;

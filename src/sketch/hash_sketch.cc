@@ -37,11 +37,16 @@ void HashSketch::SetKernel(Kernel kernel, uint64_t cache_slots) {
   // Packed (bucket, sign) plan words are 32-bit; a bucket count beyond 2^31
   // cannot pack, so such shapes run the reference loops (with fastmod) —
   // results are identical either way.
-  if (fast && config_.num_buckets <= (uint64_t{1} << 31)) {
-    plan_cache_.emplace(cache_slots, config_.num_tables);
-  } else {
-    plan_cache_.reset();
+  plan_cache_slots_ =
+      fast && config_.num_buckets <= (uint64_t{1} << 31) ? cache_slots : 0;
+  plan_cache_.reset();
+}
+
+bool HashSketch::UsePlanCache() {
+  if (!plan_cache_ && plan_cache_slots_ != 0) {
+    plan_cache_.emplace(plan_cache_slots_, config_.num_tables);
   }
+  return plan_cache_.has_value();
 }
 
 internal::PlanKernel<true> HashSketch::FastKernel() {
@@ -62,7 +67,7 @@ StatusOr<HashSketch> HashSketch::Create(const HashSketchConfig& config,
 
 void HashSketch::Update(uint64_t value, int64_t weight) {
   ++update_epoch_;
-  if (plan_cache_) {
+  if (UsePlanCache()) {
     FastKernel().Update(value, weight);
     return;
   }
@@ -75,7 +80,7 @@ void HashSketch::Update(uint64_t value, int64_t weight) {
 
 void HashSketch::UpdateBatch(std::span<const stream::StreamElement> elements) {
   ++update_epoch_;
-  if (plan_cache_) {
+  if (UsePlanCache()) {
     FastKernel().UpdateBatch(elements);
     return;
   }

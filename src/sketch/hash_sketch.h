@@ -79,8 +79,8 @@ class HashSketch {
   void UpdateBatch(std::span<const stream::StreamElement> elements);
 
   /// Selects the update kernel (DESIGN.md §10); new sketches run kFast.
-  /// Both are bit-identical on counters. Rebuilds (or drops) the plan
-  /// cache, so hit/miss tallies restart from zero.
+  /// Both are bit-identical on counters. Drops the plan cache, so hit/miss
+  /// tallies restart from zero; kFast builds a new one on the next update.
   void SetKernel(Kernel kernel) { SetKernel(kernel, kPlanCacheSlots); }
 
   Kernel kernel() const { return kernel_; }
@@ -209,6 +209,10 @@ class HashSketch {
   /// engaged.
   internal::PlanKernel<true> FastKernel();
 
+  /// Whether updates run the kFast kernels, building the plan cache on the
+  /// first call that needs it.
+  bool UsePlanCache();
+
   HashSketchConfig config_;
   uint64_t seed_;
   std::vector<hashing::BucketHash> bucket_hashes_;  // one per table
@@ -216,10 +220,15 @@ class HashSketch {
   std::vector<int64_t> counters_;                   // row-major by table
   Kernel kernel_ = Kernel::kFast;
   uint64_t update_epoch_ = 0;
+  // Slots of the plan cache kFast updates build; 0 when updates run the
+  // reference loops (kReference, or more than 2^31 buckets: plan words
+  // pack the bucket in 31 bits).
+  uint64_t plan_cache_slots_ = 0;
   // Derived acceleration state: never serialized, ignored by
   // CompatibleWith/Merge, and kept across Reset (plans depend only on the
-  // hash families). Engaged exactly when the kFast kernels run: under
-  // kFast with at most 2^31 buckets (plan words pack the bucket in 31 bits).
+  // hash families). Built by the first update, so a sketch that never
+  // ingests — a deserialized delta, a merge target, a coordinator's
+  // synopsis — never pays for one.
   std::optional<hashing::HashPlanCache> plan_cache_;
 };
 

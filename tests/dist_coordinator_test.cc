@@ -3,8 +3,10 @@
 // to a single local engine (predicated and SUM queries included), RPCs stay
 // inside their deadline + retry budget when a shard is unreachable,
 // chaos-injected frame corruption is retried through, a dead shard
-// degrades answers to flagged partials, and a worker restarted from its
-// checkpoint (chain joins included) is re-adopted without double-merging.
+// degrades answers to flagged partials, a worker restarted from its
+// checkpoint (chain joins included) is re-adopted without double-merging,
+// and the coordinator refuses exactly the specs a local engine refuses,
+// with the engine's status codes and nothing left behind to replay.
 
 #include "dist/coordinator.h"
 
@@ -15,6 +17,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "dist/worker.h"
@@ -95,6 +98,46 @@ query::JoinQuerySpec SkimmedJoinSpec() {
   spec.estimator.kind = core::EstimatorKind::kSkimmedSketch;
   spec.estimator.space_counters = 1024;
   return spec;
+}
+
+/// One registration, applied alike to a coordinator and a local engine.
+using Registration =
+    std::variant<query::StreamSpec, query::RelationSpec, query::QuerySpec>;
+
+Status StatusOf(const Status& status) { return status; }
+template <typename T>
+Status StatusOf(const StatusOr<T>& result) {
+  return result.status();
+}
+
+template <typename Backend>
+Status Register(Backend& backend, const Registration& registration) {
+  if (const auto* stream = std::get_if<query::StreamSpec>(&registration)) {
+    return StatusOf(backend.RegisterStream(*stream));
+  }
+  if (const auto* relation = std::get_if<query::RelationSpec>(&registration)) {
+    return StatusOf(backend.RegisterRelation(*relation));
+  }
+  return StatusOf(backend.AddQuery(std::get<query::QuerySpec>(registration),
+                                   /*seed=*/1));
+}
+
+/// Whether a `worker_readopted` event for `shard` was emitted after
+/// sequence `after`.
+bool ReadoptedSince(uint64_t after, const std::string& shard) {
+  for (const LogEvent& event :
+       EventLog::Global().Tail(EventLog::kDefaultRingCapacity)) {
+    if (event.sequence <= after || event.event != "worker_readopted") continue;
+    for (const auto& [key, value] : event.fields) {
+      if (key == "shard" && value == shard) return true;
+    }
+  }
+  return false;
+}
+
+uint64_t LastEventSequence() {
+  const std::vector<LogEvent> tail = EventLog::Global().Tail(1);
+  return tail.empty() ? 0 : tail.back().sequence;
 }
 
 /// Feeds the same deterministic workload to a backend and a local engine.
@@ -581,6 +624,141 @@ TEST(CoordinatorTest, RejectsNonDistributableSpecs) {
   EXPECT_TRUE(coordinator.AnswerJoin(*join).ok());
 }
 
+// The coordinator validates through its own engine: every spec a local
+// engine refuses gets the same status code, and nothing refused reaches
+// the wire or the replay log. A refused spec in the log would poison the
+// replay after a worker restart: the first update would fail and later
+// registrations would never be re-sent.
+TEST(CoordinatorTest, RefusesWhatALocalEngineRefusesAndRecordsNothing) {
+  const std::string dir = ::testing::TempDir();
+  WorkerOptions options = MakeWorkerOptions(dir + "/coord_refuse.sock", "s0");
+  options.checkpoint_path = dir + "/coord_refuse.ckpt";
+  ::unlink(options.checkpoint_path.c_str());
+  WorkerHarness worker(options);
+  Coordinator coordinator({{"s0", options.socket_path}}, FastOptions());
+  query::Engine local;
+  for (const Registration& registration :
+       {Registration{query::StreamSpec{"f", 1u << 12}},
+        Registration{query::StreamSpec{"g", 1u << 12}},
+        Registration{query::StreamSpec{"h", 1u << 13}},
+        Registration{query::RelationSpec{"a", 1, 64}},
+        Registration{query::RelationSpec{"b", 2, 64}}}) {
+    ASSERT_TRUE(Register(coordinator, registration).ok());
+    ASSERT_TRUE(Register(local, registration).ok());
+  }
+
+  query::JoinQuerySpec unequal_domains = SkimmedJoinSpec();
+  unequal_domains.right_stream = "h";
+  query::FrequencyQuerySpec no_tables;
+  no_tables.stream = "f";
+  no_tables.num_tables = 0;
+  query::ChainJoinQuerySpec wide_end;
+  wide_end.relations = {"b", "a"};
+  query::JoinQuerySpec planless = SkimmedJoinSpec();
+  planless.estimator.kind = core::EstimatorKind::kPartitionedAgms;
+  const std::vector<std::pair<std::string, Registration>> refused = {
+      {"join over unequal domains", query::QuerySpec(unequal_domains)},
+      {"frequency query with no tables", query::QuerySpec(no_tables)},
+      {"stream of domain 1", query::StreamSpec{"tiny", 1}},
+      {"relation of arity 3", query::RelationSpec{"triple", 3, 64}},
+      {"chain ending in an arity-2 relation", query::QuerySpec(wide_end)},
+      {"plan-less partitioned-AGMS join", query::QuerySpec(planless)},
+  };
+  for (const auto& [what, registration] : refused) {
+    const Status expected = Register(local, registration);
+    ASSERT_FALSE(expected.ok()) << what;
+    EXPECT_EQ(Register(coordinator, registration).code(), expected.code())
+        << what;
+  }
+  // Refused by the fleet alone: a sampling synopsis does not serialize,
+  // and distinct counts have no fleet answer.
+  query::JoinQuerySpec sampling = SkimmedJoinSpec();
+  sampling.estimator.kind = core::EstimatorKind::kSampling;
+  EXPECT_EQ(coordinator.AddQuery(sampling, 1).status().code(),
+            StatusCode::kUnimplemented);
+  query::DistinctCountQuerySpec distinct;
+  distinct.stream = "f";
+  EXPECT_EQ(coordinator.AddQuery(distinct, 1).status().code(),
+            StatusCode::kUnimplemented);
+
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 512;
+  StatusOr<query::QueryId> dist_freq =
+      coordinator.AddFrequencyQuery(frequency, 3);
+  ASSERT_TRUE(dist_freq.ok()) << dist_freq.status();
+  StatusOr<query::QueryId> local_freq = local.AddFrequencyQuery(frequency, 3);
+  ASSERT_TRUE(local_freq.ok()) << local_freq.status();
+  ASSERT_TRUE(coordinator.CheckpointShards().ok());
+
+  // Restart: the replay holds only accepted registrations, so it runs to
+  // the end and the very first update lands.
+  const uint64_t incarnation_before =
+      coordinator.ShardStatuses()[0].incarnation;
+  const uint64_t events_before = LastEventSequence();
+  worker.Restart();
+  const std::vector<query::StreamUpdate> updates = Workload(4, 300);
+  ASSERT_TRUE(coordinator.UpdateBatch("f", updates).ok());
+  ASSERT_TRUE(local.UpdateBatch("f", updates).ok());
+  EXPECT_TRUE(ReadoptedSince(events_before, "s0"));
+  EXPECT_EQ(coordinator.ShardStatuses()[0].incarnation,
+            incarnation_before + 1);
+
+  // The query registered after the refusals answers like the local one,
+  // and inherits its domain check.
+  for (const uint64_t value : {updates[0].value, updates[1].value}) {
+    StatusOr<int64_t> dist_point =
+        coordinator.AnswerPointFrequency(*dist_freq, value);
+    ASSERT_TRUE(dist_point.ok()) << dist_point.status();
+    EXPECT_EQ(*dist_point, *local.AnswerPointFrequency(*local_freq, value));
+  }
+  EXPECT_EQ(coordinator.AnswerPointFrequency(*dist_freq, 1u << 12)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+}
+
+// One rule for every kind: until some shard has delivered a delta there is
+// nothing to merge, and the answer is FAILED_PRECONDITION — never an
+// estimate from an empty synopsis.
+TEST(CoordinatorTest, NoDeliveredDeltaIsFailedPreconditionForEveryKind) {
+  const std::string dir = ::testing::TempDir();
+  WorkerHarness worker(MakeWorkerOptions(dir + "/coord_nodelta.sock", "s0"));
+  Coordinator coordinator({{"s0", dir + "/coord_nodelta.sock"}},
+                          FastOptions());
+  ASSERT_TRUE(coordinator.RegisterStream({"f", 1u << 12}).ok());
+  ASSERT_TRUE(coordinator.RegisterStream({"g", 1u << 12}).ok());
+  ASSERT_TRUE(coordinator.RegisterRelation({"a", 1, 64}).ok());
+  ASSERT_TRUE(coordinator.RegisterRelation({"b", 2, 64}).ok());
+  ASSERT_TRUE(coordinator.RegisterRelation({"c", 1, 64}).ok());
+  StatusOr<query::QueryId> join =
+      coordinator.AddJoinQuery(SkimmedJoinSpec(), 7);
+  ASSERT_TRUE(join.ok()) << join.status();
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 512;
+  StatusOr<query::QueryId> freq = coordinator.AddFrequencyQuery(frequency, 8);
+  ASSERT_TRUE(freq.ok()) << freq.status();
+  query::ChainJoinQuerySpec chain_spec;
+  chain_spec.relations = {"a", "b", "c"};
+  StatusOr<query::QueryId> chain = coordinator.AddChainJoinQuery(chain_spec, 9);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+
+  worker.Stop();
+  EXPECT_EQ(coordinator.AnswerJoin(*join).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(coordinator.AnswerJoinWithReport(*join).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(coordinator.AnswerPointFrequency(*freq, 5).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(coordinator.AnswerChainJoin(*chain).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(coordinator.AnswerChainJoinWithReport(*chain).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(coordinator.AnswerJoin(query::QueryId{999}).status().code(),
+            StatusCode::kNotFound);
+}
+
 // Predicates and SUM inputs travel in the registration's spec record, so
 // each worker filters and weights its own elements; shard merges stay
 // exact by linearity.
@@ -705,13 +883,19 @@ TEST(CoordinatorTest, WorkerWithChainJoinRestartsFromCheckpoint) {
     ASSERT_TRUE(coordinator.CheckpointShards().ok());
     StatusOr<double> before = coordinator.AnswerChainJoin(*chain);
     ASSERT_TRUE(before.ok()) << tag << ": " << before.status();
+    const std::vector<query::DistShardStatus> before_restart =
+        coordinator.ShardStatuses();
 
     for (const auto& worker : workers) worker->Restart();
     StatusOr<double> after = coordinator.AnswerChainJoin(*chain);
     ASSERT_TRUE(after.ok()) << tag << ": " << after.status();
     EXPECT_EQ(*before, *after) << tag;
-    for (const query::DistShardStatus& status : coordinator.ShardStatuses()) {
-      EXPECT_EQ(status.incarnation, 2u) << tag << " " << status.shard;
+    const std::vector<query::DistShardStatus> statuses =
+        coordinator.ShardStatuses();
+    ASSERT_EQ(statuses.size(), before_restart.size());
+    for (size_t i = 0; i < statuses.size(); ++i) {
+      EXPECT_EQ(statuses[i].incarnation, before_restart[i].incarnation + 1)
+          << tag << " " << statuses[i].shard;
     }
   }
 }

@@ -7,6 +7,8 @@
 //   * SIGKILL a worker mid-ingest → answers degrade to flagged partials
 //     naming the missing shard; restart from checkpoint → re-adopted,
 //     answers bit-identical again with no double-merge.
+//   * A worker without a checkpoint restarts empty under a fresh
+//     incarnation and is re-adopted, so ingest resumes at once.
 //   * A seeded kill/restart chaos schedule (seed from SKIMJOIN_CHAOS_SEED,
 //     always printed) never crashes or hangs the coordinator, and every
 //     answer stays inside the deadline × retry budget envelope.
@@ -507,6 +509,43 @@ TEST(DistIntegrationTest, KilledWorkerDegradesThenRestartRecoversExactly) {
   ASSERT_TRUE(moved_dist.ok()) << moved_dist.status();
   ASSERT_TRUE(moved_local.ok()) << moved_local.status();
   EXPECT_EQ(*moved_local, *moved_dist);
+}
+
+// A worker without a checkpoint comes back empty. Its fresh incarnation
+// tells the coordinator to replay every registration, so the next update
+// lands instead of failing with an unknown stream, and the shard answers
+// for everything it ingested since.
+TEST(DistIntegrationTest, WorkerWithoutCheckpointIsReadoptedAfterRestart) {
+  const std::string dir = ::testing::TempDir();
+  WorkerProcess w0(dir + "/int_empty_0.sock", "s0", "", 0);
+  ASSERT_NO_FATAL_FAILURE(w0.Start());
+  Coordinator coordinator({{"s0", w0.socket_path()}}, FastOptions());
+  query::Engine engine;
+  ASSERT_TRUE(coordinator.RegisterStream({"f", 1u << 12}).ok());
+  ASSERT_TRUE(engine.RegisterStream({"f", 1u << 12}).ok());
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 512;
+  StatusOr<query::QueryId> dist_freq =
+      coordinator.AddFrequencyQuery(frequency, 12);
+  ASSERT_TRUE(dist_freq.ok()) << dist_freq.status();
+  StatusOr<query::QueryId> local_freq = engine.AddFrequencyQuery(frequency, 12);
+  ASSERT_TRUE(local_freq.ok()) << local_freq.status();
+  ASSERT_TRUE(coordinator.UpdateBatch("f", Workload(1, 200)).ok());
+  const uint64_t incarnation = coordinator.ShardStatuses()[0].incarnation;
+
+  w0.Kill();
+  ASSERT_NO_FATAL_FAILURE(w0.Start());
+  const auto updates = Workload(2, 200);
+  ASSERT_TRUE(coordinator.UpdateBatch("f", updates).ok());
+  ASSERT_TRUE(engine.UpdateBatch("f", updates).ok());
+  EXPECT_NE(coordinator.ShardStatuses()[0].incarnation, incarnation);
+  for (const uint64_t value : {updates[0].value, updates[1].value}) {
+    StatusOr<int64_t> dist_point =
+        coordinator.AnswerPointFrequency(*dist_freq, value);
+    ASSERT_TRUE(dist_point.ok()) << dist_point.status();
+    EXPECT_EQ(*dist_point, *engine.AnswerPointFrequency(*local_freq, value));
+  }
 }
 
 TEST(DistIntegrationTest, SeededKillRestartChaosNeverWedgesTheCoordinator) {

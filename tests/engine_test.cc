@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -536,6 +537,53 @@ TEST(EngineTest, FrequencyQueryHonorsPredicate) {
   }
   EXPECT_NEAR(*engine.AnswerPointFrequency(*query, 150), 50, 10);
   EXPECT_NEAR(*engine.AnswerPointFrequency(*query, 300), 0, 10);
+}
+
+// LoadQuerySynopsis sets a synopsis to the merge of shard records: by
+// linearity it equals one engine that saw every shard's elements, and a
+// second load replaces the first rather than adding to it. Synopses that
+// do not merge take exactly one record.
+TEST(EngineTest, LoadQuerySynopsisSetsTheMergeOfShardRecords) {
+  FrequencyQuerySpec frequency;
+  frequency.stream = "packets";
+  frequency.space_counters = 512;
+  TopKQuerySpec topk;
+  topk.stream = "packets";
+  topk.k = 4;
+  topk.space_counters = 256;
+  Engine shards[2], whole, merged;
+  for (Engine* engine : {&shards[0], &shards[1], &whole, &merged}) {
+    ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
+    ASSERT_TRUE(engine->AddFrequencyQuery(frequency, 5).ok());
+    ASSERT_TRUE(engine->AddTopKQuery(topk, 6).ok());
+  }
+  for (uint64_t value = 0; value < 600; ++value) {
+    const StreamUpdate update{value % 40, 1, 0};
+    ASSERT_TRUE(shards[value % 2].Update("packets", update).ok());
+    ASSERT_TRUE(whole.Update("packets", update).ok());
+  }
+  std::vector<std::string> frequency_records(2), topk_records(2);
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_TRUE(
+        shards[k].SerializeQuerySynopsis(1, &frequency_records[k]).ok());
+    ASSERT_TRUE(shards[k].SerializeQuerySynopsis(2, &topk_records[k]).ok());
+  }
+  for (int load = 0; load < 2; ++load) {
+    ASSERT_TRUE(merged.LoadQuerySynopsis(1, frequency_records).ok());
+    for (uint64_t value = 0; value < 40; ++value) {
+      EXPECT_EQ(*merged.AnswerPointFrequency(1, value),
+                *whole.AnswerPointFrequency(1, value))
+          << "load " << load << " value " << value;
+    }
+  }
+  EXPECT_EQ(merged.LoadQuerySynopsis(2, topk_records).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      merged.LoadQuerySynopsis(2, std::span(topk_records).first(1)).ok());
+  EXPECT_EQ(merged.LoadQuerySynopsis(1, {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(merged.LoadQuerySynopsis(3, frequency_records).code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
 
 #include "gtest/gtest.h"
@@ -39,6 +40,25 @@ TEST(HashSketchTest, UpdateTouchesOneBucketPerTable) {
     EXPECT_EQ(sketch.Counter(table, sketch.Bucket(table, 5)),
               sketch.Sign(table, 5) * 4);
   }
+}
+
+// The plan cache is built by the first update, so a sketch that never
+// ingests (a deserialized delta, a merge target) never allocates one.
+TEST(HashSketchTest, PlanCacheIsBuiltByTheFirstUpdate) {
+  HashSketch sketch = MustCreate({7, 512}, 3);
+  const uint64_t bare = sketch.MemoryBytes();
+  sketch.Update(9, 1);
+  EXPECT_EQ(sketch.hash_cache_misses(), 1u);
+  EXPECT_GT(sketch.MemoryBytes(), bare);
+
+  std::stringstream record;
+  ASSERT_TRUE(sketch.SerializeTo(record).ok());
+  StatusOr<HashSketch> restored = HashSketch::DeserializeFrom(record);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->MemoryBytes(), bare);
+  restored->Merge(sketch);
+  EXPECT_EQ(restored->MemoryBytes(), bare);
+  EXPECT_EQ(restored->PointEstimate(9), 2);
 }
 
 TEST(HashSketchTest, PointEstimateExactWhenNoCollisions) {

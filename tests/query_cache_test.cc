@@ -1,8 +1,9 @@
-// Correctness tests for the engine's epoch-invalidated QueryCache and the
-// slim-view point read path (DESIGN.md §11): cached answers must be
-// bit-identical to fresh recomputation, a single-element update to any
-// participating stream must invalidate, and a checkpoint/restore round trip
-// must drop the cache and re-seed epochs without changing any answer.
+// Correctness tests for the engine's epoch-invalidated QueryCache
+// (DESIGN.md §11): cached answers must be bit-identical to fresh
+// recomputation, a single-element update to any participating stream must
+// invalidate, a concurrent-ingest flush must invalidate point answers, and
+// a checkpoint/restore round trip must drop the cache and re-seed epochs
+// without changing any answer.
 
 #include <string>
 #include <vector>
@@ -169,40 +170,9 @@ TEST(QueryCacheTest, PointAnswersCachedPerValueAndInvalidated) {
   EXPECT_EQ(stats->invalidations, 1u);
 }
 
-// The slim-view read path must be indistinguishable from the fat path,
-// interleaved with ingest (each refresh re-derives the packed counters).
-TEST(QueryCacheTest, SlimViewPointPathBitIdenticalToFat) {
-  Engine slim, fat;
-  for (Engine* engine : {&slim, &fat}) {
-    ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
-    ASSERT_TRUE(engine->RegisterStream(Flows()).ok());
-    ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 31).ok());
-  }
-  Engine::ReadPathOptions options;
-  options.use_slim_views = true;
-  slim.SetReadPathOptions(options);
-
-  Rng rng(4242);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      const uint64_t value = rng.NextUint64Below(1u << 10);
-      ASSERT_TRUE(slim.Update("packets", {value, 1, 0}).ok());
-      ASSERT_TRUE(fat.Update("packets", {value, 1, 0}).ok());
-    }
-    for (int probe = 0; probe < 32; ++probe) {
-      const uint64_t value = rng.NextUint64Below(1u << 10);
-      StatusOr<int64_t> slim_answer = slim.AnswerPointFrequency(1, value);
-      StatusOr<int64_t> fat_answer = fat.AnswerPointFrequency(1, value);
-      ASSERT_TRUE(slim_answer.ok() && fat_answer.ok());
-      ASSERT_EQ(*slim_answer, *fat_answer)
-          << "round " << round << " value " << value;
-    }
-  }
-}
-
-// Cache + slim together, across rounds of writes between reads: the read
-// path must stay bit-identical through every round.
-TEST(QueryCacheTest, CacheAndSlimComposeAcrossUpdateRounds) {
+// Across rounds of writes between reads, cached join and point answers
+// must stay bit-identical to an uncached engine through every round.
+TEST(QueryCacheTest, CachedAnswersStayBitIdenticalAcrossUpdateRounds) {
   Engine tested, reference;
   for (Engine* engine : {&tested, &reference}) {
     ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
@@ -210,10 +180,7 @@ TEST(QueryCacheTest, CacheAndSlimComposeAcrossUpdateRounds) {
     ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 5).ok());
     ASSERT_TRUE(engine->AddJoinQuery(BasicJoinSpec(), 6).ok());
   }
-  Engine::ReadPathOptions options;
-  options.use_query_cache = true;
-  options.use_slim_views = true;
-  tested.SetReadPathOptions(options);
+  tested.SetReadPathOptions(CacheOn());
 
   Rng rng(1717);
   for (int round = 0; round < 4; ++round) {
@@ -238,6 +205,38 @@ TEST(QueryCacheTest, CacheAndSlimComposeAcrossUpdateRounds) {
       ASSERT_EQ(*tested_point, *reference_point) << "round " << round;
     }
   }
+}
+
+// Concurrent ingestion moves a frequency sketch when a propagation or
+// FlushIngest merges the workers' replicas, not when UpdateBatch accepts
+// the batch. A point answer cached before the flush must not outlive it:
+// after FlushIngest answers are exact (DESIGN.md §13).
+TEST(QueryCacheTest, PointAnswerCachedBeforeFlushIsInvalidatedByIt) {
+  Engine::IngestOptions ingest;
+  ingest.shards = 2;
+  ingest.concurrent = true;
+  ingest.propagation_interval_elements = uint64_t{1} << 30;
+  ingest.max_lag_elements = uint64_t{1} << 30;
+  Engine cached, uncached;
+  const std::vector<StreamUpdate> sevens(4096, StreamUpdate{7, 1, 0});
+  for (Engine* engine : {&cached, &uncached}) {
+    ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
+    ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 9).ok());
+    ASSERT_TRUE(engine->SetIngestOptions(ingest).ok());
+    ASSERT_TRUE(engine->UpdateBatch("packets", sevens).ok());
+  }
+  cached.SetReadPathOptions(CacheOn());
+  // Nothing propagates before the flush at these knobs, so this caches the
+  // pre-flush snapshot.
+  ASSERT_TRUE(cached.AnswerPointFrequency(1, 7).ok());
+
+  cached.FlushIngest();
+  uncached.FlushIngest();
+  StatusOr<int64_t> after = cached.AnswerPointFrequency(1, 7);
+  StatusOr<int64_t> reference = uncached.AnswerPointFrequency(1, 7);
+  ASSERT_TRUE(after.ok() && reference.ok());
+  EXPECT_EQ(*reference, 4096);  // one distinct value: the estimate is exact
+  EXPECT_EQ(*after, *reference);
 }
 
 TEST(QueryCacheTest, SurvivesCheckpointRestoreWithCacheDropped) {

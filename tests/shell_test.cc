@@ -516,16 +516,8 @@ TEST(ShellTest, LogsLevelFilterSelectsAtOrAboveLevel) {
 class FakeDistBackend : public DistBackend {
  public:
   Status RegisterStream(const StreamSpec&) override { return OkStatus(); }
-  StatusOr<QueryId> AddJoinQuery(const JoinQuerySpec&, uint64_t) override {
+  StatusOr<QueryId> AddQuery(const QuerySpec&, uint64_t) override {
     return QueryId{7};
-  }
-  StatusOr<QueryId> AddSelfJoinQuery(const SelfJoinQuerySpec&,
-                                     uint64_t) override {
-    return QueryId{8};
-  }
-  StatusOr<QueryId> AddFrequencyQuery(const FrequencyQuerySpec&,
-                                      uint64_t) override {
-    return QueryId{9};
   }
   Status Update(const std::string&, const StreamUpdate&) override {
     ++updates;
