@@ -73,78 +73,15 @@ Status JoinEstimatorPair::MergeFrom(std::istream&) {
 
 namespace {
 
-// Shared framing for the serializable pair classes: one tagged header line
-// naming the concrete method, then the F and G synopsis records.
-Status WritePairHeader(std::ostream& out, const char* kind) {
-  out << "skimjoin.join_pair v1 " << kind << '\n';
-  if (!out) return IoError("join-pair serialization failed");
-  return OkStatus();
-}
-
-Status ReadPairHeader(std::istream& in, const char* kind) {
-  std::string tag, version, recorded_kind;
-  if (!(in >> tag >> version >> recorded_kind) ||
-      tag != "skimjoin.join_pair" || version != "v1") {
-    return InvalidArgumentError("not a skimjoin join-pair v1 record");
-  }
-  if (recorded_kind != kind) {
-    return InvalidArgumentError("join-pair record holds method '" +
-                                recorded_kind + "', expected '" + kind + "'");
-  }
-  return OkStatus();
-}
-
-// Shared by the sketch-backed pairs' HealthProbe overrides: probe both
-// synopses and tag which stream each probe belongs to.
-template <typename Sketch>
-std::vector<SynopsisHealth> ProbePair(const Sketch& f, const Sketch& g) {
-  std::vector<SynopsisHealth> probes;
-  probes.reserve(2);
-  probes.push_back(f.HealthProbe());
-  probes.back().role = "f";
-  probes.push_back(g.HealthProbe());
-  probes.back().role = "g";
-  return probes;
-}
-
-template <typename Sketch>
-Status SerializePair(std::ostream& out, const char* kind, const Sketch& f,
-                     const Sketch& g) {
-  SKIMJOIN_RETURN_IF_ERROR(WritePairHeader(out, kind));
-  SKIMJOIN_RETURN_IF_ERROR(f.SerializeTo(out));
-  return g.SerializeTo(out);
-}
-
-/// Reads one pair record and replaces `*f`, `*g` with it or, with `merge`,
-/// adds it counter-for-counter.
-template <typename Sketch>
-Status RestorePair(std::istream& in, const char* kind, bool merge, Sketch* f,
-                   Sketch* g) {
-  SKIMJOIN_RETURN_IF_ERROR(ReadPairHeader(in, kind));
-  SKIMJOIN_ASSIGN_OR_RETURN(Sketch restored_f, Sketch::DeserializeFrom(in));
-  SKIMJOIN_ASSIGN_OR_RETURN(Sketch restored_g, Sketch::DeserializeFrom(in));
-  // The pair was created from the record's spec + seed, so a shape/seed
-  // mismatch means the record belongs to a different query — refuse
-  // rather than splice in foreign hash families.
-  if (!restored_f.CompatibleWith(*f) || !restored_g.CompatibleWith(*g)) {
-    return InvalidArgumentError(
-        std::string("join-pair record for '") + kind +
-        "' is incompatible with this pair's configuration");
-  }
-  if (merge) {
-    f->Merge(restored_f);
-    g->Merge(restored_g);
-  } else {
-    *f = std::move(restored_f);
-    *g = std::move(restored_g);
-  }
-  return OkStatus();
-}
-
-class AgmsPair final : public JoinEstimatorPair {
+/// The one pair class of the linear sketch families (AGMS, hash sketch,
+/// skimmed sketch, Count-Min): two synopses built from one config and
+/// seed, estimated by the family's static EstimateJoinSize{,WithReport},
+/// and serialized as one tagged header line naming `kKind` followed by the
+/// F and G records.
+template <typename Sketch, EstimatorKind kKind>
+class SketchPair final : public JoinEstimatorPair {
  public:
-  AgmsPair(sketch::AgmsSketch f, sketch::AgmsSketch g)
-      : f_(std::move(f)), g_(std::move(g)) {}
+  SketchPair(Sketch f, Sketch g) : f_(std::move(f)), g_(std::move(g)) {}
 
   void UpdateF(uint64_t value, int64_t weight) override {
     f_.Update(value, weight);
@@ -153,171 +90,91 @@ class AgmsPair final : public JoinEstimatorPair {
     g_.Update(value, weight);
   }
   StatusOr<double> Estimate() const override {
-    return sketch::AgmsSketch::EstimateJoinSize(f_, g_);
+    return Sketch::EstimateJoinSize(f_, g_);
   }
   StatusOr<EstimateReport> EstimateWithReport() const override {
-    return sketch::AgmsSketch::EstimateJoinSizeWithReport(f_, g_);
+    return Sketch::EstimateJoinSizeWithReport(f_, g_);
   }
   uint64_t SpaceCounters() const override {
-    return f_.config().TotalCounters();
+    if constexpr (requires { f_.TotalCounters(); }) {
+      return f_.TotalCounters();
+    } else {
+      return f_.config().TotalCounters();
+    }
   }
   uint64_t MemoryBytes() const override {
     return f_.MemoryBytes() + g_.MemoryBytes();
   }
-  const char* Name() const override {
-    return EstimatorKindName(EstimatorKind::kAgms);
-  }
+  const char* Name() const override { return EstimatorKindName(kKind); }
+
   Status SerializeTo(std::ostream& out) const override {
-    return SerializePair(out, Name(), f_, g_);
+    out << "skimjoin.join_pair v1 " << Name() << '\n';
+    if (!out) return IoError("join-pair serialization failed");
+    SKIMJOIN_RETURN_IF_ERROR(f_.SerializeTo(out));
+    return g_.SerializeTo(out);
   }
   Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
+    return Restore(in, /*merge=*/false);
   }
   Status MergeFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
+    return Restore(in, /*merge=*/true);
   }
 
   std::vector<SynopsisHealth> HealthProbe() const override {
-    return ProbePair(f_, g_);
+    std::vector<SynopsisHealth> probes = {f_.HealthProbe(), g_.HealthProbe()};
+    probes[0].role = "f";
+    probes[1].role = "g";
+    return probes;
   }
 
  private:
-  sketch::AgmsSketch f_;
-  sketch::AgmsSketch g_;
+  /// Reads one pair record and replaces the synopses with it or, with
+  /// `merge`, adds it counter-for-counter.
+  Status Restore(std::istream& in, bool merge) {
+    std::string tag, version, recorded_kind;
+    if (!(in >> tag >> version >> recorded_kind) ||
+        tag != "skimjoin.join_pair" || version != "v1") {
+      return InvalidArgumentError("not a skimjoin join-pair v1 record");
+    }
+    if (recorded_kind != Name()) {
+      return InvalidArgumentError("join-pair record holds method '" +
+                                  recorded_kind + "', expected '" + Name() +
+                                  "'");
+    }
+    SKIMJOIN_ASSIGN_OR_RETURN(Sketch restored_f, Sketch::DeserializeFrom(in));
+    SKIMJOIN_ASSIGN_OR_RETURN(Sketch restored_g, Sketch::DeserializeFrom(in));
+    // The pair was created from the record's spec + seed, so a shape/seed
+    // mismatch means the record belongs to a different query — refuse
+    // rather than splice in foreign hash families.
+    if (!restored_f.CompatibleWith(f_) || !restored_g.CompatibleWith(g_)) {
+      return InvalidArgumentError(
+          std::string("join-pair record for '") + Name() +
+          "' is incompatible with this pair's configuration");
+    }
+    if (merge) {
+      f_.Merge(restored_f);
+      g_.Merge(restored_g);
+    } else {
+      f_ = std::move(restored_f);
+      g_ = std::move(restored_g);
+    }
+    return OkStatus();
+  }
+
+  Sketch f_;
+  Sketch g_;
 };
 
-class HashSketchPair final : public JoinEstimatorPair {
- public:
-  HashSketchPair(sketch::HashSketch f, sketch::HashSketch g)
-      : f_(std::move(f)), g_(std::move(g)) {}
-
-  void UpdateF(uint64_t value, int64_t weight) override {
-    f_.Update(value, weight);
-  }
-  void UpdateG(uint64_t value, int64_t weight) override {
-    g_.Update(value, weight);
-  }
-  StatusOr<double> Estimate() const override {
-    return sketch::HashSketch::EstimateJoinSize(f_, g_);
-  }
-  StatusOr<EstimateReport> EstimateWithReport() const override {
-    return sketch::HashSketch::EstimateJoinSizeWithReport(f_, g_);
-  }
-  uint64_t SpaceCounters() const override {
-    return f_.config().TotalCounters();
-  }
-  uint64_t MemoryBytes() const override {
-    return f_.MemoryBytes() + g_.MemoryBytes();
-  }
-  const char* Name() const override {
-    return EstimatorKindName(EstimatorKind::kHashSketch);
-  }
-  Status SerializeTo(std::ostream& out) const override {
-    return SerializePair(out, Name(), f_, g_);
-  }
-  Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
-  }
-  Status MergeFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
-  }
-
-  std::vector<SynopsisHealth> HealthProbe() const override {
-    return ProbePair(f_, g_);
-  }
-
- private:
-  sketch::HashSketch f_;
-  sketch::HashSketch g_;
-};
-
-class SkimmedPair final : public JoinEstimatorPair {
- public:
-  SkimmedPair(SkimmedSketch f, SkimmedSketch g)
-      : f_(std::move(f)), g_(std::move(g)) {}
-
-  void UpdateF(uint64_t value, int64_t weight) override {
-    f_.Update(value, weight);
-  }
-  void UpdateG(uint64_t value, int64_t weight) override {
-    g_.Update(value, weight);
-  }
-  StatusOr<double> Estimate() const override {
-    return SkimmedSketch::EstimateJoinSize(f_, g_);
-  }
-  StatusOr<EstimateReport> EstimateWithReport() const override {
-    return SkimmedSketch::EstimateJoinSizeWithReport(f_, g_);
-  }
-  uint64_t SpaceCounters() const override { return f_.TotalCounters(); }
-  uint64_t MemoryBytes() const override {
-    return f_.MemoryBytes() + g_.MemoryBytes();
-  }
-  const char* Name() const override {
-    return EstimatorKindName(EstimatorKind::kSkimmedSketch);
-  }
-  Status SerializeTo(std::ostream& out) const override {
-    return SerializePair(out, Name(), f_, g_);
-  }
-  Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
-  }
-  Status MergeFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
-  }
-
-  std::vector<SynopsisHealth> HealthProbe() const override {
-    return ProbePair(f_, g_);
-  }
-
- private:
-  SkimmedSketch f_;
-  SkimmedSketch g_;
-};
-
-class CountMinPair final : public JoinEstimatorPair {
- public:
-  CountMinPair(sketch::CountMinSketch f, sketch::CountMinSketch g)
-      : f_(std::move(f)), g_(std::move(g)) {}
-
-  void UpdateF(uint64_t value, int64_t weight) override {
-    f_.Update(value, weight);
-  }
-  void UpdateG(uint64_t value, int64_t weight) override {
-    g_.Update(value, weight);
-  }
-  StatusOr<double> Estimate() const override {
-    return sketch::CountMinSketch::EstimateJoinSize(f_, g_);
-  }
-  StatusOr<EstimateReport> EstimateWithReport() const override {
-    return sketch::CountMinSketch::EstimateJoinSizeWithReport(f_, g_);
-  }
-  uint64_t SpaceCounters() const override {
-    return f_.config().TotalCounters();
-  }
-  uint64_t MemoryBytes() const override {
-    return f_.MemoryBytes() + g_.MemoryBytes();
-  }
-  const char* Name() const override {
-    return EstimatorKindName(EstimatorKind::kCountMin);
-  }
-  Status SerializeTo(std::ostream& out) const override {
-    return SerializePair(out, Name(), f_, g_);
-  }
-  Status RestoreFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/false, &f_, &g_);
-  }
-  Status MergeFrom(std::istream& in) override {
-    return RestorePair(in, Name(), /*merge=*/true, &f_, &g_);
-  }
-
-  std::vector<SynopsisHealth> HealthProbe() const override {
-    return ProbePair(f_, g_);
-  }
-
- private:
-  sketch::CountMinSketch f_;
-  sketch::CountMinSketch g_;
-};
+/// Builds the SketchPair of `kKind` with both sides from one config and
+/// seed, so they share hash families.
+template <typename Sketch, EstimatorKind kKind, typename Config>
+StatusOr<std::unique_ptr<JoinEstimatorPair>> MakeSketchPair(
+    const Config& config, uint64_t seed) {
+  SKIMJOIN_ASSIGN_OR_RETURN(Sketch f, Sketch::Create(config, seed));
+  SKIMJOIN_ASSIGN_OR_RETURN(Sketch g, Sketch::Create(config, seed));
+  return std::unique_ptr<JoinEstimatorPair>(
+      new SketchPair<Sketch, kKind>(std::move(f), std::move(g)));
+}
 
 class PartitionedAgmsPair final : public JoinEstimatorPair {
  public:
@@ -409,12 +266,8 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
       sketch::AgmsConfig config;
       config.num_medians = spec.agms_num_medians;
       config.num_means = spec.space_counters / spec.agms_num_medians;
-      StatusOr<sketch::AgmsSketch> f = sketch::AgmsSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(f.status());
-      StatusOr<sketch::AgmsSketch> g = sketch::AgmsSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(g.status());
-      return std::unique_ptr<JoinEstimatorPair>(
-          new AgmsPair(*std::move(f), *std::move(g)));
+      return MakeSketchPair<sketch::AgmsSketch, EstimatorKind::kAgms>(config,
+                                                                      seed);
     }
     case EstimatorKind::kHashSketch: {
       if (spec.num_tables < 1 || spec.space_counters < spec.num_tables) {
@@ -424,12 +277,8 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
       sketch::HashSketchConfig config;
       config.num_tables = spec.num_tables;
       config.num_buckets = spec.space_counters / spec.num_tables;
-      StatusOr<sketch::HashSketch> f = sketch::HashSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(f.status());
-      StatusOr<sketch::HashSketch> g = sketch::HashSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(g.status());
-      return std::unique_ptr<JoinEstimatorPair>(
-          new HashSketchPair(*std::move(f), *std::move(g)));
+      return MakeSketchPair<sketch::HashSketch, EstimatorKind::kHashSketch>(
+          config, seed);
     }
     case EstimatorKind::kSkimmedSketch: {
       if (spec.num_tables < 1 || spec.space_counters < spec.num_tables) {
@@ -444,12 +293,8 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
       config.skim_margin = spec.skim_margin;
       config.use_dyadic_skim = spec.skimmed_use_dyadic;
       SKIMJOIN_RETURN_IF_ERROR(SplitSpaceBudget(spec.space_counters, &config));
-      StatusOr<SkimmedSketch> f = SkimmedSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(f.status());
-      StatusOr<SkimmedSketch> g = SkimmedSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(g.status());
-      return std::unique_ptr<JoinEstimatorPair>(
-          new SkimmedPair(*std::move(f), *std::move(g)));
+      return MakeSketchPair<SkimmedSketch, EstimatorKind::kSkimmedSketch>(
+          config, seed);
     }
     case EstimatorKind::kCountMin: {
       if (spec.num_tables < 1 || spec.space_counters < spec.num_tables) {
@@ -459,14 +304,8 @@ StatusOr<std::unique_ptr<JoinEstimatorPair>> CreateJoinEstimatorPair(
       sketch::CountMinConfig config;
       config.num_tables = spec.num_tables;
       config.num_buckets = spec.space_counters / spec.num_tables;
-      StatusOr<sketch::CountMinSketch> f =
-          sketch::CountMinSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(f.status());
-      StatusOr<sketch::CountMinSketch> g =
-          sketch::CountMinSketch::Create(config, seed);
-      SKIMJOIN_RETURN_IF_ERROR(g.status());
-      return std::unique_ptr<JoinEstimatorPair>(
-          new CountMinPair(*std::move(f), *std::move(g)));
+      return MakeSketchPair<sketch::CountMinSketch, EstimatorKind::kCountMin>(
+          config, seed);
     }
     case EstimatorKind::kPartitionedAgms: {
       if (spec.partition_plan == nullptr) {

@@ -37,6 +37,12 @@ class LatencyScope {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Whether `status` is a worker's answer ("remote: ...", see protocol.cc)
+/// rather than a transport failure.
+bool IsRemoteError(const Status& status) {
+  return status.message().rfind("remote: ", 0) == 0;
+}
+
 /// A merged report is partial unless every shard's delta was fresh and
 /// caught up with the epochs it acknowledged.
 EstimateReport WithShards(EstimateReport report,
@@ -193,6 +199,19 @@ Status Coordinator::EnsureConnected(ShardState& shard) {
   const Deadline deadline = DeadlineAfter(options_.rpc_timeout);
   SKIMJOIN_ASSIGN_OR_RETURN(shard.channel,
                             ConnectUnix(shard.address.socket_path, deadline));
+  const Status handshake = Handshake(shard, deadline);
+  if (handshake.ok()) return OkStatus();
+  // Only a handshaken channel is usable: close this one so the next call
+  // starts over, and leave the shard unadopted. A worker that refuses a
+  // replayed registration cannot serve the fleet's queries, so its refusal
+  // is the shard's failure, not a remote answer for Rpc to pass through.
+  shard.channel.Close();
+  if (!IsRemoteError(handshake)) return handshake;
+  return Status(handshake.code(),
+                "registration replay refused: " + handshake.message());
+}
+
+Status Coordinator::Handshake(ShardState& shard, Deadline deadline) {
   metrics::TraceRecorder& recorder = metrics::TraceRecorder::Global();
   const uint64_t hello_sent = recorder.NowMicros();
   SKIMJOIN_ASSIGN_OR_RETURN(
@@ -264,10 +283,10 @@ StatusOr<Frame> Coordinator::Rpc(ShardState& shard, MessageType type,
       return reply;
     }
     last = reply.status();
-    // A remote application error ("remote: ...") means the RPC itself
-    // worked — the worker answered with a Status. Don't burn retries or
-    // damn the shard's health for it.
-    if (last.message().rfind("remote: ", 0) == 0) {
+    // A remote application error means the RPC itself worked — the worker
+    // answered with a Status. Don't burn retries or damn the shard's
+    // health for it.
+    if (IsRemoteError(last)) {
       MarkSuccess(shard);
       return last;
     }

@@ -196,10 +196,16 @@ class Coordinator : public query::DistBackend {
     std::string payload;
   };
 
-  /// Ensures a connected, handshaken channel. A NEW incarnation (first
-  /// contact or restart) triggers registration replay before the channel
-  /// is considered usable.
+  /// Ensures a connected, handshaken channel. A handshake that fails after
+  /// connect closes the channel again and leaves the shard unadopted; a
+  /// replayed registration the worker refuses fails as a shard failure,
+  /// not as a remote answer.
   Status EnsureConnected(ShardState& shard);
+
+  /// Hello, clock offset and, for a NEW incarnation (first contact or
+  /// restart), registration replay on a freshly connected channel. Adopts
+  /// the incarnation only once the whole replay is acknowledged.
+  Status Handshake(ShardState& shard, Deadline deadline);
 
   /// One deadline-bounded request/reply against a connected channel (no
   /// retries — Rpc layers those on top).

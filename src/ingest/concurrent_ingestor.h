@@ -36,8 +36,11 @@
 //   * Any number of threads may hold ReaderLock() and read shared()
 //     concurrently with ingestion.
 //   * The shared synopsis must not be mutated except through this ingestor
-//     while the ingestor is live (the engine routes its scalar Update path
-//     through the same writer lock for exactly this reason).
+//     while the ingestor is live, or under WriterLock(). The engine's one
+//     ingest fan-out does the latter for one-element projections (every
+//     scalar Update, and any batch a predicate narrows to one element):
+//     it updates the shared synopsis directly under the writer lock
+//     instead of paying a worker hand-off for one element.
 
 #ifndef SKIMJOIN_INGEST_CONCURRENT_INGESTOR_H_
 #define SKIMJOIN_INGEST_CONCURRENT_INGESTOR_H_
@@ -197,8 +200,8 @@ class ConcurrentIngestor {
   ReadLock ReaderLock() const { return ReadLock(mu_); }
 
   /// Writer lock for callers that must mutate the shared synopsis directly
-  /// (the engine's scalar Update path, Clear). Excludes propagations and
-  /// readers.
+  /// (the engine's one-element projections, Clear). Excludes propagations
+  /// and readers.
   WriteLock WriterLock() const { return WriteLock(mu_); }
 
   /// The synopsis readers see; callers must hold ReaderLock (or

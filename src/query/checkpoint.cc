@@ -441,7 +441,9 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
 
   next_query_id_ = manifest.next_query_id;
   {
-    const Status shards = SetIngestShards(manifest.shards);
+    IngestOptions ingest = ingest_options_;
+    ingest.shards = manifest.shards;
+    const Status shards = SetIngestOptions(ingest);
     if (!shards.ok()) return fail(shards);
   }
 

@@ -185,17 +185,18 @@ void Engine::InitStreamMetrics(StreamState* state) {
   metrics_.SetHelp(prefix + "elements_dropped",
                    "Out-of-domain elements dropped before any synopsis.");
   metrics_.SetHelp(prefix + "merges",
-                   "Sharded-ingest merge rounds (SetIngestShards > 1).");
+                   "Worker-ingestor flushes (IngestOptions.shards > 1 or "
+                   "concurrent).");
   metrics_.SetHelp(prefix + "absorb_nanos",
                    "Nanoseconds worker shards spent absorbing batches.");
   metrics_.SetHelp(prefix + "merge_nanos",
                    "Nanoseconds spent merging shard replicas back.");
   metrics_.SetHelp(prefix + "hash_cache_hits",
                    "Hash-plan cache hits across this stream's frequency-query "
-                   "synopses (inline batch path).");
+                   "synopses (inline path).");
   metrics_.SetHelp(prefix + "hash_cache_misses",
                    "Hash-plan cache misses across this stream's "
-                   "frequency-query synopses (inline batch path).");
+                   "frequency-query synopses (inline path).");
   metrics_.SetHelp(prefix + "epoch_lag",
                    "Elements accepted by concurrent-mode UpdateBatch but "
                    "not yet visible to readers; 0 after FlushIngest.");
@@ -685,77 +686,7 @@ Status Engine::Update(StreamId stream, const StreamUpdate& update) {
     return OutOfRangeError("value outside the domain of stream " +
                            state.spec.name);
   }
-  state.element_count += update.count;
-  state.absorbed->Increment();
-  if (profiler_enabled_) state.profiler->Observe(update.value, update.count);
-  ApplyToQueries(stream, update, /*include_frequency_queries=*/true);
-  return OkStatus();
-}
-
-void Engine::ApplyToQueries(StreamId stream, const StreamUpdate& update,
-                            bool include_frequency_queries) {
-  for (auto& [id, q] : join_queries_) {
-    if (q.left == stream &&
-        (!q.left_predicate || q.left_predicate->Matches(update.value))) {
-      const int64_t weight = WeightFor(q.left_input, update);
-      if (weight != 0) q.estimator->UpdateF(update.value, weight);
-    }
-    if (q.right == stream &&
-        (!q.right_predicate || q.right_predicate->Matches(update.value))) {
-      const int64_t weight = WeightFor(q.right_input, update);
-      if (weight != 0) q.estimator->UpdateG(update.value, weight);
-    }
-  }
-  if (include_frequency_queries) {
-    for (auto& [id, q] : frequency_queries_) {
-      if (q.stream == stream &&
-          (!q.predicate || q.predicate->Matches(update.value))) {
-        if (update.count != 0) {
-          if (q.concurrent != nullptr) {
-            // A live worker ingestor means workers may be propagating into
-            // this sketch right now; the scalar path joins the same writer
-            // lock instead of racing it.
-            auto lock = q.concurrent->WriterLock();
-            q.sketch.Update(update.value, update.count);
-          } else {
-            q.sketch.Update(update.value, update.count);
-          }
-        }
-      }
-    }
-  }
-  for (auto& [id, q] : distinct_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      if (update.count != 0) q.sketch.Update(update.value, update.count);
-    }
-  }
-  for (auto& [id, q] : topk_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      if (update.count != 0) q.tracker.Update(update.value, update.count);
-    }
-  }
-  for (auto& [id, q] : quantile_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      // GK summaries are insert-only; deletes are documented as ignored.
-      for (int64_t i = 0; i < update.count; ++i) q.summary.Insert(update.value);
-    }
-  }
-  for (auto& [id, q] : range_sum_queries_) {
-    if (q.stream == stream &&
-        (!q.predicate || q.predicate->Matches(update.value))) {
-      if (update.count != 0) {
-        q.synopsis.Update(update.value, update.count);
-        // Keep the synopsis a B-term summary (with slack so compression is
-        // amortized, not per-update).
-        if (q.synopsis.CoefficientCount() > 2 * q.coefficient_budget) {
-          q.synopsis.CompressTo(q.coefficient_budget);
-        }
-      }
-    }
-  }
+  return FanOut(stream, std::span<const StreamUpdate>(&update, 1));
 }
 
 Status Engine::UpdateBatch(const std::string& stream,
@@ -770,28 +701,32 @@ Status Engine::UpdateBatch(StreamId stream,
   if (stream >= streams_.size()) {
     return NotFoundError("unknown stream id");
   }
-  StreamState& state = streams_[stream];
   metrics::TraceSpan batch_span("ingest_batch", "ingest");
-  state.batches->Increment();
+  streams_[stream].batches->Increment();
+  return FanOut(stream, updates);
+}
+
+Status Engine::FanOut(StreamId stream, std::span<const StreamUpdate> updates) {
+  StreamState& state = streams_[stream];
+  const uint64_t domain = state.spec.domain_size;
 
   // One validation pass, hoisted out of every synopsis loop: bad elements
   // are dropped and counted here so no synopsis ever sees one. Counter
-  // deltas accumulate in locals — one atomic add per batch, not per
+  // deltas accumulate in locals — one atomic add per call, not per
   // element, keeps the instrumented fast path within the 1% overhead
   // budget.
   uint64_t absorbed = 0;
   uint64_t dropped = 0;
   util::StreamProfiler* profiler =
       profiler_enabled_ ? state.profiler.get() : nullptr;
-  // The profiler's scalar tallies fold in once per batch: the net mass is
+  // The profiler's scalar tallies fold in once per call: the net mass is
   // the element_count delta the loop maintains anyway, and the insert mass
   // is net + deletes — so the per-element profiler cost beyond ObserveValue
   // is one (rarely taken) delete branch.
-  const int64_t count_before_batch = state.element_count;
+  const int64_t count_before = state.element_count;
   uint64_t profiled_deletes = 0;
-  for (size_t i = 0; i < updates.size(); ++i) {
-    const StreamUpdate& update = updates[i];
-    if (update.value >= state.spec.domain_size) {
+  for (const StreamUpdate& update : updates) {
+    if (update.value >= domain) {
       ++dropped;
       continue;
     }
@@ -803,67 +738,135 @@ Status Engine::UpdateBatch(StreamId stream,
         profiled_deletes += static_cast<uint64_t>(-update.count);
       }
     }
-    ApplyToQueries(stream, update, /*include_frequency_queries=*/false);
   }
-  if (profiler != nullptr && absorbed != 0) {
-    const int64_t profiled_net = state.element_count - count_before_batch;
+  if (dropped != 0) state.dropped->Increment(dropped);
+  if (absorbed == 0) return OkStatus();
+  state.absorbed->Increment(absorbed);
+  if (profiler != nullptr) {
+    const int64_t profiled_net = state.element_count - count_before;
     profiler->AddTallies(
         absorbed,
         static_cast<uint64_t>(profiled_net +
                               static_cast<int64_t>(profiled_deletes)),
         profiled_deletes, profiled_net);
   }
-  if (absorbed != 0) state.absorbed->Increment(absorbed);
-  if (dropped != 0) state.dropped->Increment(dropped);
 
-  // Frequency queries take the batch path: per query, project the batch to
-  // in-domain, predicate-matching stream elements and fold them in at once
-  // (on worker threads when the engine has more than one shard or runs
-  // concurrent).
-  std::vector<stream::StreamElement> elements;
+  // Query by query, each subscribed side takes its own projection of the
+  // batch in arrival order. Synopses are independent, so the visiting
+  // order across queries (and across a self-join's two sides) cannot
+  // change any counter.
+  for (auto& [id, q] : join_queries_) {
+    if (q.left == stream) {
+      for (const stream::StreamElement& e :
+           Project(updates, domain, q.left_predicate, q.left_input)) {
+        q.estimator->UpdateF(e.value, e.weight);
+      }
+    }
+    if (q.right == stream) {
+      for (const stream::StreamElement& e :
+           Project(updates, domain, q.right_predicate, q.right_input)) {
+        q.estimator->UpdateG(e.value, e.weight);
+      }
+    }
+  }
+  for (auto& [id, q] : distinct_queries_) {
+    if (q.stream != stream) continue;
+    for (const stream::StreamElement& e :
+         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
+      q.sketch.Update(e.value, e.weight);
+    }
+  }
+  for (auto& [id, q] : topk_queries_) {
+    if (q.stream != stream) continue;
+    for (const stream::StreamElement& e :
+         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
+      q.tracker.Update(e.value, e.weight);
+    }
+  }
+  for (auto& [id, q] : quantile_queries_) {
+    if (q.stream != stream) continue;
+    for (const stream::StreamElement& e :
+         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
+      // GK summaries are insert-only; deletes are documented as ignored.
+      for (int64_t i = 0; i < e.weight; ++i) q.summary.Insert(e.value);
+    }
+  }
+  for (auto& [id, q] : range_sum_queries_) {
+    if (q.stream != stream) continue;
+    for (const stream::StreamElement& e :
+         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
+      q.synopsis.Update(e.value, e.weight);
+      // Keep the synopsis a B-term summary (with slack so compression is
+      // amortized, not per-update).
+      if (q.synopsis.CoefficientCount() > 2 * q.coefficient_budget) {
+        q.synopsis.CompressTo(q.coefficient_budget);
+      }
+    }
+  }
+  // Frequency queries last: a worker ingestor that cannot be built fails
+  // the call after every other synopsis has its elements.
   for (auto& [id, q] : frequency_queries_) {
     if (q.stream != stream) continue;
-    elements.clear();
-    elements.reserve(updates.size());
-    for (const StreamUpdate& update : updates) {
-      if (update.value >= state.spec.domain_size) continue;
-      if (q.predicate && !q.predicate->Matches(update.value)) continue;
-      if (update.count != 0) elements.push_back({update.value, update.count});
-    }
-    if (elements.empty()) continue;
-    if (ingest_options_.shards == 1 && !ingest_options_.concurrent) {
-      q.sketch.UpdateBatch(elements);
-      PublishHashCacheDeltas(q);
-      continue;
-    }
-    // Worker path: hand chunks to the persistent workers. Concurrent mode
-    // returns without waiting — staleness is bounded by the ingestor's
-    // propagation policy and FlushIngest() is the linearization point.
-    // Synchronous sharding flushes before returning, so reads stay exact.
-    if (q.concurrent == nullptr) {
-      ingest::ConcurrentIngestOptions options;
-      options.num_workers = ingest_options_.shards;
-      options.propagation_interval_elements =
-          ingest_options_.propagation_interval_elements;
-      options.max_lag_elements = ingest_options_.max_lag_elements;
-      SKIMJOIN_ASSIGN_OR_RETURN(
-          q.concurrent, ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
-                            &q.sketch, options));
-    }
-    q.concurrent->AbsorbBatch(elements);
-    if (ingest_options_.concurrent) {
-      state.epoch_lag->Set(static_cast<double>(q.concurrent->epoch_lag()));
-    } else {
-      FlushFrequencyIngest(q);
-    }
+    SKIMJOIN_RETURN_IF_ERROR(FeedFrequencyQuery(
+        q, Project(updates, domain, q.predicate, AggregateInput::kCount)));
   }
   return OkStatus();
 }
 
-Status Engine::SetIngestShards(uint64_t num_shards) {
-  IngestOptions options = ingest_options_;
-  options.shards = num_shards;
-  return SetIngestOptions(options);
+std::span<const stream::StreamElement> Engine::Project(
+    std::span<const StreamUpdate> updates, uint64_t domain_size,
+    const std::optional<RangePredicate>& predicate, AggregateInput input) {
+  projection_.clear();
+  for (const StreamUpdate& update : updates) {
+    if (update.value >= domain_size) continue;
+    if (predicate && !predicate->Matches(update.value)) continue;
+    const int64_t weight = WeightFor(input, update);
+    if (weight != 0) projection_.push_back({update.value, weight});
+  }
+  return projection_;
+}
+
+Status Engine::FeedFrequencyQuery(
+    FrequencyQueryState& q, std::span<const stream::StreamElement> elements) {
+  if (elements.empty()) return OkStatus();
+  if (elements.size() == 1) {
+    // One element is cheapest as a scalar update: the batch kernel's and a
+    // worker hand-off's set-up costs are per call. A live worker ingestor
+    // may be propagating into this sketch right now, so join its writer
+    // lock instead of racing it. The plan-cache tallies reach the stream
+    // counters through RefreshMetricsGauges' pull.
+    ingest::ConcurrentIngestor<core::SkimmedSketch>::WriteLock lock;
+    if (q.concurrent != nullptr) lock = q.concurrent->WriterLock();
+    q.sketch.Update(elements[0]);
+    return OkStatus();
+  }
+  if (ingest_options_.shards == 1 && !ingest_options_.concurrent) {
+    q.sketch.UpdateBatch(elements);
+    PublishHashCacheDeltas(q);
+    return OkStatus();
+  }
+  // Worker path: hand chunks to the persistent workers. Concurrent mode
+  // returns without waiting — staleness is bounded by the ingestor's
+  // propagation policy and FlushIngest() is the linearization point.
+  // Synchronous sharding flushes before returning, so reads stay exact.
+  if (q.concurrent == nullptr) {
+    ingest::ConcurrentIngestOptions options;
+    options.num_workers = ingest_options_.shards;
+    options.propagation_interval_elements =
+        ingest_options_.propagation_interval_elements;
+    options.max_lag_elements = ingest_options_.max_lag_elements;
+    SKIMJOIN_ASSIGN_OR_RETURN(
+        q.concurrent, ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
+                          &q.sketch, options));
+  }
+  q.concurrent->AbsorbBatch(elements);
+  if (ingest_options_.concurrent) {
+    streams_[q.stream].epoch_lag->Set(
+        static_cast<double>(q.concurrent->epoch_lag()));
+  } else {
+    FlushFrequencyIngest(q);
+  }
+  return OkStatus();
 }
 
 Status Engine::SetIngestOptions(const IngestOptions& options) {
@@ -1265,9 +1268,9 @@ void Engine::RefreshMetricsGauges() const {
   }
   for (const auto& [id, q] : frequency_queries_) {
     q.metrics.memory_bytes->Set(static_cast<double>(q.sketch.MemoryBytes()));
-    // Scalar updates bump the sketch-side tallies without passing through
-    // the batch path's export; pull the deltas here so snapshots stay
-    // current for scalar-only sessions.
+    // One-element projections bump the sketch-side tallies without the
+    // batch kernel's per-call export; pull the deltas here so snapshots
+    // stay current for scalar-only sessions.
     PublishHashCacheDeltas(q);
   }
   for (const auto& [id, q] : distinct_queries_) {

@@ -11,7 +11,9 @@
 // Every registered query owns its own synopses; an arriving element fans
 // out to every synopsis subscribed to its stream (after per-query selection
 // predicates). Synopses see each element exactly once, in arrival order —
-// the single-pass constraint of §2.1.
+// the single-pass constraint of §2.1. Update and UpdateBatch share one
+// fan-out: validate the batch once, then feed each subscribed query side
+// its projection of the batch (Update is a one-element batch).
 
 #ifndef SKIMJOIN_QUERY_ENGINE_H_
 #define SKIMJOIN_QUERY_ENGINE_H_
@@ -40,6 +42,7 @@
 #include "sketch/fm_sketch.h"
 #include "stream/frequency_vector.h"
 #include "stream/gk_quantiles.h"
+#include "stream/stream_element.h"
 #include "stream/wavelet.h"
 #include "util/metrics.h"
 #include "util/status.h"
@@ -123,10 +126,11 @@ struct StreamUpdate {
 };
 
 /// The engine. Single-writer: ONE thread drives registration and ingestion
-/// (Update / UpdateBatch) at a time. UpdateBatch may internally fan a batch
-/// out across ingest worker threads (see SetIngestShards) and, by default,
-/// waits for them and merges before returning — externally the engine
-/// remains a single-writer structure, per the single-pass stream model and
+/// (Update / UpdateBatch) at a time. UpdateBatch may internally hand a
+/// frequency query's batch to ingest worker threads (more than one
+/// IngestOptions shard, see SetIngestOptions) and, by default, waits for
+/// them and merges before returning — externally the engine remains a
+/// single-writer structure, per the single-pass stream model and
 /// DESIGN.md's "Threading & ingestion model". With IngestOptions.concurrent
 /// on (DESIGN.md §13) UpdateBatch returns without waiting; registration and
 /// ingestion stay single-writer, while point-frequency and heavy-hitter
@@ -194,29 +198,28 @@ class Engine {
                         const std::vector<uint64_t>& attributes,
                         int64_t weight);
 
-  /// Feeds one element into every subscribed synopsis. NOT_FOUND for an
-  /// unknown stream; OUT_OF_RANGE if update.value is outside the stream's
-  /// domain (the element is dropped and counted, never fed to a synopsis).
+  /// Feeds one element into every subscribed synopsis: the fan-out
+  /// UpdateBatch runs, on a one-element batch that counts no batch.
+  /// NOT_FOUND for an unknown stream; OUT_OF_RANGE if update.value is
+  /// outside the stream's domain (the element is dropped and counted, never
+  /// fed to a synopsis).
   Status Update(const std::string& stream, const StreamUpdate& update);
   Status Update(StreamId stream, const StreamUpdate& update);
 
   /// Feeds a whole batch of elements — the ingest fast path. Stream lookup
-  /// and domain validation are hoisted out of the per-element loop;
-  /// out-of-domain elements are dropped and counted in the stream's ingest
-  /// stats (the rest of the batch is still absorbed, and the call stays
-  /// OK). Frequency-query synopses take the batch through
-  /// SkimmedSketch::UpdateBatch — sharded across SetIngestShards() worker
-  /// threads for large batches — with results identical to element-by-
+  /// and domain validation run once per batch; out-of-domain elements are
+  /// dropped and counted in the stream's ingest stats (the rest of the
+  /// batch is still absorbed, and the call stays OK). Then each subscribed
+  /// query side takes the batch's projection through its predicate and
+  /// AggregateInput weight. Join, distinct, top-k, quantile and range-sum
+  /// synopses take it element by element; frequency synopses take it
+  /// through SkimmedSketch::UpdateBatch, or the worker ingestor under
+  /// IngestOptions — a one-element projection through
+  /// SkimmedSketch::Update. Every synopsis ends identical to element-by-
   /// element Update. NOT_FOUND for an unknown stream.
   Status UpdateBatch(const std::string& stream,
                      std::span<const StreamUpdate> updates);
   Status UpdateBatch(StreamId stream, std::span<const StreamUpdate> updates);
-
-  /// Worker threads UpdateBatch may fan a large batch out to (per
-  /// frequency-query synopsis, via ingest::ConcurrentIngestor). 1 — the
-  /// default — keeps ingestion fully inline. INVALID_ARGUMENT for 0.
-  /// Equivalent to SetIngestOptions with only `shards` changed.
-  Status SetIngestShards(uint64_t num_shards);
 
   /// Full ingestion-concurrency configuration (DESIGN.md §13).
   struct IngestOptions {
@@ -242,7 +245,8 @@ class Engine {
   };
 
   /// Reconfigures ingestion. Flushes and drops existing worker ingestors
-  /// first, so switching modes never loses elements.
+  /// first, so switching modes never loses elements. Change one knob by
+  /// copying ingest_options() and editing it.
   /// INVALID_ARGUMENT for shards == 0 or a zero propagation interval.
   Status SetIngestOptions(const IngestOptions& options);
 
@@ -480,8 +484,8 @@ class Engine {
     metrics::Counter* absorb_nanos = nullptr;
     metrics::Counter* merge_nanos = nullptr;
     // Plan-cache hit/miss totals over this stream's frequency-query
-    // synopses, accumulated on the inline batch path (worker replicas keep
-    // their caches worker-local; see docs/OBSERVABILITY.md).
+    // synopses, accumulated on the inline path (worker replicas keep their
+    // caches worker-local; see docs/OBSERVABILITY.md).
     metrics::Counter* hash_cache_hits = nullptr;
     metrics::Counter* hash_cache_misses = nullptr;
     // Elements accepted by concurrent-mode UpdateBatch but not yet visible
@@ -603,21 +607,38 @@ class Engine {
     return input == AggregateInput::kCount ? update.count : update.measure;
   }
 
-  /// Fans one validated in-domain element out to the subscribed synopses.
-  /// Frequency queries are skipped when `include_frequency_queries` is
-  /// false (UpdateBatch feeds them through the batch path instead).
-  void ApplyToQueries(StreamId stream, const StreamUpdate& update,
-                      bool include_frequency_queries);
+  /// The one ingest fan-out, behind both Update and UpdateBatch. Validates
+  /// `updates` once: out-of-domain elements are dropped and counted, the
+  /// rest move element_count, the absorbed counter and the profiler. Then,
+  /// query by query, every side subscribed to `stream` takes its Project
+  /// of the batch in arrival order. Fails only when a frequency query's
+  /// worker ingestor cannot be built, after every other synopsis is fed.
+  Status FanOut(StreamId stream, std::span<const StreamUpdate> updates);
+
+  /// Fills projection_ with one subscribed side's view of `updates`: the
+  /// in-domain elements `predicate` admits, weighted by `input`, with
+  /// zero weights left out. The span is valid until the next call.
+  std::span<const stream::StreamElement> Project(
+      std::span<const StreamUpdate> updates, uint64_t domain_size,
+      const std::optional<RangePredicate>& predicate, AggregateInput input);
+
+  /// Feeds one frequency query its projection. A single element takes
+  /// SkimmedSketch::Update (under the writer lock when a worker ingestor
+  /// is live); more take UpdateBatch inline, or the worker ingestor when
+  /// IngestOptions has more than one shard or `concurrent` on.
+  Status FeedFrequencyQuery(FrequencyQueryState& q,
+                            std::span<const stream::StreamElement> elements);
 
   StatusOr<StreamId> FindRelation(const std::string& name) const;
 
   /// Publishes `q`'s plan-cache activity to its stream's hash_cache_*
   /// counters as deltas against the last export (so a restored sketch,
-  /// whose tallies restart, publishes cleanly). Called from the inline
-  /// batch path and, pull-style, from RefreshMetricsGauges so scalar-only
-  /// sessions stay current too. Writer-thread only; worker replicas keep
-  /// their caches worker-local, so the counters reflect the inline path
-  /// only.
+  /// whose tallies restart, publishes cleanly). Called after every inline
+  /// UpdateBatch kernel call and, pull-style, from RefreshMetricsGauges,
+  /// which picks up one-element projections (they skip the per-call
+  /// publish: it walks every dyadic level). Writer-thread only; worker
+  /// replicas keep their caches worker-local, so the counters reflect the
+  /// inline path only.
   void PublishHashCacheDeltas(const FrequencyQueryState& q) const;
 
   /// Flushes `q`'s live ingestor and publishes the flush to its stream's
@@ -694,6 +715,9 @@ class Engine {
   QueryId next_query_id_ = 1;
   // Ingestion concurrency configuration (shards + concurrent mode knobs).
   IngestOptions ingest_options_;
+  // Project's output buffer, reused across sides and calls so steady-state
+  // ingest allocates nothing. Writer-thread state like everything above.
+  std::vector<stream::StreamElement> projection_;
   // Two-stage read path selection (defaults all-off). Survives Clear(): it
   // is a session-level setting, not engine state.
   ReadPathOptions read_path_;

@@ -42,7 +42,9 @@ const std::vector<std::pair<std::string, std::string>>& CommandRegistry() {
           {"phi", "phi <q> <phi> — current quantile answer"},
           {"update",
            "update <stream> <value> [count] [measure] — feed one element"},
-          {"load", "load <stream> <trace-path> — replay a trace file"},
+          {"load",
+           "load <stream> <trace-path> — replay a trace file as one batch "
+           "(out-of-domain values are dropped and counted)"},
           {"answer", "answer <q> — current join/self-join/distinct estimate"},
           {"explain",
            "explain <q> — join estimate with provenance (copies, CI, "
@@ -519,15 +521,29 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, elements.status());
       return true;
     }
-    for (const stream::StreamElement& e : *elements) {
-      const Status status =
-          engine_.Update(stream, StreamUpdate{e.value, e.weight, 0});
-      if (!status.ok()) {
-        Error(out, status);
-        return true;
-      }
+    StatusOr<ingest::IngestStats> before = engine_.StreamIngestStats(stream);
+    if (!before.ok()) {
+      Error(out, before.status());
+      return true;
     }
-    OkValue(out, elements->size());
+    std::vector<StreamUpdate> updates;
+    updates.reserve(elements->size());
+    for (const stream::StreamElement& e : *elements) {
+      updates.push_back({e.value, e.weight, 0});
+    }
+    const Status status = engine_.UpdateBatch(stream, updates);
+    if (!status.ok()) {
+      Error(out, status);
+      return true;
+    }
+    // One batch: out-of-domain values are dropped and counted, and the
+    // rest of the trace still loads.
+    const uint64_t dropped =
+        engine_.StreamIngestStats(stream)->elements_dropped -
+        before->elements_dropped;
+    std::string reply = std::to_string(updates.size() - dropped);
+    if (dropped != 0) reply += " dropped=" + std::to_string(dropped);
+    OkValue(out, reply);
     return true;
   }
   if (command == "answer") {

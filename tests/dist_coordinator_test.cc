@@ -5,8 +5,9 @@
 // chaos-injected frame corruption is retried through, a dead shard
 // degrades answers to flagged partials, a worker restarted from its
 // checkpoint (chain joins included) is re-adopted without double-merging,
-// and the coordinator refuses exactly the specs a local engine refuses,
-// with the engine's status codes and nothing left behind to replay.
+// a worker that refuses a replayed registration is never adopted, and the
+// coordinator refuses exactly the specs a local engine refuses, with the
+// engine's status codes and nothing left behind to replay.
 
 #include "dist/coordinator.h"
 
@@ -716,6 +717,70 @@ TEST(CoordinatorTest, RefusesWhatALocalEngineRefusesAndRecordsNothing) {
                 .status()
                 .code(),
             StatusCode::kOutOfRange);
+}
+
+// A restarted worker that refuses a replayed registration is never adopted
+// half-registered: the refusal closes the channel and fails as a shard
+// failure, so every later call shakes hands again (and is refused again)
+// until a worker that takes the whole replay comes back.
+TEST(CoordinatorTest, RefusedReplayLeavesShardUnadoptedUntilItCanServe) {
+  const std::string dir = ::testing::TempDir();
+  WorkerOptions options = MakeWorkerOptions(dir + "/coord_replay.sock", "s0");
+  options.checkpoint_path = dir + "/coord_replay.ckpt";
+  ::unlink(options.checkpoint_path.c_str());
+  WorkerHarness worker(options);
+  Coordinator coordinator({{"s0", options.socket_path}}, FastOptions());
+  query::Engine local;
+  for (const Registration& registration :
+       {Registration{query::StreamSpec{"f", 1u << 12}},
+        Registration{query::StreamSpec{"g", 1u << 12}},
+        Registration{query::QuerySpec(SkimmedJoinSpec())}}) {
+    ASSERT_TRUE(Register(coordinator, registration).ok());
+    ASSERT_TRUE(Register(local, registration).ok());
+  }
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 512;
+  StatusOr<query::QueryId> dist_freq =
+      coordinator.AddFrequencyQuery(frequency, 3);
+  ASSERT_TRUE(dist_freq.ok()) << dist_freq.status();
+  StatusOr<query::QueryId> local_freq = local.AddFrequencyQuery(frequency, 3);
+  ASSERT_TRUE(local_freq.ok()) << local_freq.status();
+  const uint64_t incarnation = coordinator.ShardStatuses()[0].incarnation;
+
+  // The worker comes back from a checkpoint whose g is half as wide: the
+  // stream replay passes (idempotent by name), the f⋈g join is refused.
+  {
+    query::Engine narrow;
+    ASSERT_TRUE(narrow.RegisterStream({"f", 1u << 12}).ok());
+    ASSERT_TRUE(narrow.RegisterStream({"g", 1u << 11}).ok());
+    ASSERT_TRUE(narrow.SaveCheckpoint(options.checkpoint_path).ok());
+  }
+  worker.Restart();
+  const std::vector<query::StreamUpdate> updates = Workload(5, 300);
+  EXPECT_FALSE(coordinator.UpdateBatch("f", updates).ok());
+  EXPECT_FALSE(coordinator.UpdateBatch("f", updates).ok());
+  const std::vector<query::DistShardStatus> statuses =
+      coordinator.ShardStatuses();
+  EXPECT_EQ(statuses[0].incarnation, incarnation);
+  EXPECT_EQ(statuses[0].health, "down");
+
+  // Restarted empty, the worker takes the whole replay and is re-adopted;
+  // the query registered after the join answers like the local engine.
+  ::unlink(options.checkpoint_path.c_str());
+  const uint64_t events_before = LastEventSequence();
+  worker.Restart();
+  ASSERT_TRUE(coordinator.UpdateBatch("f", updates).ok());
+  ASSERT_TRUE(local.UpdateBatch("f", updates).ok());
+  EXPECT_TRUE(ReadoptedSince(events_before, "s0"));
+  EXPECT_NE(coordinator.ShardStatuses()[0].incarnation, incarnation);
+  for (const uint64_t value : {updates[0].value, updates[1].value}) {
+    StatusOr<int64_t> dist_point =
+        coordinator.AnswerPointFrequency(*dist_freq, value);
+    ASSERT_TRUE(dist_point.ok()) << dist_point.status();
+    EXPECT_EQ(*dist_point, *local.AnswerPointFrequency(*local_freq, value));
+  }
+  EXPECT_EQ(coordinator.ShardStatuses()[0].health, "healthy");
 }
 
 // One rule for every kind: until some shard has delivered a delta there is

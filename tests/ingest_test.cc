@@ -2,11 +2,14 @@
 // counter-for-counter identical to scalar Update on every synopsis type,
 // ConcurrentIngestor must reproduce the sequential result exactly at every
 // Flush and any worker count (linearity makes the parallelism lossless),
-// and the engine batch entry point must answer queries identically to
-// element-wise feeding while tracking ingest counters.
+// and the engine's one fan-out must leave every query kind's synopsis
+// record identical whether fed element by element or in batches, under
+// every ingest mode, while tracking ingest counters.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -252,54 +255,122 @@ TEST(ConcurrentIngestorFlushTest,
   EXPECT_EQ(shared.total(), 1);
 }
 
+// Every stream query kind over two streams, fed element by element and in
+// batches of 1, 7 and 4096 under every ingest mode: each synopsis record
+// must equal the inline per-element engine's byte for byte.
 TEST(EngineBatchTest, UpdateBatchMatchesScalarUpdates) {
   const uint64_t kDomain = 1u << 10;
-  auto elements = MixedStream(20000, kDomain, 31);
-  std::vector<query::StreamUpdate> updates;
-  updates.reserve(elements.size());
-  for (const StreamElement& element : elements) {
-    updates.push_back({element.value, element.weight, element.weight * 2});
-  }
+  auto updates_for = [&](uint64_t seed) {
+    std::vector<query::StreamUpdate> updates;
+    for (const StreamElement& element : MixedStream(6000, kDomain, seed)) {
+      updates.push_back({element.value, element.weight, element.weight * 2});
+    }
+    // A few out-of-domain arrivals: dropped and counted, never fed.
+    for (size_t i = 5; i < updates.size(); i += 997) {
+      updates[i].value = kDomain + i;
+    }
+    return updates;
+  };
+  const std::vector<query::StreamUpdate> streams[2] = {updates_for(31),
+                                                       updates_for(37)};
+  const char* const kNames[2] = {"s", "t"};
 
-  auto build = [&](bool batched, uint64_t shards) {
-    auto engine = std::make_unique<query::Engine>();
-    SKIMJOIN_CHECK_OK(engine->SetIngestShards(shards));
-    SKIMJOIN_CHECK(engine->RegisterStream({"s", kDomain}).ok());
+  struct Mode {
+    const char* name;
+    query::Engine::IngestOptions options;
+  };
+  const Mode modes[] = {
+      {"inline", {}},
+      {"shards=4", {.shards = 4}},
+      {"concurrent+flush", {.shards = 2, .concurrent = true}},
+  };
+  constexpr size_t kPerElement = 0;
+  const size_t feeds[] = {kPerElement, 1, 7, 4096};
+
+  // The records of every query, then each stream's element count and
+  // absorbed / dropped tallies.
+  auto build = [&](const query::Engine::IngestOptions& options,
+                   size_t batch) {
+    query::Engine engine;
+    SKIMJOIN_CHECK_OK(engine.SetIngestOptions(options));
+    for (const char* name : kNames) {
+      SKIMJOIN_CHECK(engine.RegisterStream({name, kDomain}).ok());
+    }
+    query::JoinQuerySpec join;
+    join.left_stream = "s";
+    join.right_stream = "t";
+    join.left_input = query::AggregateInput::kMeasure;
+    join.left_predicate = query::RangePredicate{0, kDomain / 2 - 1};
     query::SelfJoinQuerySpec self_join;
     self_join.stream = "s";
-    self_join.estimator.kind = core::EstimatorKind::kSkimmedSketch;
-    auto jq = engine->AddSelfJoinQuery(self_join, 5);
-    SKIMJOIN_CHECK(jq.ok());
     query::FrequencyQuerySpec freq;
     freq.stream = "s";
-    auto fq = engine->AddFrequencyQuery(freq, 5);
-    SKIMJOIN_CHECK(fq.ok());
-    if (batched) {
-      SKIMJOIN_CHECK_OK(engine->UpdateBatch("s", updates));
-    } else {
-      for (const query::StreamUpdate& update : updates) {
-        SKIMJOIN_CHECK_OK(engine->Update("s", update));
+    freq.predicate = query::RangePredicate{0, 255};
+    query::DistinctCountQuerySpec distinct;
+    distinct.stream = "t";
+    query::TopKQuerySpec top_k;
+    top_k.stream = "s";
+    query::QuantileQuerySpec quantile;
+    quantile.stream = "t";
+    query::RangeSumQuerySpec range_sum;
+    range_sum.stream = "s";
+    range_sum.coefficient_budget = 64;
+    std::vector<query::QueryId> ids = {
+        *engine.AddJoinQuery(join, 5),
+        *engine.AddSelfJoinQuery(self_join, 6),
+        *engine.AddFrequencyQuery(freq, 7),
+        *engine.AddDistinctCountQuery(distinct, 8),
+        *engine.AddTopKQuery(top_k, 9),
+        *engine.AddQuantileQuery(quantile),
+        *engine.AddRangeSumQuery(range_sum),
+    };
+
+    const size_t step = batch == kPerElement ? 1 : batch;
+    for (size_t at = 0; at < streams[0].size(); at += step) {
+      for (int s = 0; s < 2; ++s) {
+        const std::span<const query::StreamUpdate> chunk =
+            std::span<const query::StreamUpdate>(streams[s]).subspan(
+                at, std::min(step, streams[s].size() - at));
+        if (batch != kPerElement) {
+          SKIMJOIN_CHECK_OK(engine.UpdateBatch(kNames[s], chunk));
+          continue;
+        }
+        const Status status = engine.Update(kNames[s], chunk[0]);
+        EXPECT_EQ(status.code(), chunk[0].value < kDomain
+                                     ? StatusCode::kOk
+                                     : StatusCode::kOutOfRange);
       }
     }
-    struct Answers {
-      double join;
-      int64_t freq0;
-      int64_t count;
-    };
-    return Answers{*engine->AnswerJoin(*jq),
-                   *engine->AnswerPointFrequency(*fq, 0),
-                   *engine->StreamElementCount("s")};
+    engine.FlushIngest();
+
+    std::vector<std::string> records(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      SKIMJOIN_CHECK_OK(engine.SerializeQuerySynopsis(ids[i], &records[i]));
+    }
+    for (const char* name : kNames) {
+      const ingest::IngestStats stats = *engine.StreamIngestStats(name);
+      records.push_back(std::to_string(*engine.StreamElementCount(name)) +
+                        " " + std::to_string(stats.elements_absorbed) + " " +
+                        std::to_string(stats.elements_dropped));
+    }
+    return records;
   };
 
-  const auto scalar = build(false, 1);
-  const auto inline_batch = build(true, 1);
-  const auto sharded_batch = build(true, 4);
-  EXPECT_EQ(scalar.count, inline_batch.count);
-  EXPECT_EQ(scalar.count, sharded_batch.count);
-  EXPECT_DOUBLE_EQ(scalar.join, inline_batch.join);
-  EXPECT_DOUBLE_EQ(scalar.join, sharded_batch.join);
-  EXPECT_EQ(scalar.freq0, inline_batch.freq0);
-  EXPECT_EQ(scalar.freq0, sharded_batch.freq0);
+  const std::vector<std::string> reference = build({}, kPerElement);
+  for (const Mode& mode : modes) {
+    for (const size_t batch : feeds) {
+      if (batch == kPerElement && std::string(mode.name) == "inline") continue;
+      SCOPED_TRACE(std::string(mode.name) + (batch == kPerElement
+                                                  ? " per-element Update"
+                                                  : " UpdateBatch of " +
+                                                        std::to_string(batch)));
+      const std::vector<std::string> records = build(mode.options, batch);
+      ASSERT_EQ(records.size(), reference.size());
+      for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_TRUE(records[i] == reference[i]) << "record " << i;
+      }
+    }
+  }
 }
 
 TEST(EngineBatchTest, DropsOutOfDomainAndCountsThem) {
@@ -333,7 +404,8 @@ TEST(EngineBatchTest, UnknownStreamAndBadShardCountRejected) {
   std::vector<query::StreamUpdate> updates = {{1, 1, 0}};
   EXPECT_EQ(engine.UpdateBatch("nope", updates).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(engine.SetIngestShards(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.SetIngestOptions({.shards = 0}).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(engine.StreamIngestStats("nope").ok());
 }
 

@@ -180,6 +180,23 @@ TEST(ShellTest, LoadReplaysTraceFiles) {
   std::remove(path.c_str());
 }
 
+// A trace is one batch: an out-of-domain value is dropped and counted, and
+// the elements before and after it still load.
+TEST(ShellTest, LoadDropsOutOfDomainValuesAndReportsThem) {
+  const std::string path = ::testing::TempDir() + "/shell_drop.trace";
+  ASSERT_TRUE(stream::WriteTrace(path, {stream::Insert(1), stream::Insert(99),
+                                        stream::Insert(2), stream::Insert(3)})
+                  .ok());
+  Shell shell;
+  ASSERT_EQ(Exec(&shell, "stream f 16"), "ok");
+  ASSERT_EQ(Exec(&shell, "freq q f 256"), "ok");
+  EXPECT_EQ(Exec(&shell, "load f " + path), "ok 3 dropped=1");
+  EXPECT_EQ(Exec(&shell, "count f"), "ok 3");
+  EXPECT_EQ(Exec(&shell, "point q 3"), "ok 1");
+  EXPECT_EQ(Exec(&shell, "load g " + path).rfind("error: NOT_FOUND", 0), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(ShellTest, RunProcessesScriptsAndCountsErrors) {
   std::istringstream script(
       "stream f 64\n"
