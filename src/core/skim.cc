@@ -67,7 +67,7 @@ DenseFrequencies SkimDenseCandidates(sketch::HashSketch* sketch,
   return dense;
 }
 
-int64_t DenseDenseJoin(const DenseFrequencies& f, const DenseFrequencies& g) {
+double DenseDenseJoin(const DenseFrequencies& f, const DenseFrequencies& g) {
   __int128 total = 0;
   auto fi = f.begin();
   auto gi = g.begin();
@@ -82,8 +82,7 @@ int64_t DenseDenseJoin(const DenseFrequencies& f, const DenseFrequencies& g) {
       ++gi;
     }
   }
-  SKIMJOIN_CHECK(total <= INT64_MAX && total >= INT64_MIN);
-  return static_cast<int64_t>(total);
+  return static_cast<double>(total);
 }
 
 std::vector<double> EstimateSubJoinSizePerTable(

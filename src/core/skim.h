@@ -59,8 +59,11 @@ DenseFrequencies SkimDenseCandidates(sketch::HashSketch* sketch,
                                      int64_t threshold, int64_t margin = 0);
 
 /// Exact dense·dense subjoin Σ_v Ê_F(v)·Ê_G(v) (step 2 of ESTSKIMJOINSIZE;
-/// computed with zero error since both vectors are explicit).
-int64_t DenseDenseJoin(const DenseFrequencies& f, const DenseFrequencies& g);
+/// computed with zero error since both vectors are explicit). Summed in 128
+/// bits and returned as a double like the other sub-joins, so a total past
+/// int64 rounds instead of aborting; one that fits int64 converts exactly
+/// as it did through int64.
+double DenseDenseJoin(const DenseFrequencies& f, const DenseFrequencies& g);
 
 /// ESTSUBJOINSIZE (Fig. 4): estimate of Σ_v Ê_F(v)·r_G(v), the subjoin of
 /// the explicit dense frequencies of F with the residual (sparse)

@@ -234,8 +234,7 @@ JoinEstimateBreakdown SkimmedSketch::BreakdownFromSkims(
   breakdown.dense_count_g = skim_g.dense.size();
 
   // Step 2: dense·dense, computed exactly from the explicit vectors.
-  breakdown.dense_dense =
-      static_cast<double>(DenseDenseJoin(skim_f.dense, skim_g.dense));
+  breakdown.dense_dense = DenseDenseJoin(skim_f.dense, skim_g.dense);
 
   // Dense frequencies of one stream against the residual sketch of the
   // other (ESTSUBJOINSIZE, both directions). The skimmed copies are

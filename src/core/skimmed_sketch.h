@@ -244,7 +244,8 @@ class SkimmedSketch {
   /// Monotone mutation epoch, forwarded from the level-0 sketch (every
   /// answer-changing mutation touches level 0). Derived state — never
   /// serialized, ignored by CompatibleWith. Read-side caches use it to
-  /// detect staleness in O(1); see sketch::SlimView and query::QueryCache.
+  /// detect staleness in O(1); see sketch::SlimView and the engine's
+  /// cached point answers (DESIGN.md §11).
   uint64_t update_epoch() const { return level0_.update_epoch(); }
 
   /// Result of skimming a COPY of the level-0 sketch: the dense vector, the

@@ -50,6 +50,10 @@ class TopKTracker {
 
   uint64_t k() const { return k_; }
 
+  /// Whether `other` tracks the same k (what a loaded record must share
+  /// with the tracker it replaces).
+  bool CompatibleWith(const TopKTracker& other) const { return k_ == other.k_; }
+
   /// The underlying sketch (point estimates, space accounting).
   const sketch::HashSketch& sketch() const { return sketch_; }
 

@@ -244,17 +244,17 @@ Status Engine::SaveCheckpoint(
   // Queries ascending by id, so the file layout is deterministic for a
   // given engine state. A query is supported exactly when the one
   // synopsis dispatch can write it.
-  manifest << "queries " << registrations_.size() << '\n';
+  manifest << "queries " << queries_.size() << '\n';
   std::vector<std::pair<QueryId, std::string>> synopses;
-  for (const auto& [id, registration] : registrations_) {
+  for (const auto& [id, q] : queries_) {
     std::string synopsis;
     const Status serialized = SerializeQuerySynopsis(id, &synopsis);
     if (!serialized.ok() && serialized.code() != StatusCode::kUnimplemented) {
       return serialized;
     }
-    manifest << id << ' ' << QueryKindName(registration.spec) << ' '
-             << registration.seed << ' ' << (serialized.ok() ? 1 : 0) << ' ';
-    WriteQuerySpec(manifest, registration.spec);
+    manifest << id << ' ' << QueryKindName(q.spec) << ' ' << q.seed << ' '
+             << (serialized.ok() ? 1 : 0) << ' ';
+    WriteQuerySpec(manifest, q.spec);
     manifest << '\n';
     if (serialized.ok()) synopses.emplace_back(id, std::move(synopsis));
   }
@@ -297,12 +297,6 @@ StatusOr<RestoreReport> Engine::RestoreCheckpoint(const std::string& path,
     return FailedPreconditionError(
         "RestoreCheckpoint requires an empty engine (call Clear() first)");
   }
-  // An empty engine holds no queries, so the read-path cache must already
-  // be empty — but drop defensively: restored query ids restart from 1 and
-  // the restored epoch counters are re-seeded below, so an entry surviving
-  // from a previous life could collide with a fresh (id, epochs) pair.
-  query_cache_.DropAll();
-
   // Read every intact section. On the first read error: strict mode fails
   // outright; partial mode keeps what was read (sections are CRC-verified
   // individually, so everything before the error is trustworthy).

@@ -56,19 +56,11 @@ struct Overloaded : Fs... {
   using Fs::operator()...;
 };
 
-/// The query state registered under `id` in `queries`, or null.
-template <typename Map>
-auto* FindQueryState(Map& queries, QueryId id) {
-  const auto it = queries.find(id);
-  return it == queries.end() ? nullptr : &it->second;
-}
-
-/// Sets `*synopsis` to the merge of `records` (DeserializeFrom records that
-/// `compatible` accepts against the registered synopsis): the first
-/// replaces it, later ones merge in. Families without a Merge take one.
-template <typename Synopsis, typename Compatible>
-Status LoadRecords(std::span<const std::string> records, Synopsis* synopsis,
-                   Compatible compatible) {
+/// Sets `*synopsis` to the merge of `records` (DeserializeFrom records
+/// CompatibleWith the registered synopsis): the first replaces it, later
+/// ones merge in. Families without a Merge take one.
+template <typename Synopsis>
+Status LoadRecords(std::span<const std::string> records, Synopsis* synopsis) {
   constexpr bool kMergeable = requires(Synopsis& s) { s.Merge(s); };
   if (!kMergeable && records.size() != 1) {
     return InvalidArgumentError(
@@ -77,7 +69,7 @@ Status LoadRecords(std::span<const std::string> records, Synopsis* synopsis,
   for (size_t i = 0; i < records.size(); ++i) {
     std::istringstream in(records[i]);
     SKIMJOIN_ASSIGN_OR_RETURN(Synopsis loaded, Synopsis::DeserializeFrom(in));
-    if (!compatible(loaded, *synopsis)) {
+    if (!loaded.CompatibleWith(*synopsis)) {
       return InvalidArgumentError(
           "synopsis record disagrees with its query spec");
     }
@@ -272,60 +264,45 @@ Engine::QueryMetrics Engine::MakeQueryMetrics(QueryId id) {
   return metrics;
 }
 
-QueryCache::Epochs Engine::EpochsFor(const JoinQueryState& q) const {
-  // Self-joins register left == right; the duplicate entry is harmless
-  // (both slots move together) and keeps the shape uniform.
-  return {streams_[q.left].absorbed->Value(),
-          streams_[q.right].absorbed->Value()};
-}
-
-QueryCache::Epochs Engine::EpochsFor(const FrequencyQueryState& q) {
-  return {q.sketch.update_epoch()};
-}
-
-void Engine::CountCacheOutcome(const QueryMetrics& metrics,
-                               QueryCache::Outcome outcome) {
-  switch (outcome) {
-    case QueryCache::Outcome::kHit:
-      metrics.cache_hits->Increment();
-      break;
-    case QueryCache::Outcome::kMiss:
-      metrics.cache_misses->Increment();
-      break;
-    case QueryCache::Outcome::kInvalidated:
-      // An invalidated entry still forces a recompute, so it is both an
-      // invalidation and a miss — dashboards can read hit rates off
-      // hits / (hits + misses) without special-casing.
-      metrics.cache_invalidations->Increment();
-      metrics.cache_misses->Increment();
-      break;
+template <typename Answer>
+const Engine::CachedAnswer<Answer>* Engine::LookupCached(
+    const CachedAnswer<Answer>* entry, const Epochs& epochs,
+    const QueryMetrics& metrics) {
+  if (entry != nullptr && entry->epochs == epochs) {
+    metrics.cache_hits->Increment();
+    return entry;
   }
+  // An invalidated entry still forces a recompute, so it is both an
+  // invalidation and a miss — dashboards can read hit rates off
+  // hits / (hits + misses) without special-casing.
+  if (entry != nullptr) metrics.cache_invalidations->Increment();
+  metrics.cache_misses->Increment();
+  return nullptr;
 }
 
 void Engine::SetReadPathOptions(const ReadPathOptions& options) {
-  if (!options.use_query_cache) query_cache_.DropAll();
+  if (!options.use_query_cache) {
+    for (const auto& [id, q] : queries_) q.DropCachedAnswers();
+  }
   read_path_ = options;
 }
 
 StatusOr<Engine::QueryCacheStats> Engine::QueryCacheStatsFor(
     QueryId query) const {
-  const QueryMetrics* metrics = nullptr;
-  if (const auto it = join_queries_.find(query); it != join_queries_.end()) {
-    metrics = &it->second.metrics;
-  } else if (const auto fit = frequency_queries_.find(query);
-             fit != frequency_queries_.end()) {
-    metrics = &fit->second.metrics;
-  }
-  if (metrics == nullptr) {
+  const auto it = queries_.find(query);
+  if (it == queries_.end() ||
+      !(std::holds_alternative<JoinSynopsis>(it->second.synopsis) ||
+        std::holds_alternative<FrequencySynopsis>(it->second.synopsis))) {
     return NotFoundError("query " + std::to_string(query) +
                          " has no cached read path (not a join or "
                          "frequency query)");
   }
+  const QueryMetrics& metrics = it->second.metrics;
   QueryCacheStats stats;
   stats.enabled = read_path_.use_query_cache;
-  stats.hits = metrics->cache_hits->Value();
-  stats.misses = metrics->cache_misses->Value();
-  stats.invalidations = metrics->cache_invalidations->Value();
+  stats.hits = metrics.cache_hits->Value();
+  stats.misses = metrics.cache_misses->Value();
+  stats.invalidations = metrics.cache_invalidations->Value();
   return stats;
 }
 
@@ -426,12 +403,10 @@ StatusOr<QueryId> Engine::AddJoinQuery(const JoinQuerySpec& spec,
                             core::CreateJoinEstimatorPair(estimator_spec,
                                                           seed));
 
-  const QueryId id = RegisterQuery(spec, seed);
-  join_queries_.emplace(
-      id, JoinQueryState{std::move(pair), left, right, spec.left_input,
-                         spec.right_input, spec.left_predicate,
-                         spec.right_predicate, MakeQueryMetrics(id)});
-  return id;
+  return RegisterQuery(spec, seed,
+                       {{left, spec.left_predicate, spec.left_input},
+                        {right, spec.right_predicate, spec.right_input}},
+                       std::move(pair));
 }
 
 StatusOr<QueryId> Engine::AddSelfJoinQuery(const SelfJoinQuerySpec& spec,
@@ -456,13 +431,8 @@ StatusOr<QueryId> Engine::AddFrequencyQuery(const FrequencyQuerySpec& spec,
   SKIMJOIN_ASSIGN_OR_RETURN(core::SkimmedSketch sketch,
                             core::SkimmedSketch::Create(config, seed));
 
-  const QueryId id = RegisterQuery(spec, seed);
-  frequency_queries_.emplace(
-      id, FrequencyQueryState{std::move(sketch), stream, spec.predicate,
-                              MakeQueryMetrics(id),
-                              /*cache_hits_seen=*/0, /*cache_misses_seen=*/0,
-                              /*concurrent=*/nullptr});
-  return id;
+  return RegisterQuery(spec, seed, {{stream, spec.predicate}},
+                       FrequencySynopsis{std::move(sketch)});
 }
 
 StatusOr<QueryId> Engine::AddDistinctCountQuery(
@@ -470,11 +440,8 @@ StatusOr<QueryId> Engine::AddDistinctCountQuery(
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
   SKIMJOIN_ASSIGN_OR_RETURN(sketch::FmSketch sketch,
                             sketch::FmSketch::Create(spec.num_maps, seed));
-  const QueryId id = RegisterQuery(spec, seed);
-  distinct_queries_.emplace(
-      id, DistinctQueryState{std::move(sketch), stream, spec.predicate,
-                             MakeQueryMetrics(id)});
-  return id;
+  return RegisterQuery(spec, seed, {{stream, spec.predicate}},
+                       std::move(sketch));
 }
 
 StatusOr<QueryId> Engine::AddTopKQuery(const TopKQuerySpec& spec,
@@ -490,22 +457,16 @@ StatusOr<QueryId> Engine::AddTopKQuery(const TopKQuerySpec& spec,
       std::max<uint64_t>(1, spec.space_counters / spec.num_tables);
   SKIMJOIN_ASSIGN_OR_RETURN(core::TopKTracker tracker,
                             core::TopKTracker::Create(spec.k, config, seed));
-  const QueryId id = RegisterQuery(spec, seed);
-  topk_queries_.emplace(
-      id, TopKQueryState{std::move(tracker), stream, spec.predicate,
-                         MakeQueryMetrics(id)});
-  return id;
+  return RegisterQuery(spec, seed, {{stream, spec.predicate}},
+                       std::move(tracker));
 }
 
 StatusOr<QueryId> Engine::AddQuantileQuery(const QuantileQuerySpec& spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(const StreamId stream, FindStream(spec.stream));
   SKIMJOIN_ASSIGN_OR_RETURN(stream::GkQuantileSummary summary,
                             stream::GkQuantileSummary::Create(spec.epsilon));
-  const QueryId id = RegisterQuery(spec, /*seed=*/0);
-  quantile_queries_.emplace(
-      id, QuantileQueryState{std::move(summary), stream, spec.predicate,
-                             MakeQueryMetrics(id)});
-  return id;
+  return RegisterQuery(spec, /*seed=*/0, {{stream, spec.predicate}},
+                       std::move(summary));
 }
 
 StatusOr<QueryId> Engine::AddRangeSumQuery(const RangeSumQuerySpec& spec) {
@@ -516,12 +477,8 @@ StatusOr<QueryId> Engine::AddRangeSumQuery(const RangeSumQuerySpec& spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(
       stream::WaveletSynopsis synopsis,
       stream::WaveletSynopsis::Create(streams_[stream].spec.domain_size));
-  const QueryId id = RegisterQuery(spec, /*seed=*/0);
-  range_sum_queries_.emplace(
-      id, RangeSumQueryState{std::move(synopsis), stream,
-                             spec.coefficient_budget, spec.predicate,
-                             MakeQueryMetrics(id)});
-  return id;
+  return RegisterQuery(spec, /*seed=*/0, {{stream, spec.predicate}},
+                       std::move(synopsis));
 }
 
 StatusOr<StreamId> Engine::RegisterRelation(const RelationSpec& spec) {
@@ -557,8 +514,6 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
   if (spec.relations.size() < 2) {
     return InvalidArgumentError("a chain join needs >= 2 relations");
   }
-  std::vector<StreamId> chain;
-  chain.reserve(spec.relations.size());
   for (size_t position = 0; position < spec.relations.size(); ++position) {
     SKIMJOIN_ASSIGN_OR_RETURN(const StreamId id,
                               FindRelation(spec.relations[position]));
@@ -572,11 +527,9 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
           std::to_string(position) + " requires arity " +
           std::to_string(expected_arity));
     }
-    chain.push_back(id);
   }
 
-  ChainJoinQueryState state;
-  state.chain = std::move(chain);
+  std::optional<ChainSynopsis> synopsis;
   if (spec.method == ChainJoinQuerySpec::Method::kAgmsGrid) {
     MultiJoinConfig config;
     config.num_means = spec.num_means;
@@ -588,7 +541,7 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
     config.relation_attributes.push_back({spec.relations.size() - 2});
     SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinEstimator grid,
                               MultiJoinEstimator::Create(config, seed));
-    state.grid = std::move(grid);
+    synopsis.emplace(std::move(grid));
   } else {
     MultiJoinHashConfig config;
     config.num_relations = spec.relations.size();
@@ -596,12 +549,9 @@ StatusOr<QueryId> Engine::AddChainJoinQuery(const ChainJoinQuerySpec& spec,
     config.num_buckets = spec.num_buckets;
     SKIMJOIN_ASSIGN_OR_RETURN(MultiJoinHashEstimator hashed,
                               MultiJoinHashEstimator::Create(config, seed));
-    state.hashed = std::move(hashed);
+    synopsis.emplace(std::move(hashed));
   }
-  const QueryId id = RegisterQuery(spec, seed);
-  state.metrics = MakeQueryMetrics(id);
-  chain_queries_.emplace(id, std::move(state));
-  return id;
+  return RegisterQuery(spec, seed, {}, *std::move(synopsis));
 }
 
 StatusOr<QueryId> Engine::AddQuery(const QuerySpec& spec, uint64_t seed) {
@@ -623,9 +573,12 @@ StatusOr<QueryId> Engine::AddQuery(const QuerySpec& spec, uint64_t seed) {
       spec);
 }
 
-QueryId Engine::RegisterQuery(QuerySpec spec, uint64_t seed) {
+QueryId Engine::RegisterQuery(QuerySpec spec, uint64_t seed,
+                              std::vector<QueryInput> inputs,
+                              Synopsis synopsis) {
   const QueryId id = next_query_id_++;
-  registrations_.emplace(id, Registration{std::move(spec), seed});
+  queries_.emplace(id, QueryState{std::move(spec), seed, std::move(inputs),
+                                  MakeQueryMetrics(id), std::move(synopsis)});
   return id;
 }
 
@@ -649,22 +602,26 @@ Status Engine::UpdateRelation(const std::string& relation,
   }
   state.tuple_count += weight;
 
-  for (auto& [query_id, q] : chain_queries_) {
-    for (size_t position = 0; position < q.chain.size(); ++position) {
-      if (q.chain[position] != *id) continue;
-      if (q.grid.has_value()) {
-        SKIMJOIN_RETURN_IF_ERROR(q.grid->Update(position, attributes, weight));
-      } else {
-        const bool is_end =
-            (position == 0 || position + 1 == q.chain.size());
-        if (is_end) {
-          SKIMJOIN_RETURN_IF_ERROR(
-              q.hashed->UpdateEnd(position, attributes[0], weight));
-        } else {
-          SKIMJOIN_RETURN_IF_ERROR(q.hashed->UpdateMiddle(
-              position, attributes[0], attributes[1], weight));
-        }
-      }
+  for (auto& [query_id, q] : queries_) {
+    auto* chain = std::get_if<ChainSynopsis>(&q.synopsis);
+    if (chain == nullptr) continue;
+    const std::vector<std::string>& names =
+        std::get<ChainJoinQuerySpec>(q.spec).relations;
+    for (size_t position = 0; position < names.size(); ++position) {
+      if (names[position] != relation) continue;
+      const bool is_end = (position == 0 || position + 1 == names.size());
+      SKIMJOIN_RETURN_IF_ERROR(std::visit(
+          Overloaded{[&](MultiJoinEstimator& grid) {
+                       return grid.Update(position, attributes, weight);
+                     },
+                     [&](MultiJoinHashEstimator& hashed) {
+                       return is_end ? hashed.UpdateEnd(position,
+                                                        attributes[0], weight)
+                                     : hashed.UpdateMiddle(
+                                           position, attributes[0],
+                                           attributes[1], weight);
+                     }},
+          *chain));
     }
   }
   return OkStatus();
@@ -751,66 +708,71 @@ Status Engine::FanOut(StreamId stream, std::span<const StreamUpdate> updates) {
         profiled_deletes, profiled_net);
   }
 
-  // Query by query, each subscribed side takes its own projection of the
-  // batch in arrival order. Synopses are independent, so the visiting
-  // order across queries (and across a self-join's two sides) cannot
-  // change any counter.
-  for (auto& [id, q] : join_queries_) {
-    if (q.left == stream) {
-      for (const stream::StreamElement& e :
-           Project(updates, domain, q.left_predicate, q.left_input)) {
-        q.estimator->UpdateF(e.value, e.weight);
-      }
-    }
-    if (q.right == stream) {
-      for (const stream::StreamElement& e :
-           Project(updates, domain, q.right_predicate, q.right_input)) {
-        q.estimator->UpdateG(e.value, e.weight);
-      }
+  // Query by query, each input that reads `stream` takes its own
+  // projection of the batch in arrival order. Synopses are independent,
+  // so the visiting order across queries (and across a self-join's two
+  // sides) cannot change any counter. A failure stops no other input.
+  Status status = OkStatus();
+  for (auto& [id, q] : queries_) {
+    for (size_t side = 0; side < q.inputs.size(); ++side) {
+      const QueryInput& input = q.inputs[side];
+      if (input.stream != stream) continue;
+      Status fed = Feed(
+          q, side, Project(updates, domain, input.predicate, input.input));
+      if (status.ok()) status = std::move(fed);
     }
   }
-  for (auto& [id, q] : distinct_queries_) {
-    if (q.stream != stream) continue;
-    for (const stream::StreamElement& e :
-         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
-      q.sketch.Update(e.value, e.weight);
-    }
-  }
-  for (auto& [id, q] : topk_queries_) {
-    if (q.stream != stream) continue;
-    for (const stream::StreamElement& e :
-         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
-      q.tracker.Update(e.value, e.weight);
-    }
-  }
-  for (auto& [id, q] : quantile_queries_) {
-    if (q.stream != stream) continue;
-    for (const stream::StreamElement& e :
-         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
-      // GK summaries are insert-only; deletes are documented as ignored.
-      for (int64_t i = 0; i < e.weight; ++i) q.summary.Insert(e.value);
-    }
-  }
-  for (auto& [id, q] : range_sum_queries_) {
-    if (q.stream != stream) continue;
-    for (const stream::StreamElement& e :
-         Project(updates, domain, q.predicate, AggregateInput::kCount)) {
-      q.synopsis.Update(e.value, e.weight);
-      // Keep the synopsis a B-term summary (with slack so compression is
-      // amortized, not per-update).
-      if (q.synopsis.CoefficientCount() > 2 * q.coefficient_budget) {
-        q.synopsis.CompressTo(q.coefficient_budget);
-      }
-    }
-  }
-  // Frequency queries last: a worker ingestor that cannot be built fails
-  // the call after every other synopsis has its elements.
-  for (auto& [id, q] : frequency_queries_) {
-    if (q.stream != stream) continue;
-    SKIMJOIN_RETURN_IF_ERROR(FeedFrequencyQuery(
-        q, Project(updates, domain, q.predicate, AggregateInput::kCount)));
-  }
-  return OkStatus();
+  return status;
+}
+
+Status Engine::Feed(QueryState& q, size_t side,
+                    std::span<const stream::StreamElement> elements) {
+  return std::visit(
+      Overloaded{
+          [&](JoinSynopsis& join) {
+            // Join sides take scalar updates in arrival order.
+            for (const stream::StreamElement& e : elements) {
+              if (side == 0) {
+                join->UpdateF(e);
+              } else {
+                join->UpdateG(e);
+              }
+            }
+            return OkStatus();
+          },
+          [&](FrequencySynopsis& f) {
+            return FeedFrequencyQuery(f, q.inputs[side].stream, elements);
+          },
+          [&](stream::GkQuantileSummary& summary) {
+            // GK summaries are insert-only; deletes are documented as
+            // ignored.
+            for (const stream::StreamElement& e : elements) {
+              for (int64_t i = 0; i < e.weight; ++i) summary.Insert(e.value);
+            }
+            return OkStatus();
+          },
+          [&](stream::WaveletSynopsis& synopsis) {
+            const uint64_t budget =
+                std::get<RangeSumQuerySpec>(q.spec).coefficient_budget;
+            for (const stream::StreamElement& e : elements) {
+              synopsis.Update(e.value, e.weight);
+              // Keep the synopsis a B-term summary (with slack so
+              // compression is amortized, not per-update).
+              if (synopsis.CoefficientCount() > 2 * budget) {
+                synopsis.CompressTo(budget);
+              }
+            }
+            return OkStatus();
+          },
+          // A chain join reads relations (UpdateRelation), never a stream.
+          [](ChainSynopsis&) { return OkStatus(); },
+          [&](auto& synopsis) {  // distinct count, top-k
+            for (const stream::StreamElement& e : elements) {
+              synopsis.Update(e);
+            }
+            return OkStatus();
+          }},
+      q.synopsis);
 }
 
 std::span<const stream::StreamElement> Engine::Project(
@@ -827,7 +789,8 @@ std::span<const stream::StreamElement> Engine::Project(
 }
 
 Status Engine::FeedFrequencyQuery(
-    FrequencyQueryState& q, std::span<const stream::StreamElement> elements) {
+    FrequencySynopsis& f, StreamId stream,
+    std::span<const stream::StreamElement> elements) {
   if (elements.empty()) return OkStatus();
   if (elements.size() == 1) {
     // One element is cheapest as a scalar update: the batch kernel's and a
@@ -836,35 +799,35 @@ Status Engine::FeedFrequencyQuery(
     // lock instead of racing it. The plan-cache tallies reach the stream
     // counters through RefreshMetricsGauges' pull.
     ingest::ConcurrentIngestor<core::SkimmedSketch>::WriteLock lock;
-    if (q.concurrent != nullptr) lock = q.concurrent->WriterLock();
-    q.sketch.Update(elements[0]);
+    if (f.concurrent != nullptr) lock = f.concurrent->WriterLock();
+    f.sketch.Update(elements[0]);
     return OkStatus();
   }
   if (ingest_options_.shards == 1 && !ingest_options_.concurrent) {
-    q.sketch.UpdateBatch(elements);
-    PublishHashCacheDeltas(q);
+    f.sketch.UpdateBatch(elements);
+    PublishHashCacheDeltas(stream, f);
     return OkStatus();
   }
   // Worker path: hand chunks to the persistent workers. Concurrent mode
   // returns without waiting — staleness is bounded by the ingestor's
   // propagation policy and FlushIngest() is the linearization point.
   // Synchronous sharding flushes before returning, so reads stay exact.
-  if (q.concurrent == nullptr) {
+  if (f.concurrent == nullptr) {
     ingest::ConcurrentIngestOptions options;
     options.num_workers = ingest_options_.shards;
     options.propagation_interval_elements =
         ingest_options_.propagation_interval_elements;
     options.max_lag_elements = ingest_options_.max_lag_elements;
     SKIMJOIN_ASSIGN_OR_RETURN(
-        q.concurrent, ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
-                          &q.sketch, options));
+        f.concurrent, ingest::ConcurrentIngestor<core::SkimmedSketch>::Create(
+                          &f.sketch, options));
   }
-  q.concurrent->AbsorbBatch(elements);
+  f.concurrent->AbsorbBatch(elements);
   if (ingest_options_.concurrent) {
-    streams_[q.stream].epoch_lag->Set(
-        static_cast<double>(q.concurrent->epoch_lag()));
+    streams_[stream].epoch_lag->Set(
+        static_cast<double>(f.concurrent->epoch_lag()));
   } else {
-    FlushFrequencyIngest(q);
+    FlushFrequencyIngest(f, stream);
   }
   return OkStatus();
 }
@@ -880,22 +843,29 @@ Status Engine::SetIngestOptions(const IngestOptions& options) {
   // them out so no accepted element is lost, then let the next batch
   // rebuild under the new knobs.
   FlushIngest();
-  for (auto& [id, q] : frequency_queries_) q.concurrent.reset();
+  for (auto& [id, q] : queries_) {
+    if (auto* f = std::get_if<FrequencySynopsis>(&q.synopsis)) {
+      f->concurrent.reset();
+    }
+  }
   ingest_options_ = options;
   return OkStatus();
 }
 
 void Engine::FlushIngest() {
-  for (auto& [id, q] : frequency_queries_) {
-    if (q.concurrent != nullptr) FlushFrequencyIngest(q);
+  for (auto& [id, q] : queries_) {
+    auto* f = std::get_if<FrequencySynopsis>(&q.synopsis);
+    if (f != nullptr && f->concurrent != nullptr) {
+      FlushFrequencyIngest(*f, q.inputs[0].stream);
+    }
   }
 }
 
-void Engine::FlushFrequencyIngest(FrequencyQueryState& q) {
-  const ingest::IngestStats before = q.concurrent->stats();
-  q.concurrent->Flush();
-  const ingest::IngestStats& after = q.concurrent->stats();
-  StreamState& state = streams_[q.stream];
+void Engine::FlushFrequencyIngest(FrequencySynopsis& f, StreamId stream) {
+  const ingest::IngestStats before = f.concurrent->stats();
+  f.concurrent->Flush();
+  const ingest::IngestStats& after = f.concurrent->stats();
+  StreamState& state = streams_[stream];
   state.merges->Increment();
   state.absorb_nanos->Increment(after.absorb_nanos - before.absorb_nanos);
   state.merge_nanos->Increment(after.merge_nanos - before.merge_nanos);
@@ -927,126 +897,114 @@ Status Engine::AttachAccuracyReference(
   return OkStatus();
 }
 
-void Engine::MaybeRecordJoinDrift(QueryId query, const JoinQueryState& q,
+void Engine::MaybeRecordJoinDrift(QueryId query, const QueryState& q,
                                   double estimate) const {
-  const stream::FrequencyVector* left = streams_[q.left].reference;
-  const stream::FrequencyVector* right = streams_[q.right].reference;
-  if (left == nullptr || right == nullptr) return;
   // The reference holds raw frequencies: only an unfiltered COUNT join has
   // an exact counterpart to compare against.
-  if (q.left_predicate.has_value() || q.right_predicate.has_value()) return;
-  if (q.left_input != AggregateInput::kCount ||
-      q.right_input != AggregateInput::kCount) {
-    return;
+  for (const QueryInput& input : q.inputs) {
+    if (streams_[input.stream].reference == nullptr ||
+        input.predicate.has_value() || input.input != AggregateInput::kCount) {
+      return;
+    }
   }
+  const stream::FrequencyVector* left = streams_[q.inputs[0].stream].reference;
+  const stream::FrequencyVector* right = streams_[q.inputs[1].stream].reference;
   if (left->domain_size() != right->domain_size()) return;
   RecordRelError(query, q.metrics.rel_error, estimate,
                  static_cast<double>(stream::JoinSize(*left, *right)));
 }
 
 StatusOr<double> Engine::AnswerJoin(QueryId query) const {
-  const auto it = join_queries_.find(query);
-  if (it == join_queries_.end()) {
-    return NotFoundError("unknown join query id");
-  }
-  const JoinQueryState& q = it->second;
+  const auto [q, join] = FindQuery<JoinSynopsis>(query);
+  if (join == nullptr) return NotFoundError("unknown join query id");
+  // Self-joins read one stream twice; the duplicate slot is harmless (both
+  // move together) and keeps the shape uniform.
+  const Epochs epochs = {streams_[q->inputs[0].stream].absorbed->Value(),
+                         streams_[q->inputs[1].stream].absorbed->Value()};
   if (read_path_.use_query_cache) {
-    const QueryCache::Epochs epochs = EpochsFor(q);
-    QueryCache::Outcome outcome;
-    const std::optional<double> cached =
-        query_cache_.LookupJoin(query, epochs, &outcome);
-    CountCacheOutcome(q.metrics, outcome);
-    if (cached.has_value()) {
+    if (const CachedAnswer<double>* hit = LookupCached(
+            q->cached_join ? &*q->cached_join : nullptr, epochs, q->metrics)) {
       // Hit path stays O(lookup): count the call but take no trace span
       // and no latency sample — estimate_ns measures actual estimator
       // executions. The answer is bit-identical to a recompute (the
       // estimator is deterministic and no participating stream advanced),
       // so the drift record stays meaningful too.
-      q.metrics.estimate_calls->Increment();
-      MaybeRecordJoinDrift(query, q, *cached);
-      return *cached;
+      q->metrics.estimate_calls->Increment();
+      MaybeRecordJoinDrift(query, *q, hit->answer);
+      return hit->answer;
     }
-    metrics::TraceSpan span("estimate", "query");
-    ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-    StatusOr<double> estimate = q.estimator->Estimate();
-    if (estimate.ok()) {
-      query_cache_.StoreJoin(query, epochs, *estimate);
-      MaybeRecordJoinDrift(query, q, *estimate);
-    }
-    return estimate;
   }
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  StatusOr<double> estimate = q.estimator->Estimate();
-  if (estimate.ok()) MaybeRecordJoinDrift(query, q, *estimate);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  StatusOr<double> estimate = (*join)->Estimate();
+  if (estimate.ok()) {
+    if (read_path_.use_query_cache) {
+      q->cached_join = CachedAnswer<double>{epochs, *estimate};
+    }
+    MaybeRecordJoinDrift(query, *q, *estimate);
+  }
   return estimate;
 }
 
 StatusOr<EstimateReport> Engine::AnswerJoinWithReport(QueryId query) const {
-  const auto it = join_queries_.find(query);
-  if (it == join_queries_.end()) {
-    return NotFoundError("unknown join query id");
-  }
-  const JoinQueryState& q = it->second;
+  const auto [q, join] = FindQuery<JoinSynopsis>(query);
+  if (join == nullptr) return NotFoundError("unknown join query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  StatusOr<EstimateReport> report = q.estimator->EstimateWithReport();
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  StatusOr<EstimateReport> report = (*join)->EstimateWithReport();
   if (report.ok()) {
     // Probe AFTER the estimate so skimmed probes compare against the
     // baselines this very answer just recorded. Probes are read-only;
     // the estimate is still bit-identical to AnswerJoin.
-    report->health = q.estimator->HealthProbe();
-    MaybeRecordJoinDrift(query, q, report->estimate);
-    RecordReportMetrics(query, q.metrics, *report);
+    report->health = (*join)->HealthProbe();
+    MaybeRecordJoinDrift(query, *q, report->estimate);
+    RecordReportMetrics(query, q->metrics, *report);
   }
   return report;
 }
 
 StatusOr<int64_t> Engine::AnswerPointFrequency(QueryId query,
                                                uint64_t value) const {
-  const auto it = frequency_queries_.find(query);
-  if (it == frequency_queries_.end()) {
-    return NotFoundError("unknown frequency query id");
-  }
-  const FrequencyQueryState& q = it->second;
-  const StreamState& state = streams_[q.stream];
+  const auto [q, f] = FindQuery<FrequencySynopsis>(query);
+  if (f == nullptr) return NotFoundError("unknown frequency query id");
+  const StreamState& state = streams_[q->inputs[0].stream];
   if (value >= state.spec.domain_size) {
     return OutOfRangeError("value outside the domain of stream " +
                            state.spec.name);
   }
+  const bool exact_reference =
+      state.reference != nullptr && !q->inputs[0].predicate.has_value();
   // Under concurrent ingestion: a whole-epoch (bounded-staleness) snapshot
   // of the sketch, taken without blocking in-flight absorbs. The cache
   // guard is read under the same lock, so a propagation or FlushIngest
   // that moves the sketch invalidates what was cached before it.
-  const FrequencyReadLock read_lock = ReadLockFor(q);
-  QueryCache::Epochs epochs{};
+  const FrequencyReadLock read_lock = ReadLockFor(*f);
+  const Epochs epochs = {f->sketch.update_epoch(), 0};
   if (read_path_.use_query_cache) {
-    epochs = EpochsFor(q);
-    QueryCache::Outcome outcome;
-    const std::optional<int64_t> cached =
-        query_cache_.LookupPoint(query, value, epochs, &outcome);
-    CountCacheOutcome(q.metrics, outcome);
-    if (cached.has_value()) {
+    const auto it = q->cached_points.find(value);
+    if (const CachedAnswer<int64_t>* hit = LookupCached(
+            it == q->cached_points.end() ? nullptr : &it->second, epochs,
+            q->metrics)) {
       // Hit path stays O(lookup): count the call but take no trace span
       // and no latency sample — estimate_ns measures actual estimator
       // executions.
-      q.metrics.estimate_calls->Increment();
-      if (state.reference != nullptr && !q.predicate.has_value()) {
-        RecordRelError(query, q.metrics.rel_error,
-                       static_cast<double>(*cached),
+      q->metrics.estimate_calls->Increment();
+      if (exact_reference) {
+        RecordRelError(query, q->metrics.rel_error,
+                       static_cast<double>(hit->answer),
                        static_cast<double>(state.reference->Get(value)));
       }
-      return *cached;
+      return hit->answer;
     }
   }
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  const int64_t estimate = q.sketch.EstimatePointFrequency(value);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  const int64_t estimate = f->sketch.EstimatePointFrequency(value);
   if (read_path_.use_query_cache) {
-    query_cache_.StorePoint(query, value, epochs, estimate);
+    q->cached_points[value] = CachedAnswer<int64_t>{epochs, estimate};
   }
-  if (state.reference != nullptr && !q.predicate.has_value()) {
-    RecordRelError(query, q.metrics.rel_error, static_cast<double>(estimate),
+  if (exact_reference) {
+    RecordRelError(query, q->metrics.rel_error, static_cast<double>(estimate),
                    static_cast<double>(state.reference->Get(value)));
   }
   return estimate;
@@ -1054,32 +1012,26 @@ StatusOr<int64_t> Engine::AnswerPointFrequency(QueryId query,
 
 StatusOr<core::DenseFrequencies> Engine::AnswerHeavyHitters(
     QueryId query, int64_t threshold) const {
-  const auto it = frequency_queries_.find(query);
-  if (it == frequency_queries_.end()) {
-    return NotFoundError("unknown frequency query id");
-  }
+  const auto [q, f] = FindQuery<FrequencySynopsis>(query);
+  if (f == nullptr) return NotFoundError("unknown frequency query id");
   if (threshold < 1) {
     return InvalidArgumentError("heavy-hitter threshold must be >= 1");
   }
-  const FrequencyQueryState& q = it->second;
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  const FrequencyReadLock read_lock = ReadLockFor(q);
-  return q.sketch.HeavyHitters(threshold);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  const FrequencyReadLock read_lock = ReadLockFor(*f);
+  return f->sketch.HeavyHitters(threshold);
 }
 
 StatusOr<double> Engine::AnswerDistinctCount(QueryId query) const {
-  const auto it = distinct_queries_.find(query);
-  if (it == distinct_queries_.end()) {
-    return NotFoundError("unknown distinct-count query id");
-  }
-  const DistinctQueryState& q = it->second;
+  const auto [q, fm] = FindQuery<sketch::FmSketch>(query);
+  if (fm == nullptr) return NotFoundError("unknown distinct-count query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  const double estimate = q.sketch.EstimateDistinctCount();
-  const StreamState& state = streams_[q.stream];
-  if (state.reference != nullptr && !q.predicate.has_value()) {
-    RecordRelError(query, q.metrics.rel_error, estimate,
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  const double estimate = fm->EstimateDistinctCount();
+  const StreamState& state = streams_[q->inputs[0].stream];
+  if (state.reference != nullptr && !q->inputs[0].predicate.has_value()) {
+    RecordRelError(query, q->metrics.rel_error, estimate,
                    static_cast<double>(state.reference->SupportSize()));
   }
   return estimate;
@@ -1087,66 +1039,47 @@ StatusOr<double> Engine::AnswerDistinctCount(QueryId query) const {
 
 StatusOr<std::vector<std::pair<uint64_t, int64_t>>> Engine::AnswerTopK(
     QueryId query) const {
-  const auto it = topk_queries_.find(query);
-  if (it == topk_queries_.end()) {
-    return NotFoundError("unknown top-k query id");
-  }
-  const TopKQueryState& q = it->second;
+  const auto [q, tracker] = FindQuery<core::TopKTracker>(query);
+  if (tracker == nullptr) return NotFoundError("unknown top-k query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  return q.tracker.TopK();
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return tracker->TopK();
 }
 
 StatusOr<uint64_t> Engine::AnswerQuantile(QueryId query, double phi) const {
-  const auto it = quantile_queries_.find(query);
-  if (it == quantile_queries_.end()) {
-    return NotFoundError("unknown quantile query id");
-  }
-  const QuantileQueryState& q = it->second;
+  const auto [q, summary] = FindQuery<stream::GkQuantileSummary>(query);
+  if (summary == nullptr) return NotFoundError("unknown quantile query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  return q.summary.Quantile(phi);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return summary->Quantile(phi);
 }
 
 StatusOr<double> Engine::AnswerRangeSum(QueryId query, uint64_t lo,
                                         uint64_t hi) const {
-  const auto it = range_sum_queries_.find(query);
-  if (it == range_sum_queries_.end()) {
-    return NotFoundError("unknown range-sum query id");
-  }
-  const RangeSumQueryState& q = it->second;
+  const auto [q, synopsis] = FindQuery<stream::WaveletSynopsis>(query);
+  if (synopsis == nullptr) return NotFoundError("unknown range-sum query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(q.metrics.estimate_calls, q.metrics.estimate_ns);
-  return q.synopsis.RangeSum(lo, hi);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return synopsis->RangeSum(lo, hi);
 }
 
 StatusOr<double> Engine::AnswerChainJoin(QueryId query) const {
-  const auto it = chain_queries_.find(query);
-  if (it == chain_queries_.end()) {
-    return NotFoundError("unknown chain-join query id");
-  }
-  const ChainJoinQueryState& state = it->second;
+  const auto [q, chain] = FindQuery<ChainSynopsis>(query);
+  if (chain == nullptr) return NotFoundError("unknown chain-join query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(state.metrics.estimate_calls,
-                       state.metrics.estimate_ns);
-  return state.grid.has_value() ? state.grid->Estimate()
-                                : state.hashed->Estimate();
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  return std::visit([](const auto& e) { return e.Estimate(); }, *chain);
 }
 
 StatusOr<EstimateReport> Engine::AnswerChainJoinWithReport(
     QueryId query) const {
-  const auto it = chain_queries_.find(query);
-  if (it == chain_queries_.end()) {
-    return NotFoundError("unknown chain-join query id");
-  }
-  const ChainJoinQueryState& state = it->second;
+  const auto [q, chain] = FindQuery<ChainSynopsis>(query);
+  if (chain == nullptr) return NotFoundError("unknown chain-join query id");
   metrics::TraceSpan span("estimate", "query");
-  ScopedEstimate timer(state.metrics.estimate_calls,
-                       state.metrics.estimate_ns);
-  EstimateReport report = state.grid.has_value()
-                              ? state.grid->EstimateWithReport()
-                              : state.hashed->EstimateWithReport();
-  RecordReportMetrics(query, state.metrics, report);
+  ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  EstimateReport report = std::visit(
+      [](const auto& e) { return e.EstimateWithReport(); }, *chain);
+  RecordReportMetrics(query, q->metrics, report);
   return report;
 }
 
@@ -1155,25 +1088,27 @@ Status Engine::SerializeQuerySynopsis(QueryId query, std::string* out) const {
   // linearize any in-flight concurrent ingestion first. Writer-thread only
   // (like every engine read), so the const_cast mutates nothing reentrant.
   const_cast<Engine*>(this)->FlushIngest();
-  std::ostringstream record;
-  Status status = NotFoundError("unknown query id " + std::to_string(query));
-  if (const auto* q = FindQueryState(join_queries_, query)) {
-    status = q->estimator->SerializeTo(record);
-  } else if (const auto* f = FindQueryState(frequency_queries_, query)) {
-    status = f->sketch.SerializeTo(record);
-  } else if (const auto* d = FindQueryState(distinct_queries_, query)) {
-    status = d->sketch.SerializeTo(record);
-  } else if (const auto* t = FindQueryState(topk_queries_, query)) {
-    status = t->tracker.SerializeTo(record);
-  } else if (const auto* g = FindQueryState(quantile_queries_, query)) {
-    status = g->summary.SerializeTo(record);
-  } else if (const auto* r = FindQueryState(range_sum_queries_, query)) {
-    status = r->synopsis.SerializeTo(record);
-  } else if (const auto* c = FindQueryState(chain_queries_, query)) {
-    status = c->grid.has_value() ? c->grid->SerializeTo(record)
-                                 : c->hashed->SerializeTo(record);
+  const auto it = queries_.find(query);
+  if (it == queries_.end()) {
+    return NotFoundError("unknown query id " + std::to_string(query));
   }
-  SKIMJOIN_RETURN_IF_ERROR(status);
+  std::ostringstream record;
+  SKIMJOIN_RETURN_IF_ERROR(std::visit(
+      Overloaded{[&](const JoinSynopsis& join) {
+                   return join->SerializeTo(record);
+                 },
+                 [&](const FrequencySynopsis& f) {
+                   return f.sketch.SerializeTo(record);
+                 },
+                 [&](const ChainSynopsis& chain) {
+                   return std::visit(
+                       [&](const auto& e) { return e.SerializeTo(record); },
+                       chain);
+                 },
+                 [&](const auto& synopsis) {
+                   return synopsis.SerializeTo(record);
+                 }},
+      it->second.synopsis));
   *out = std::move(record).str();
   return OkStatus();
 }
@@ -1183,51 +1118,39 @@ Status Engine::LoadQuerySynopsis(QueryId query,
   if (records.empty()) {
     return InvalidArgumentError("a synopsis load needs at least one record");
   }
-  // A loaded synopsis can repeat an epoch a cached answer was keyed on.
-  query_cache_.DropQuery(query);
-  const auto same_shape = [](const auto& loaded, const auto& registered) {
-    return loaded.CompatibleWith(registered);
-  };
-  if (auto* q = FindQueryState(join_queries_, query)) {
-    for (size_t i = 0; i < records.size(); ++i) {
-      std::istringstream in(records[i]);
-      SKIMJOIN_RETURN_IF_ERROR(i == 0 ? q->estimator->RestoreFrom(in)
-                                      : q->estimator->MergeFrom(in));
-    }
-    return OkStatus();
+  const auto it = queries_.find(query);
+  if (it == queries_.end()) {
+    return NotFoundError("unknown query id " + std::to_string(query));
   }
-  if (auto* q = FindQueryState(frequency_queries_, query)) {
-    // Quiesce a live ingestor (its destructor flushes and joins the
-    // workers) before replacing the sketch it feeds. The loaded sketch's
-    // cache tallies start from zero; restart the bookkeeping with them.
-    q->concurrent.reset();
-    q->cache_hits_seen = 0;
-    q->cache_misses_seen = 0;
-    return LoadRecords(records, &q->sketch, same_shape);
-  }
-  if (auto* q = FindQueryState(distinct_queries_, query)) {
-    return LoadRecords(records, &q->sketch, same_shape);
-  }
-  if (auto* q = FindQueryState(topk_queries_, query)) {
-    return LoadRecords(records, &q->tracker, [](const auto& a, const auto& b) {
-      return a.k() == b.k();
-    });
-  }
-  if (auto* q = FindQueryState(quantile_queries_, query)) {
-    return LoadRecords(records, &q->summary, [](const auto& a, const auto& b) {
-      return a.epsilon() == b.epsilon();
-    });
-  }
-  if (auto* q = FindQueryState(range_sum_queries_, query)) {
-    return LoadRecords(records, &q->synopsis, [](const auto& a, const auto& b) {
-      return a.domain_size() == b.domain_size();
-    });
-  }
-  if (auto* q = FindQueryState(chain_queries_, query)) {
-    return q->grid.has_value() ? LoadRecords(records, &*q->grid, same_shape)
-                               : LoadRecords(records, &*q->hashed, same_shape);
-  }
-  return NotFoundError("unknown query id " + std::to_string(query));
+  // A load moves no stream epoch and can repeat a sketch epoch, so an
+  // answer cached before it could still pass its guard.
+  it->second.DropCachedAnswers();
+  return std::visit(
+      Overloaded{
+          [&](JoinSynopsis& join) -> Status {
+            for (size_t i = 0; i < records.size(); ++i) {
+              std::istringstream in(records[i]);
+              SKIMJOIN_RETURN_IF_ERROR(i == 0 ? join->RestoreFrom(in)
+                                              : join->MergeFrom(in));
+            }
+            return OkStatus();
+          },
+          [&](FrequencySynopsis& f) {
+            // Quiesce a live ingestor (its destructor flushes and joins
+            // the workers) before replacing the sketch it feeds. The loaded
+            // sketch's cache tallies start from zero; restart the
+            // bookkeeping with them.
+            f.concurrent.reset();
+            f.cache_hits_seen = 0;
+            f.cache_misses_seen = 0;
+            return LoadRecords(records, &f.sketch);
+          },
+          [&](ChainSynopsis& chain) {
+            return std::visit(
+                [&](auto& e) { return LoadRecords(records, &e); }, chain);
+          },
+          [&](auto& synopsis) { return LoadRecords(records, &synopsis); }},
+      it->second.synopsis);
 }
 
 StatusOr<int64_t> Engine::StreamElementCount(const std::string& stream) const {
@@ -1243,52 +1166,44 @@ std::vector<std::string> Engine::StreamNames() const {
   return names;
 }
 
-void Engine::PublishHashCacheDeltas(const FrequencyQueryState& q) const {
-  if (q.stream >= streams_.size()) return;
-  const StreamState& state = streams_[q.stream];
-  const uint64_t hits = q.sketch.hash_cache_hits();
-  const uint64_t misses = q.sketch.hash_cache_misses();
-  if (hits > q.cache_hits_seen) {
-    state.hash_cache_hits->Increment(hits - q.cache_hits_seen);
+void Engine::PublishHashCacheDeltas(StreamId stream,
+                                    const FrequencySynopsis& f) const {
+  if (stream >= streams_.size()) return;
+  const StreamState& state = streams_[stream];
+  const uint64_t hits = f.sketch.hash_cache_hits();
+  const uint64_t misses = f.sketch.hash_cache_misses();
+  if (hits > f.cache_hits_seen) {
+    state.hash_cache_hits->Increment(hits - f.cache_hits_seen);
   }
-  if (misses > q.cache_misses_seen) {
-    state.hash_cache_misses->Increment(misses - q.cache_misses_seen);
+  if (misses > f.cache_misses_seen) {
+    state.hash_cache_misses->Increment(misses - f.cache_misses_seen);
   }
-  q.cache_hits_seen = hits;
-  q.cache_misses_seen = misses;
+  f.cache_hits_seen = hits;
+  f.cache_misses_seen = misses;
 }
 
 void Engine::RefreshMetricsGauges() const {
   // Gauges are refreshed pull-style: footprints change on every update, so
   // pushing them from the hot path would cost more than anyone reading
-  // them. Runs on the writer thread only — it walks the query containers.
-  for (const auto& [id, q] : join_queries_) {
-    q.metrics.memory_bytes->Set(
-        static_cast<double>(q.estimator->MemoryBytes()));
-  }
-  for (const auto& [id, q] : frequency_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.sketch.MemoryBytes()));
-    // One-element projections bump the sketch-side tallies without the
-    // batch kernel's per-call export; pull the deltas here so snapshots
-    // stay current for scalar-only sessions.
-    PublishHashCacheDeltas(q);
-  }
-  for (const auto& [id, q] : distinct_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.sketch.MemoryBytes()));
-  }
-  for (const auto& [id, q] : topk_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.tracker.MemoryBytes()));
-  }
-  for (const auto& [id, q] : quantile_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(q.summary.MemoryBytes()));
-  }
-  for (const auto& [id, q] : range_sum_queries_) {
-    q.metrics.memory_bytes->Set(
-        static_cast<double>(q.synopsis.MemoryBytes()));
-  }
-  for (const auto& [id, q] : chain_queries_) {
-    q.metrics.memory_bytes->Set(static_cast<double>(
-        q.grid.has_value() ? q.grid->MemoryBytes() : q.hashed->MemoryBytes()));
+  // them. Runs on the writer thread only — it walks the query table.
+  for (const auto& [id, q] : queries_) {
+    const uint64_t bytes = std::visit(
+        Overloaded{[](const JoinSynopsis& join) { return join->MemoryBytes(); },
+                   [&](const FrequencySynopsis& f) {
+                     // One-element projections bump the sketch-side tallies
+                     // without the batch kernel's per-call export; pull the
+                     // deltas here so snapshots stay current for
+                     // scalar-only sessions.
+                     PublishHashCacheDeltas(q.inputs[0].stream, f);
+                     return f.sketch.MemoryBytes();
+                   },
+                   [](const ChainSynopsis& chain) {
+                     return std::visit(
+                         [](const auto& e) { return e.MemoryBytes(); }, chain);
+                   },
+                   [](const auto& synopsis) { return synopsis.MemoryBytes(); }},
+        q.synopsis);
+    q.metrics.memory_bytes->Set(static_cast<double>(bytes));
   }
   for (const StreamState& state : streams_) {
     if (state.profiler == nullptr) continue;
@@ -1361,34 +1276,29 @@ HealthReport Engine::HealthReport() const {
     report.streams.push_back(std::move(health));
   }
 
-  for (const auto& [id, q] : join_queries_) {
+  for (const auto& [id, q] : queries_) {
     QueryHealth health;
     health.id = id;
-    health.kind = "join";
-    health.method = q.estimator->Name();
-    health.streams =
-        streams_[q.left].spec.name + "⋈" + streams_[q.right].spec.name;
-    health.synopses = q.estimator->HealthProbe();
-    // Methods without probe support (e.g. sampling) return no probes and
-    // contribute nothing to the health picture.
+    if (const auto* join = std::get_if<JoinSynopsis>(&q.synopsis)) {
+      health.kind = "join";
+      health.method = (*join)->Name();
+      health.streams = streams_[q.inputs[0].stream].spec.name + "⋈" +
+                       streams_[q.inputs[1].stream].spec.name;
+      health.synopses = (*join)->HealthProbe();
+    } else if (const auto* f = std::get_if<FrequencySynopsis>(&q.synopsis)) {
+      health.kind = "frequency";
+      health.method = "skimmed";
+      health.streams = streams_[q.inputs[0].stream].spec.name;
+      health.synopses.push_back(f->sketch.HealthProbe());
+      if (std::optional<SynopsisHealth> dyadic =
+              f->sketch.DyadicHealthProbe()) {
+        health.synopses.push_back(*std::move(dyadic));
+      }
+    }
+    // Other kinds, and join methods without probe support (e.g. sampling),
+    // have no probes and contribute nothing to the health picture.
     if (!health.synopses.empty()) report.queries.push_back(std::move(health));
   }
-  for (const auto& [id, q] : frequency_queries_) {
-    QueryHealth health;
-    health.id = id;
-    health.kind = "frequency";
-    health.method = "skimmed";
-    health.streams = streams_[q.stream].spec.name;
-    health.synopses.push_back(q.sketch.HealthProbe());
-    if (std::optional<SynopsisHealth> dyadic = q.sketch.DyadicHealthProbe()) {
-      health.synopses.push_back(*std::move(dyadic));
-    }
-    report.queries.push_back(std::move(health));
-  }
-  std::sort(report.queries.begin(), report.queries.end(),
-            [](const QueryHealth& a, const QueryHealth& b) {
-              return a.id < b.id;
-            });
 
   // Publish the per-query health gauges (max across the query's synopses)
   // so scrapes between HealthReport calls still see the last probe.
@@ -1514,19 +1424,11 @@ void Engine::Clear() {
   stream_ids_.clear();
   relations_.clear();
   relation_ids_.clear();
-  join_queries_.clear();
-  frequency_queries_.clear();
-  distinct_queries_.clear();
-  topk_queries_.clear();
-  quantile_queries_.clear();
-  range_sum_queries_.clear();
-  chain_queries_.clear();
-  registrations_.clear();
+  // Cached answers go with their queries: a future same-id query never
+  // sees an old life's answer.
+  queries_.clear();
   next_query_id_ = 1;
   ingest_options_ = IngestOptions{};
-  // Entries guard on per-stream epochs that are about to reset with the
-  // registry; a future same-id query must never see an old life's answer.
-  query_cache_.DropAll();
   // Last: every cached instrument pointer above is gone, so dropping the
   // instruments themselves is safe.
   metrics_.Clear();

@@ -18,6 +18,7 @@
 #ifndef SKIMJOIN_QUERY_ENGINE_H_
 #define SKIMJOIN_QUERY_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -27,6 +28,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/join_estimators.h"
@@ -38,7 +40,6 @@
 #include "query/multi_join.h"
 #include "query/multi_join_hash.h"
 #include "query/query.h"
-#include "query/query_cache.h"
 #include "sketch/fm_sketch.h"
 #include "stream/frequency_vector.h"
 #include "stream/gk_quantiles.h"
@@ -264,8 +265,8 @@ class Engine {
   /// behavior change until they opt in.
   struct ReadPathOptions {
     /// Epoch-invalidated answer cache over AnswerJoin /
-    /// AnswerPointFrequency (query/query_cache.h): a join answer is
-    /// recomputed only when a participating stream's absorbed-element
+    /// AnswerPointFrequency, kept in each query's own entry: a join answer
+    /// is recomputed only when a participating stream's absorbed-element
     /// epoch advanced, a point answer only when its synopsis's update
     /// epoch did.
     bool use_query_cache = false;
@@ -310,7 +311,7 @@ class Engine {
   /// engine-level gauges (`engine.num_streams`, `engine.num_queries`,
   /// `engine.ingest_shards`) by walking every query's synopsis. Like all
   /// engine reads this must run on the single writer thread — it iterates
-  /// the query containers, which registration/ingestion mutate. The gauge
+  /// the query table, which registration/ingestion mutate. The gauge
   /// VALUES it publishes are atomics, so a concurrent
   /// metrics_registry().TakeSnapshot() on another thread is safe.
   void RefreshMetricsGauges() const;
@@ -469,7 +470,7 @@ class Engine {
 
   uint64_t num_streams() const { return streams_.size(); }
   uint64_t num_relations() const { return relations_.size(); }
-  uint64_t num_queries() const { return registrations_.size(); }
+  uint64_t num_queries() const { return queries_.size(); }
 
  private:
   struct StreamState {
@@ -516,30 +517,17 @@ class Engine {
     metrics::Counter* cache_invalidations = nullptr;
   };
 
-  /// How to re-create one query: what SaveCheckpoint records per query.
-  struct Registration {
-    QuerySpec spec;
-    uint64_t seed = 0;
-  };
-
-  /// A join (or self-join) query: the estimator pair plus the routing data
-  /// needed to feed it.
-  struct JoinQueryState {
-    std::unique_ptr<core::JoinEstimatorPair> estimator;
-    StreamId left;
-    StreamId right;
-    AggregateInput left_input;
-    AggregateInput right_input;
-    std::optional<RangePredicate> left_predicate;
-    std::optional<RangePredicate> right_predicate;
-    QueryMetrics metrics;
-  };
-
-  struct FrequencyQueryState {
-    core::SkimmedSketch sketch;
-    StreamId stream;
+  /// One stream a query reads: the elements its predicate admits,
+  /// weighted by `input`.
+  struct QueryInput {
+    StreamId stream = 0;
     std::optional<RangePredicate> predicate;
-    QueryMetrics metrics;
+    AggregateInput input = AggregateInput::kCount;
+  };
+
+  /// A frequency query's sketch and the worker ingestor that may feed it.
+  struct FrequencySynopsis {
+    core::SkimmedSketch sketch;
     /// Sketch-side plan-cache tallies already exported to the stream's
     /// hash_cache_* counters; the batch path and the (const, writer-thread)
     /// pull-style RefreshMetricsGauges publish deltas against these.
@@ -552,36 +540,51 @@ class Engine {
     /// flushes pending work into the sketch and joins the workers) runs
     /// while the sketch is still alive.
     std::unique_ptr<ingest::ConcurrentIngestor<core::SkimmedSketch>>
-        concurrent;
+        concurrent = nullptr;
   };
 
-  struct DistinctQueryState {
-    sketch::FmSketch sketch;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
-    QueryMetrics metrics;
+  using JoinSynopsis = std::unique_ptr<core::JoinEstimatorPair>;
+  using ChainSynopsis =
+      std::variant<MultiJoinEstimator, MultiJoinHashEstimator>;
+
+  /// A query's synopsis. The alternatives follow QuerySpec's order.
+  using Synopsis =
+      std::variant<JoinSynopsis, FrequencySynopsis, sketch::FmSketch,
+                   core::TopKTracker, stream::GkQuantileSummary,
+                   stream::WaveletSynopsis, ChainSynopsis>;
+
+  /// The read-path cache guard: a join's two streams' absorbed-element
+  /// counts, or a frequency sketch's update epoch (second slot zero).
+  using Epochs = std::array<uint64_t, 2>;
+
+  /// An answer and the epochs it was computed at (DESIGN.md §11).
+  template <typename Answer>
+  struct CachedAnswer {
+    Epochs epochs;
+    Answer answer;
   };
 
-  struct TopKQueryState {
-    core::TopKTracker tracker;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
+  /// Everything one registered query owns.
+  struct QueryState {
+    /// How to re-create the query: what SaveCheckpoint records.
+    QuerySpec spec;
+    uint64_t seed = 0;
+    /// The streams it reads. A join reads two, left as side 0; a chain join
+    /// reads relations and has none.
+    std::vector<QueryInput> inputs;
     QueryMetrics metrics;
-  };
+    Synopsis synopsis;
+    /// Read-path cache: a join's last answer, a frequency query's point
+    /// answers by value. Mutable: Answer* methods are const but fill it
+    /// (writer-thread state, like metrics_).
+    mutable std::optional<CachedAnswer<double>> cached_join = std::nullopt;
+    mutable std::unordered_map<uint64_t, CachedAnswer<int64_t>>
+        cached_points = {};
 
-  struct QuantileQueryState {
-    stream::GkQuantileSummary summary;
-    StreamId stream;
-    std::optional<RangePredicate> predicate;
-    QueryMetrics metrics;
-  };
-
-  struct RangeSumQueryState {
-    stream::WaveletSynopsis synopsis;
-    StreamId stream;
-    uint64_t coefficient_budget;
-    std::optional<RangePredicate> predicate;
-    QueryMetrics metrics;
+    void DropCachedAnswers() const {
+      cached_join.reset();
+      cached_points.clear();
+    }
   };
 
   struct RelationState {
@@ -589,19 +592,20 @@ class Engine {
     int64_t tuple_count = 0;
   };
 
-  /// A chain-join query: one of the two estimator structures plus the
-  /// relation ids in chain order (a relation may appear once per query).
-  struct ChainJoinQueryState {
-    std::optional<MultiJoinEstimator> grid;
-    std::optional<MultiJoinHashEstimator> hashed;
-    std::vector<StreamId> chain;  // relation ids, chain order
-    QueryMetrics metrics;
-  };
-
   StatusOr<StreamId> FindStream(const std::string& name) const;
 
-  /// Hands out the next query id and records how to re-create the query.
-  QueryId RegisterQuery(QuerySpec spec, uint64_t seed);
+  /// Hands out the next query id and enters the query in the table.
+  QueryId RegisterQuery(QuerySpec spec, uint64_t seed,
+                        std::vector<QueryInput> inputs, Synopsis synopsis);
+
+  /// Query `id` and its synopsis when that is an `S`: both null for an
+  /// unknown id, the synopsis null for a query of another kind.
+  template <typename S>
+  std::pair<const QueryState*, const S*> FindQuery(QueryId id) const {
+    const auto it = queries_.find(id);
+    if (it == queries_.end()) return {nullptr, nullptr};
+    return {&it->second, std::get_if<S>(&it->second.synopsis)};
+  }
 
   static int64_t WeightFor(AggregateInput input, const StreamUpdate& update) {
     return input == AggregateInput::kCount ? update.count : update.measure;
@@ -610,28 +614,34 @@ class Engine {
   /// The one ingest fan-out, behind both Update and UpdateBatch. Validates
   /// `updates` once: out-of-domain elements are dropped and counted, the
   /// rest move element_count, the absorbed counter and the profiler. Then,
-  /// query by query, every side subscribed to `stream` takes its Project
-  /// of the batch in arrival order. Fails only when a frequency query's
-  /// worker ingestor cannot be built, after every other synopsis is fed.
+  /// query by query, every input that reads `stream` takes its Project of
+  /// the batch in arrival order. Every input is fed even after one fails;
+  /// the first error (a frequency query's worker ingestor that cannot be
+  /// built) is returned.
   Status FanOut(StreamId stream, std::span<const StreamUpdate> updates);
 
-  /// Fills projection_ with one subscribed side's view of `updates`: the
-  /// in-domain elements `predicate` admits, weighted by `input`, with
-  /// zero weights left out. The span is valid until the next call.
+  /// Fills projection_ with one input's view of `updates`: the in-domain
+  /// elements `predicate` admits, weighted by `input`, with zero weights
+  /// left out. The span is valid until the next call.
   std::span<const stream::StreamElement> Project(
       std::span<const StreamUpdate> updates, uint64_t domain_size,
       const std::optional<RangePredicate>& predicate, AggregateInput input);
 
-  /// Feeds one frequency query its projection. A single element takes
-  /// SkimmedSketch::Update (under the writer lock when a worker ingestor
-  /// is live); more take UpdateBatch inline, or the worker ingestor when
-  /// IngestOptions has more than one shard or `concurrent` on.
-  Status FeedFrequencyQuery(FrequencyQueryState& q,
+  /// Feeds input `side` of `q` its projection, in arrival order.
+  Status Feed(QueryState& q, size_t side,
+              std::span<const stream::StreamElement> elements);
+
+  /// Feeds one frequency query over `stream` its projection. A single
+  /// element takes SkimmedSketch::Update (under the writer lock when a
+  /// worker ingestor is live); more take UpdateBatch inline, or the worker
+  /// ingestor when IngestOptions has more than one shard or `concurrent`
+  /// on.
+  Status FeedFrequencyQuery(FrequencySynopsis& f, StreamId stream,
                             std::span<const stream::StreamElement> elements);
 
   StatusOr<StreamId> FindRelation(const std::string& name) const;
 
-  /// Publishes `q`'s plan-cache activity to its stream's hash_cache_*
+  /// Publishes `f`'s plan-cache activity to `stream`'s hash_cache_*
   /// counters as deltas against the last export (so a restored sketch,
   /// whose tallies restart, publishes cleanly). Called after every inline
   /// UpdateBatch kernel call and, pull-style, from RefreshMetricsGauges,
@@ -639,12 +649,13 @@ class Engine {
   /// publish: it walks every dyadic level). Writer-thread only; worker
   /// replicas keep their caches worker-local, so the counters reflect the
   /// inline path only.
-  void PublishHashCacheDeltas(const FrequencyQueryState& q) const;
+  void PublishHashCacheDeltas(StreamId stream,
+                              const FrequencySynopsis& f) const;
 
-  /// Flushes `q`'s live ingestor and publishes the flush to its stream's
+  /// Flushes `f`'s live ingestor and publishes the flush to `stream`'s
   /// merges / absorb_nanos / merge_nanos counters. Pre-condition:
-  /// q.concurrent is non-null.
-  void FlushFrequencyIngest(FrequencyQueryState& q);
+  /// f.concurrent is non-null.
+  void FlushFrequencyIngest(FrequencySynopsis& f, StreamId stream);
 
   /// Creates the `ingest.<name>.*` counters for a freshly registered
   /// stream and caches their pointers in `*state`.
@@ -664,7 +675,7 @@ class Engine {
 
   /// Records join-estimate drift when both sides have references attached
   /// and the query compares exactly (COUNT inputs, no predicates).
-  void MaybeRecordJoinDrift(QueryId query, const JoinQueryState& q,
+  void MaybeRecordJoinDrift(QueryId query, const QueryState& q,
                             double estimate) const;
 
   /// Records a *WithReport answer's derived instruments (CI relative
@@ -673,16 +684,13 @@ class Engine {
   void RecordReportMetrics(QueryId query, const QueryMetrics& metrics,
                            const EstimateReport& report) const;
 
-  /// The QueryCache guard vector: a join's participating streams'
-  /// absorbed-element epochs, a frequency query's sketch update epoch.
-  /// The latter moves with every propagation merge and flush, so read it
-  /// under ReadLockFor(q).
-  QueryCache::Epochs EpochsFor(const JoinQueryState& q) const;
-  static QueryCache::Epochs EpochsFor(const FrequencyQueryState& q);
-
-  /// Bumps the matching `query.<id>.cache_*` counter for one lookup.
-  static void CountCacheOutcome(const QueryMetrics& metrics,
-                                QueryCache::Outcome outcome);
+  /// `entry` when it was computed at `epochs` (a hit); else null (a miss,
+  /// and an invalidation too when `entry` is stale). Bumps the matching
+  /// `query.<id>.cache_*` counters.
+  template <typename Answer>
+  static const CachedAnswer<Answer>* LookupCached(
+      const CachedAnswer<Answer>* entry, const Epochs& epochs,
+      const QueryMetrics& metrics);
 
   /// Reader lock over a frequency query's sketch when a worker ingestor
   /// is live; a no-op (lockless) guard otherwise. Answer paths
@@ -690,8 +698,8 @@ class Engine {
   /// snapshots, never a mid-propagation state.
   using FrequencyReadLock =
       ingest::ConcurrentIngestor<core::SkimmedSketch>::ReadLock;
-  FrequencyReadLock ReadLockFor(const FrequencyQueryState& q) const {
-    return q.concurrent ? q.concurrent->ReaderLock() : FrequencyReadLock();
+  static FrequencyReadLock ReadLockFor(const FrequencySynopsis& f) {
+    return f.concurrent ? f.concurrent->ReaderLock() : FrequencyReadLock();
   }
 
   // Declared first so every cached instrument pointer in the states below
@@ -703,15 +711,9 @@ class Engine {
   std::unordered_map<std::string, StreamId> stream_ids_;
   std::vector<RelationState> relations_;
   std::unordered_map<std::string, StreamId> relation_ids_;
-  std::unordered_map<QueryId, JoinQueryState> join_queries_;
-  std::unordered_map<QueryId, FrequencyQueryState> frequency_queries_;
-  std::unordered_map<QueryId, DistinctQueryState> distinct_queries_;
-  std::unordered_map<QueryId, TopKQueryState> topk_queries_;
-  std::unordered_map<QueryId, QuantileQueryState> quantile_queries_;
-  std::unordered_map<QueryId, RangeSumQueryState> range_sum_queries_;
-  std::unordered_map<QueryId, ChainJoinQueryState> chain_queries_;
-  // Every registered query, ascending by id.
-  std::map<QueryId, Registration> registrations_;
+  // The query table: everything each registered query owns, ascending by
+  // id.
+  std::map<QueryId, QueryState> queries_;
   QueryId next_query_id_ = 1;
   // Ingestion concurrency configuration (shards + concurrent mode knobs).
   IngestOptions ingest_options_;
@@ -721,9 +723,6 @@ class Engine {
   // Two-stage read path selection (defaults all-off). Survives Clear(): it
   // is a session-level setting, not engine state.
   ReadPathOptions read_path_;
-  // Answer cache for the read path. Mutable: Answer* methods are const but
-  // consult and populate entries (precedent: metrics_). Dropped on Clear.
-  mutable QueryCache query_cache_;
   // Anomaly-event thresholds; +infinity disables emission (the default).
   double drift_warn_threshold_ = std::numeric_limits<double>::infinity();
   double ci_warn_rel_width_ = std::numeric_limits<double>::infinity();

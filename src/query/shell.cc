@@ -341,9 +341,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: join <q> <left> <right> <method> <space>");
       return true;
     }
-    if (join_query_names_.contains(name) ||
-        frequency_query_names_.contains(name) ||
-        distinct_query_names_.contains(name)) {
+    if (query_names_.contains(name)) {
       Error(out, "query name already in use: " + name);
       return true;
     }
@@ -361,7 +359,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, id.status());
       return true;
     }
-    join_query_names_.emplace(name, *id);
+    query_names_.emplace(name, NamedQuery{"join", *id});
     Ok(out);
     return true;
   }
@@ -372,8 +370,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: freq <q> <stream> <space>");
       return true;
     }
-    if (frequency_query_names_.contains(name) ||
-        join_query_names_.contains(name)) {
+    if (query_names_.contains(name)) {
       Error(out, "query name already in use: " + name);
       return true;
     }
@@ -382,7 +379,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, id.status());
       return true;
     }
-    frequency_query_names_.emplace(name, *id);
+    query_names_.emplace(name, NamedQuery{"freq", *id});
     Ok(out);
     return true;
   }
@@ -393,8 +390,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: distinct <q> <stream> <maps>");
       return true;
     }
-    if (distinct_query_names_.contains(name) ||
-        join_query_names_.contains(name)) {
+    if (query_names_.contains(name)) {
       Error(out, "query name already in use: " + name);
       return true;
     }
@@ -403,7 +399,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, id.status());
       return true;
     }
-    distinct_query_names_.emplace(name, *id);
+    query_names_.emplace(name, NamedQuery{"distinct", *id});
     Ok(out);
     return true;
   }
@@ -414,7 +410,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: topk <q> <stream> <k> <space>");
       return true;
     }
-    if (topk_query_names_.contains(name) || join_query_names_.contains(name)) {
+    if (query_names_.contains(name)) {
       Error(out, "query name already in use: " + name);
       return true;
     }
@@ -423,7 +419,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, id.status());
       return true;
     }
-    topk_query_names_.emplace(name, *id);
+    query_names_.emplace(name, NamedQuery{"topk", *id});
     Ok(out);
     return true;
   }
@@ -433,13 +429,13 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: top <q>");
       return true;
     }
-    const auto it = topk_query_names_.find(name);
-    if (it == topk_query_names_.end()) {
+    const auto it = query_names_.find(name);
+    if (it == query_names_.end() || it->second.kind != "topk") {
       Error(out, "unknown top-k query: " + name);
       return true;
     }
     StatusOr<std::vector<std::pair<uint64_t, int64_t>>> answer =
-        engine_.AnswerTopK(it->second);
+        engine_.AnswerTopK(it->second.id);
     if (!answer.ok()) {
       Error(out, answer.status());
       return true;
@@ -458,8 +454,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: quantile <q> <stream> <epsilon>");
       return true;
     }
-    if (quantile_query_names_.contains(name) ||
-        join_query_names_.contains(name)) {
+    if (query_names_.contains(name)) {
       Error(out, "query name already in use: " + name);
       return true;
     }
@@ -468,7 +463,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, id.status());
       return true;
     }
-    quantile_query_names_.emplace(name, *id);
+    query_names_.emplace(name, NamedQuery{"quantile", *id});
     Ok(out);
     return true;
   }
@@ -479,12 +474,12 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: phi <q> <phi>");
       return true;
     }
-    const auto it = quantile_query_names_.find(name);
-    if (it == quantile_query_names_.end()) {
+    const auto it = query_names_.find(name);
+    if (it == query_names_.end() || it->second.kind != "quantile") {
       Error(out, "unknown quantile query: " + name);
       return true;
     }
-    StatusOr<uint64_t> answer = engine_.AnswerQuantile(it->second, phi);
+    StatusOr<uint64_t> answer = engine_.AnswerQuantile(it->second.id, phi);
     if (!answer.ok()) {
       Error(out, answer.status());
       return true;
@@ -552,14 +547,15 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: answer <q>");
       return true;
     }
-    if (const auto it = join_query_names_.find(name);
-        it != join_query_names_.end()) {
+    const auto it = query_names_.find(name);
+    const std::string kind = it == query_names_.end() ? "" : it->second.kind;
+    if (kind == "join") {
       if (always_explain_) {
         // --explain mode: same answer (the report's estimate is
         // bit-identical to AnswerJoin), plus the provenance table.
         StatusOr<EstimateReport> report =
-            dist_ != nullptr ? dist_->AnswerJoinWithReport(it->second)
-                             : engine_.AnswerJoinWithReport(it->second);
+            dist_ != nullptr ? dist_->AnswerJoinWithReport(it->second.id)
+                             : engine_.AnswerJoinWithReport(it->second.id);
         if (!report.ok()) {
           Error(out, report.status());
           return true;
@@ -568,7 +564,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
         out << RenderEstimateReport(*report);
         if (dist_ == nullptr) {
           if (StatusOr<Engine::QueryCacheStats> cache =
-                  engine_.QueryCacheStatsFor(it->second);
+                  engine_.QueryCacheStatsFor(it->second.id);
               cache.ok()) {
             out << "  cache: " << (cache->enabled ? "enabled" : "disabled")
                 << " hits=" << cache->hits << " misses=" << cache->misses
@@ -578,8 +574,8 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
         return true;
       }
       StatusOr<double> answer = dist_ != nullptr
-                                    ? dist_->AnswerJoin(it->second)
-                                    : engine_.AnswerJoin(it->second);
+                                    ? dist_->AnswerJoin(it->second.id)
+                                    : engine_.AnswerJoin(it->second.id);
       if (!answer.ok()) {
         Error(out, answer.status());
         return true;
@@ -587,9 +583,8 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       OkValue(out, *answer);
       return true;
     }
-    if (const auto it = distinct_query_names_.find(name);
-        it != distinct_query_names_.end()) {
-      StatusOr<double> answer = engine_.AnswerDistinctCount(it->second);
+    if (kind == "distinct") {
+      StatusOr<double> answer = engine_.AnswerDistinctCount(it->second.id);
       if (!answer.ok()) {
         Error(out, answer.status());
         return true;
@@ -606,14 +601,14 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: explain <q>");
       return true;
     }
-    const auto it = join_query_names_.find(name);
-    if (it == join_query_names_.end()) {
+    const auto it = query_names_.find(name);
+    if (it == query_names_.end() || it->second.kind != "join") {
       Error(out, "unknown join query: " + name);
       return true;
     }
     StatusOr<EstimateReport> report =
-        dist_ != nullptr ? dist_->AnswerJoinWithReport(it->second)
-                         : engine_.AnswerJoinWithReport(it->second);
+        dist_ != nullptr ? dist_->AnswerJoinWithReport(it->second.id)
+                         : engine_.AnswerJoinWithReport(it->second.id);
     if (!report.ok()) {
       Error(out, report.status());
       return true;
@@ -624,7 +619,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
     out << "ok\n" << RenderEstimateReport(*report);
     if (dist_ == nullptr) {
       if (StatusOr<Engine::QueryCacheStats> cache =
-              engine_.QueryCacheStatsFor(it->second);
+              engine_.QueryCacheStatsFor(it->second.id);
           cache.ok()) {
         out << "  cache: " << (cache->enabled ? "enabled" : "disabled")
             << " hits=" << cache->hits << " misses=" << cache->misses
@@ -733,12 +728,10 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
     if (std::string target; fields >> target) {
       // Narrow to one query (by shell name) or one stream.
       std::optional<QueryId> id;
-      if (const auto it = join_query_names_.find(target);
-          it != join_query_names_.end()) {
-        id = it->second;
-      } else if (const auto it = frequency_query_names_.find(target);
-                 it != frequency_query_names_.end()) {
-        id = it->second;
+      if (const auto it = query_names_.find(target);
+          it != query_names_.end() &&
+          (it->second.kind == "join" || it->second.kind == "freq")) {
+        id = it->second.id;
       }
       if (id.has_value()) {
         const std::string subject = "query " + std::to_string(*id);
@@ -806,18 +799,14 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
         Error(out, "usage: cache status <q>");
         return true;
       }
-      QueryId id = 0;
-      if (const auto it = join_query_names_.find(name);
-          it != join_query_names_.end()) {
-        id = it->second;
-      } else if (const auto it = frequency_query_names_.find(name);
-                 it != frequency_query_names_.end()) {
-        id = it->second;
-      } else {
+      const auto it = query_names_.find(name);
+      if (it == query_names_.end() ||
+          (it->second.kind != "join" && it->second.kind != "freq")) {
         Error(out, "unknown join/frequency query: " + name);
         return true;
       }
-      StatusOr<Engine::QueryCacheStats> stats = engine_.QueryCacheStatsFor(id);
+      StatusOr<Engine::QueryCacheStats> stats =
+          engine_.QueryCacheStatsFor(it->second.id);
       if (!stats.ok()) {
         Error(out, stats.status());
         return true;
@@ -837,14 +826,14 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: point <q> <value>");
       return true;
     }
-    const auto it = frequency_query_names_.find(name);
-    if (it == frequency_query_names_.end()) {
+    const auto it = query_names_.find(name);
+    if (it == query_names_.end() || it->second.kind != "freq") {
       Error(out, "unknown frequency query: " + name);
       return true;
     }
     StatusOr<int64_t> answer =
-        dist_ != nullptr ? dist_->AnswerPointFrequency(it->second, value)
-                         : engine_.AnswerPointFrequency(it->second, value);
+        dist_ != nullptr ? dist_->AnswerPointFrequency(it->second.id, value)
+                         : engine_.AnswerPointFrequency(it->second.id, value);
     if (!answer.ok()) {
       Error(out, answer.status());
       return true;
@@ -859,13 +848,13 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, "usage: heavy <q> <threshold>");
       return true;
     }
-    const auto it = frequency_query_names_.find(name);
-    if (it == frequency_query_names_.end()) {
+    const auto it = query_names_.find(name);
+    if (it == query_names_.end() || it->second.kind != "freq") {
       Error(out, "unknown frequency query: " + name);
       return true;
     }
     StatusOr<core::DenseFrequencies> answer =
-        engine_.AnswerHeavyHitters(it->second, threshold);
+        engine_.AnswerHeavyHitters(it->second.id, threshold);
     if (!answer.ok()) {
       Error(out, answer.status());
       return true;
@@ -895,20 +884,11 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       return true;
     }
     // The engine checkpoint carries arbitrary metadata; stash the shell's
-    // query-name maps there so names survive a save/restore round trip.
+    // query names there so they survive a save/restore round trip.
     std::map<std::string, std::string> metadata;
-    const auto save_names =
-        [&metadata](const std::string& kind,
-                    const std::unordered_map<std::string, QueryId>& names) {
-          for (const auto& [name, id] : names) {
-            metadata["shell." + kind + "." + name] = std::to_string(id);
-          }
-        };
-    save_names("join", join_query_names_);
-    save_names("freq", frequency_query_names_);
-    save_names("distinct", distinct_query_names_);
-    save_names("topk", topk_query_names_);
-    save_names("quantile", quantile_query_names_);
+    for (const auto& [name, query] : query_names_) {
+      metadata["shell." + query.kind + "." + name] = std::to_string(query.id);
+    }
     const Status status = engine_.SaveCheckpoint(path, metadata);
     if (!status.ok()) {
       Error(out, status);
@@ -936,11 +916,7 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       Error(out, report.status());
       return true;
     }
-    join_query_names_.clear();
-    frequency_query_names_.clear();
-    distinct_query_names_.clear();
-    topk_query_names_.clear();
-    quantile_query_names_.clear();
+    query_names_.clear();
     for (const auto& [key, value] : report->metadata) {
       if (key.rfind("shell.", 0) != 0) continue;
       const size_t kind_end = key.find('.', 6);
@@ -950,16 +926,9 @@ bool Shell::ExecuteLine(const std::string& line, std::ostream& out) {
       QueryId id = 0;
       std::istringstream id_in(value);
       if (name.empty() || !(id_in >> id)) continue;
-      if (kind == "join") {
-        join_query_names_.emplace(name, id);
-      } else if (kind == "freq") {
-        frequency_query_names_.emplace(name, id);
-      } else if (kind == "distinct") {
-        distinct_query_names_.emplace(name, id);
-      } else if (kind == "topk") {
-        topk_query_names_.emplace(name, id);
-      } else if (kind == "quantile") {
-        quantile_query_names_.emplace(name, id);
+      if (kind == "join" || kind == "freq" || kind == "distinct" ||
+          kind == "topk" || kind == "quantile") {
+        query_names_.emplace(name, NamedQuery{kind, id});
       }
     }
     if (report->lost.empty()) {

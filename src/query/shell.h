@@ -155,11 +155,14 @@ class Shell {
   DistBackend* dist_ = nullptr;
   std::function<void()> post_command_hook_;
   bool always_explain_ = false;
-  std::unordered_map<std::string, QueryId> join_query_names_;
-  std::unordered_map<std::string, QueryId> frequency_query_names_;
-  std::unordered_map<std::string, QueryId> distinct_query_names_;
-  std::unordered_map<std::string, QueryId> topk_query_names_;
-  std::unordered_map<std::string, QueryId> quantile_query_names_;
+  /// A named query: its kind (join, freq, distinct, topk or quantile, as
+  /// in the checkpoint metadata keys `shell.<kind>.<name>`) and engine id.
+  struct NamedQuery {
+    std::string kind;
+    QueryId id = 0;
+  };
+  /// Every query name, whatever its kind: a name names one query.
+  std::unordered_map<std::string, NamedQuery> query_names_;
   uint64_t next_seed_ = 1;
 };
 

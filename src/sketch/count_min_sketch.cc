@@ -28,13 +28,17 @@ void CountMinSketch::SetKernel(Kernel kernel) {
   for (hashing::BucketHash& hash : bucket_hashes_) {
     hash.set_use_fastmod(fast);
   }
+  plan_cache_.reset();
+}
+
+bool CountMinSketch::UsePlanCache() {
   // Plan words are 32-bit; a bucket count beyond 2^32 cannot be stored, so
   // such shapes run the reference loops (results are identical either way).
-  if (fast && config_.num_buckets <= (uint64_t{1} << 32)) {
+  if (!plan_cache_ && kernel_ == Kernel::kFast &&
+      config_.num_buckets <= (uint64_t{1} << 32)) {
     plan_cache_.emplace(kPlanCacheSlots, config_.num_tables);
-  } else {
-    plan_cache_.reset();
   }
+  return plan_cache_.has_value();
 }
 
 internal::PlanKernel<false> CountMinSketch::FastKernel() {
@@ -55,7 +59,7 @@ StatusOr<CountMinSketch> CountMinSketch::Create(const CountMinConfig& config,
 
 void CountMinSketch::Update(uint64_t value, int64_t weight) {
   ++update_epoch_;
-  if (plan_cache_) {
+  if (UsePlanCache()) {
     FastKernel().Update(value, weight);
     return;
   }
@@ -68,7 +72,7 @@ void CountMinSketch::Update(uint64_t value, int64_t weight) {
 void CountMinSketch::UpdateBatch(
     std::span<const stream::StreamElement> elements) {
   ++update_epoch_;
-  if (plan_cache_) {
+  if (UsePlanCache()) {
     FastKernel().UpdateBatch(elements);
     return;
   }

@@ -62,8 +62,9 @@ class CountMinSketch {
   /// under kReference.
   void UpdateBatch(std::span<const stream::StreamElement> elements);
 
-  /// Selects the update kernel (bit-identical; DESIGN.md §10). Rebuilds or
-  /// drops the plan cache, restarting its hit/miss tallies.
+  /// Selects the update kernel (bit-identical; DESIGN.md §10). Drops the
+  /// plan cache, so hit/miss tallies restart from zero; kFast builds a new
+  /// one on the next update.
   void SetKernel(Kernel kernel);
 
   Kernel kernel() const { return kernel_; }
@@ -158,6 +159,10 @@ class CountMinSketch {
   /// bare buckets). Pre-condition: the plan cache is engaged.
   internal::PlanKernel<false> FastKernel();
 
+  /// Whether updates run the kFast kernels (under kFast with at most 2^32
+  /// buckets), building the plan cache on the first call that needs it.
+  bool UsePlanCache();
+
   CountMinConfig config_;
   uint64_t seed_;
   std::vector<hashing::BucketHash> bucket_hashes_;
@@ -165,8 +170,8 @@ class CountMinSketch {
   Kernel kernel_ = Kernel::kFast;
   uint64_t update_epoch_ = 0;
   // Derived acceleration state; see HashSketch for the contract (never
-  // serialized, survives Reset, engaged exactly when the kFast kernels run:
-  // under kFast with at most 2^32 buckets).
+  // serialized, survives Reset, built by the first update that runs the
+  // kFast kernels).
   std::optional<hashing::HashPlanCache> plan_cache_;
 };
 

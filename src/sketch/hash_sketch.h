@@ -191,8 +191,8 @@ class HashSketch {
   /// Monotone mutation epoch: bumped on every Update/UpdateBatch/Absorb/
   /// Merge/Reset. Derived state (like the plan cache): never serialized,
   /// ignored by CompatibleWith. Lets read-side caches (sketch::SlimView,
-  /// query::QueryCache) detect "has this sketch changed since I looked?"
-  /// in O(1) without hashing counters.
+  /// the engine's cached point answers) detect "has this sketch changed
+  /// since I looked?" in O(1) without hashing counters.
   uint64_t update_epoch() const { return update_epoch_; }
 
  private:

@@ -8,7 +8,7 @@
 //     when every counter fits (the common case by orders of magnitude) but
 //     performs all estimator arithmetic in the fat sketch's own width, so
 //     every PointEstimate / EstimateJoinSize is bit-identical to the fat
-//     sketch's answer. Bit-identity is what lets the engine's QueryCache
+//     sketch's answer. Bit-identity is what lets the engine's answer cache
 //     and the differential tests treat slim and fat as interchangeable.
 //   * "Incremental" refresh is epoch-gated, not per-delta: every sketch
 //     update touches one counter in EVERY table, so per-element deltas have

@@ -48,6 +48,12 @@ class GkQuantileSummary {
 
   double epsilon() const { return epsilon_; }
 
+  /// Whether `other` answers within the same epsilon (what a loaded record
+  /// must share with the summary it replaces).
+  bool CompatibleWith(const GkQuantileSummary& other) const {
+    return epsilon_ == other.epsilon_;
+  }
+
   /// Total footprint in bytes (object plus tuple storage). Feeds the
   /// per-synopsis memory gauges.
   uint64_t MemoryBytes() const;

@@ -62,6 +62,12 @@ class WaveletSynopsis {
 
   uint64_t domain_size() const { return domain_size_; }
 
+  /// Whether `other` spans the same domain (what a loaded record must
+  /// share with the synopsis it replaces).
+  bool CompatibleWith(const WaveletSynopsis& other) const {
+    return domain_size_ == other.domain_size_;
+  }
+
   /// Total footprint in bytes: object plus the sparse coefficient map
   /// (each tree node costed at its payload plus pointer overhead). Feeds
   /// the per-synopsis memory gauges.

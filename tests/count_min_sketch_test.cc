@@ -1,5 +1,6 @@
 #include "sketch/count_min_sketch.h"
 
+#include <sstream>
 #include <utility>
 
 #include "gtest/gtest.h"
@@ -22,6 +23,25 @@ TEST(CountMinTest, CreateValidatesConfig) {
   EXPECT_FALSE(CountMinSketch::Create({0, 8}, 1).ok());
   EXPECT_FALSE(CountMinSketch::Create({3, 0}, 1).ok());
   EXPECT_TRUE(CountMinSketch::Create({1, 1}, 1).ok());
+}
+
+// The plan cache is built by the first update, so a sketch that never
+// ingests (a deserialized delta, a merge target) never allocates one.
+TEST(CountMinTest, PlanCacheIsBuiltByTheFirstUpdate) {
+  CountMinSketch sketch = MustCreate({5, 512}, 3);
+  const uint64_t bare = sketch.MemoryBytes();
+  sketch.Update(9, 1);
+  EXPECT_EQ(sketch.hash_cache_misses(), 1u);
+  EXPECT_GT(sketch.MemoryBytes(), bare);
+
+  std::stringstream record;
+  ASSERT_TRUE(sketch.SerializeTo(record).ok());
+  StatusOr<CountMinSketch> restored = CountMinSketch::DeserializeFrom(record);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->MemoryBytes(), bare);
+  restored->Merge(sketch);
+  EXPECT_EQ(restored->MemoryBytes(), bare);
+  EXPECT_EQ(restored->PointEstimate(9), 2);
 }
 
 TEST(CountMinTest, PointEstimateNeverUnderestimatesInsertOnly) {

@@ -1,6 +1,8 @@
 #include "query/engine.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -71,12 +73,10 @@ TEST(EngineTest, JoinQueryRejectsNonFiniteThresholdScale) {
 }
 
 // AddQuery is the one registration dispatch: every spec kind registers
-// exactly as its own Add*Query does.
+// exactly as its own Add*Query does. Each kind then goes through every
+// operation of the query table.
 TEST(EngineTest, AddQueryDispatchesEverySpecKind) {
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream({"s", 1u << 8}).ok());
-  ASSERT_TRUE(engine.RegisterRelation({"r0", 1, 16}).ok());
-  ASSERT_TRUE(engine.RegisterRelation({"r1", 1, 16}).ok());
+  Engine engine, copy;
   JoinQuerySpec join;
   join.left_stream = "s";
   join.right_stream = "s";
@@ -95,19 +95,90 @@ TEST(EngineTest, AddQueryDispatchesEverySpecKind) {
   range_sum.stream = "s";
   ChainJoinQuerySpec chain;
   chain.relations = {"r0", "r1"};
+  // Ids 1..7 follow QuerySpec's order; a second join (id 8) comes after
+  // queries of other kinds.
   const std::vector<QuerySpec> specs = {join,     frequency, distinct, topk,
-                                        quantile, range_sum, chain};
-  for (const QuerySpec& spec : specs) {
-    StatusOr<QueryId> id = engine.AddQuery(spec, 7);
-    ASSERT_TRUE(id.ok()) << id.status();
-    std::string synopsis;
-    EXPECT_TRUE(engine.SerializeQuerySynopsis(*id, &synopsis).ok()) << *id;
+                                        quantile, range_sum, chain,    join};
+  for (Engine* e : {&engine, &copy}) {
+    ASSERT_TRUE(e->RegisterStream({"s", 1u << 8}).ok());
+    ASSERT_TRUE(e->RegisterRelation({"r0", 1, 16}).ok());
+    ASSERT_TRUE(e->RegisterRelation({"r1", 1, 16}).ok());
+    for (const QuerySpec& spec : specs) {
+      StatusOr<QueryId> id = e->AddQuery(spec, 7);
+      ASSERT_TRUE(id.ok()) << id.status();
+    }
   }
   EXPECT_EQ(engine.num_queries(), specs.size());
   ASSERT_TRUE(engine.Update("s", StreamUpdate{3, 2, 0}).ok());
+  ASSERT_TRUE(engine.UpdateRelation("r0", {5}, 1).ok());
+  ASSERT_TRUE(engine.UpdateRelation("r1", {5}, 1).ok());
   EXPECT_EQ(*engine.AnswerPointFrequency(2, 3), 2);
   EXPECT_EQ(*engine.AnswerQuantile(5, 0.5), 3u);
   EXPECT_TRUE(engine.AnswerChainJoin(7).ok());
+
+  // Synopsis I/O: a record loaded into a second engine re-serializes
+  // byte-identically.
+  for (QueryId id = 1; id <= specs.size(); ++id) {
+    std::string record, reloaded;
+    ASSERT_TRUE(engine.SerializeQuerySynopsis(id, &record).ok()) << id;
+    ASSERT_TRUE(copy.LoadQuerySynopsis(id, std::span(&record, 1)).ok())
+        << id;
+    ASSERT_TRUE(copy.SerializeQuerySynopsis(id, &reloaded).ok()) << id;
+    EXPECT_EQ(reloaded, record) << id;
+  }
+
+  // Gauges: every kind reports its footprint.
+  const metrics::Snapshot snapshot = engine.MetricsSnapshot();
+  for (QueryId id = 1; id <= specs.size(); ++id) {
+    const std::string name = "query." + std::to_string(id) + ".memory_bytes";
+    const auto it =
+        std::find_if(snapshot.gauges.begin(), snapshot.gauges.end(),
+                     [&](const auto& gauge) { return gauge.first == name; });
+    ASSERT_NE(it, snapshot.gauges.end()) << name;
+    EXPECT_GT(it->second, 0.0) << name;
+  }
+
+  // Answers: each Answer* refuses every query of another kind. Each entry
+  // pairs an answer with the QuerySpec index of the kind it serves.
+  using Answer = std::function<Status(QueryId)>;
+  const std::vector<std::pair<size_t, Answer>> answers = {
+      {0, [&](QueryId q) { return engine.AnswerJoin(q).status(); }},
+      {0, [&](QueryId q) { return engine.AnswerJoinWithReport(q).status(); }},
+      {1, [&](QueryId q) {
+         return engine.AnswerPointFrequency(q, 3).status();
+       }},
+      {1, [&](QueryId q) { return engine.AnswerHeavyHitters(q, 1).status(); }},
+      {2, [&](QueryId q) { return engine.AnswerDistinctCount(q).status(); }},
+      {3, [&](QueryId q) { return engine.AnswerTopK(q).status(); }},
+      {4, [&](QueryId q) { return engine.AnswerQuantile(q, 0.5).status(); }},
+      {5, [&](QueryId q) { return engine.AnswerRangeSum(q, 0, 7).status(); }},
+      {6, [&](QueryId q) { return engine.AnswerChainJoin(q).status(); }},
+      {6, [&](QueryId q) {
+         return engine.AnswerChainJoinWithReport(q).status();
+       }}};
+  for (QueryId id = 1; id <= specs.size(); ++id) {
+    for (const auto& [kind, answer] : answers) {
+      const Status status = answer(id);
+      if (kind == specs[id - 1].index()) {
+        EXPECT_TRUE(status.ok()) << "query " << id << ": " << status;
+      } else {
+        EXPECT_EQ(status.code(), StatusCode::kNotFound)
+            << "query " << id << " answered as kind " << kind;
+      }
+    }
+  }
+
+  // Health: exactly the join and frequency queries, in id order.
+  std::vector<QueryId> probed;
+  for (const QueryHealth& query : engine.HealthReport().queries) {
+    probed.push_back(query.id);
+  }
+  EXPECT_EQ(probed, (std::vector<QueryId>{1, 2, 8}));
+
+  engine.Clear();
+  EXPECT_EQ(engine.num_queries(), 0u);
+  ASSERT_TRUE(engine.RegisterStream({"s", 1u << 8}).ok());
+  EXPECT_EQ(*engine.AddQuery(frequency, 1), 1u);
   frequency.stream = "nope";
   EXPECT_EQ(engine.AddQuery(frequency, 1).status().code(),
             StatusCode::kNotFound);
@@ -200,6 +271,30 @@ TEST(EngineTest, SumAggregateUsesMeasureWeights) {
   StatusOr<double> answer = engine.AnswerJoin(*query);
   ASSERT_TRUE(answer.ok());
   EXPECT_NEAR(*answer, 1050.0, 110.0);
+}
+
+// A dense value whose product passes 2^63 is answered, never a process
+// abort: three measures of 3e9 per side give 9e9 · 9e9 = 8.1e19.
+TEST(EngineTest, SumJoinPastInt64Answers) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream(Packets()).ok());
+  ASSERT_TRUE(engine.RegisterStream(Flows()).ok());
+  JoinQuerySpec spec = BasicJoinSpec();
+  spec.left_input = AggregateInput::kMeasure;
+  spec.right_input = AggregateInput::kMeasure;
+  StatusOr<QueryId> query = engine.AddJoinQuery(spec, 6);
+  ASSERT_TRUE(query.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.Update("packets", {7, 1, 3'000'000'000}).ok());
+    ASSERT_TRUE(engine.Update("flows", {7, 1, 3'000'000'000}).ok());
+  }
+  StatusOr<double> answer = engine.AnswerJoin(*query);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_DOUBLE_EQ(*answer, 8.1e19);
+  StatusOr<EstimateReport> report = engine.AnswerJoinWithReport(*query);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->estimate, *answer);
+  EXPECT_EQ(engine.HealthReport().queries.size(), 1u);
 }
 
 TEST(EngineTest, PredicatesFilterUpdates) {

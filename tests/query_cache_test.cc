@@ -1,16 +1,16 @@
-// Correctness tests for the engine's epoch-invalidated QueryCache
+// Correctness tests for the engine's epoch-invalidated answer cache
 // (DESIGN.md §11): cached answers must be bit-identical to fresh
 // recomputation, a single-element update to any participating stream must
 // invalidate, a concurrent-ingest flush must invalidate point answers, and
 // a checkpoint/restore round trip must drop the cache and re-seed epochs
 // without changing any answer.
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "query/engine.h"
-#include "query/query_cache.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -51,37 +51,6 @@ Engine::ReadPathOptions CacheOn() {
   Engine::ReadPathOptions options;
   options.use_query_cache = true;
   return options;
-}
-
-// Unit-level: the cache distinguishes miss / hit / invalidation and scopes
-// point entries by (query, value).
-TEST(QueryCacheUnitTest, OutcomesAndScoping) {
-  QueryCache cache;
-  QueryCache::Outcome outcome;
-  EXPECT_FALSE(cache.LookupJoin(1, {5, 7}, &outcome).has_value());
-  EXPECT_EQ(outcome, QueryCache::Outcome::kMiss);
-
-  cache.StoreJoin(1, {5, 7}, 123.5);
-  auto hit = cache.LookupJoin(1, {5, 7}, &outcome);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(outcome, QueryCache::Outcome::kHit);
-  EXPECT_DOUBLE_EQ(*hit, 123.5);
-
-  // One stream advanced: the entry is stale, not missing.
-  EXPECT_FALSE(cache.LookupJoin(1, {6, 7}, &outcome).has_value());
-  EXPECT_EQ(outcome, QueryCache::Outcome::kInvalidated);
-
-  cache.StorePoint(2, 42, {9}, -3);
-  EXPECT_TRUE(cache.LookupPoint(2, 42, {9}, &outcome).has_value());
-  EXPECT_FALSE(cache.LookupPoint(2, 43, {9}, &outcome).has_value());
-  EXPECT_EQ(outcome, QueryCache::Outcome::kMiss);
-  EXPECT_FALSE(cache.LookupPoint(3, 42, {9}, &outcome).has_value());
-
-  EXPECT_EQ(cache.EntryCount(), 2u);
-  cache.DropQuery(2);
-  EXPECT_EQ(cache.EntryCount(), 1u);
-  cache.DropAll();
-  EXPECT_EQ(cache.EntryCount(), 0u);
 }
 
 TEST(QueryCacheTest, CachedJoinAnswerBitIdenticalToFresh) {
@@ -143,6 +112,7 @@ TEST(QueryCacheTest, PointAnswersCachedPerValueAndInvalidated) {
     ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
     ASSERT_TRUE(engine->RegisterStream(Flows()).ok());
     ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 9).ok());
+    ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 10).ok());
     FeedBoth(engine, 999, 400);
   }
   cached.SetReadPathOptions(CacheOn());
@@ -158,7 +128,18 @@ TEST(QueryCacheTest, PointAnswersCachedPerValueAndInvalidated) {
   EXPECT_EQ(stats->hits, 1u);
   EXPECT_EQ(stats->misses, 2u);
 
-  // An update to the participating stream invalidates every cached value.
+  // Entries are scoped per query: the other query's first read of 7 misses.
+  StatusOr<int64_t> other = cached.AnswerPointFrequency(2, 7);
+  StatusOr<int64_t> other_reference = fresh.AnswerPointFrequency(2, 7);
+  ASSERT_TRUE(other.ok() && other_reference.ok());
+  EXPECT_EQ(*other, *other_reference);
+  stats = cached.QueryCacheStatsFor(2);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->hits, 0u);
+  EXPECT_EQ(stats->misses, 1u);
+
+  // An update to the participating stream invalidates every cached value;
+  // the invalidated read counts as a miss too.
   ASSERT_TRUE(cached.Update("packets", {7, 1, 0}).ok());
   ASSERT_TRUE(fresh.Update("packets", {7, 1, 0}).ok());
   StatusOr<int64_t> recomputed = cached.AnswerPointFrequency(1, 7);
@@ -168,6 +149,48 @@ TEST(QueryCacheTest, PointAnswersCachedPerValueAndInvalidated) {
   stats = cached.QueryCacheStatsFor(1);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->invalidations, 1u);
+  EXPECT_EQ(stats->misses, 3u);
+  EXPECT_EQ(stats->hits, 1u);
+}
+
+// A synopsis load moves no stream epoch, so a join answer cached before it
+// would still pass its guard: LoadQuerySynopsis drops the query's cached
+// answers, and the next reads answer from the loaded synopses.
+TEST(QueryCacheTest, LoadQuerySynopsisDropsCachedAnswers) {
+  Engine cached, other;
+  for (Engine* engine : {&cached, &other}) {
+    ASSERT_TRUE(engine->RegisterStream(Packets()).ok());
+    ASSERT_TRUE(engine->RegisterStream(Flows()).ok());
+    ASSERT_TRUE(engine->AddJoinQuery(BasicJoinSpec(), 42).ok());
+    ASSERT_TRUE(engine->AddFrequencyQuery(BasicFreqSpec(), 9).ok());
+  }
+  FeedBoth(&cached, 111, 300);
+  FeedBoth(&other, 222, 600);
+  cached.SetReadPathOptions(CacheOn());
+  StatusOr<double> join_before = cached.AnswerJoin(1);
+  StatusOr<int64_t> point_before = cached.AnswerPointFrequency(2, 7);
+  StatusOr<double> join_loaded = other.AnswerJoin(1);
+  StatusOr<int64_t> point_loaded = other.AnswerPointFrequency(2, 7);
+  ASSERT_TRUE(join_before.ok() && point_before.ok() && join_loaded.ok() &&
+              point_loaded.ok());
+  ASSERT_NE(*join_before, *join_loaded);
+
+  for (QueryId id : {QueryId{1}, QueryId{2}}) {
+    std::string record;
+    ASSERT_TRUE(other.SerializeQuerySynopsis(id, &record).ok());
+    ASSERT_TRUE(cached.LoadQuerySynopsis(id, std::span(&record, 1)).ok());
+  }
+  StatusOr<double> join_after = cached.AnswerJoin(1);
+  StatusOr<int64_t> point_after = cached.AnswerPointFrequency(2, 7);
+  ASSERT_TRUE(join_after.ok() && point_after.ok());
+  EXPECT_EQ(*join_after, *join_loaded);
+  EXPECT_EQ(*point_after, *point_loaded);
+  for (QueryId id : {QueryId{1}, QueryId{2}}) {
+    StatusOr<Engine::QueryCacheStats> stats = cached.QueryCacheStatsFor(id);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->hits, 0u) << "query " << id;
+    EXPECT_EQ(stats->misses, 2u) << "query " << id;
+  }
 }
 
 // Across rounds of writes between reads, cached join and point answers

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -99,12 +100,24 @@ TEST(ShellTest, SelfJoinAndMethodParsing) {
   EXPECT_NEAR(std::stod(answer.substr(3)), 400.0, 40.0);
 }
 
+// A name names one query, whatever its kind: every registration refuses a
+// name any kind already holds.
 TEST(ShellTest, DuplicateQueryNamesRejected) {
   Shell shell;
   ASSERT_EQ(Exec(&shell, "stream f 1024"), "ok");
+  ASSERT_EQ(Exec(&shell, "stream g 1024"), "ok");
   ASSERT_EQ(Exec(&shell, "freq q f 2048"), "ok");
   EXPECT_NE(Exec(&shell, "selfjoin q f agms 512").find("already in use"),
             std::string::npos);
+  for (const auto& [first, second] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"topk t f 3 64", "join t f g skimmed 256"},
+           {"distinct d f 16", "freq d f 256"},
+           {"quantile z f 0.1", "freq z f 256"}}) {
+    ASSERT_EQ(Exec(&shell, first), "ok");
+    EXPECT_NE(Exec(&shell, second).find("already in use"), std::string::npos)
+        << second;
+  }
 }
 
 TEST(ShellTest, UpdateWithCountAndMeasure) {

@@ -194,6 +194,16 @@ TEST(DenseDenseJoinTest, EmptyAndDisjoint) {
   EXPECT_EQ(DenseDenseJoin({{1, 5}}, {{2, 5}}), 0);
 }
 
+// Dense frequencies are data: a product past 2^63 is an answer, not a
+// reason to abort. 9e9 · 9e9 = 8.1e19 > 2^63 ≈ 9.22e18.
+TEST(DenseDenseJoinTest, TotalPastInt64IsAnswered) {
+  const int64_t heavy = 9'000'000'000;
+  EXPECT_EQ(DenseDenseJoin({{7, heavy}}, {{7, heavy}}), 8.1e19);
+  // Partial sums may pass int64 as long as the total comes back.
+  EXPECT_EQ(
+      DenseDenseJoin({{1, heavy}, {2, heavy}}, {{1, heavy}, {2, -heavy}}), 0);
+}
+
 TEST(EstimateSubJoinSizeTest, ExactWhenSketchHasNoCollisions) {
   // Residual g has three isolated values; the dense side names two of them.
   HashSketch g = MustCreate({5, 1024}, 9);
@@ -254,7 +264,7 @@ TEST(SkimExampleTest, PaperExampleScenario) {
   EXPECT_GE(LookupDense(dense_g, 2), 20);
 
   const double estimate =
-      static_cast<double>(DenseDenseJoin(dense_f, dense_g)) +
+      DenseDenseJoin(dense_f, dense_g) +
       EstimateSubJoinSize(dense_f, sg) + EstimateSubJoinSize(dense_g, sf) +
       *sketch::HashSketch::EstimateJoinSize(sf, sg);
   const double exact = static_cast<double>(stream::JoinSize(f, g));
