@@ -147,22 +147,19 @@ std::string EncodeHelloReply(const HelloReply& msg) {
 StatusOr<HelloReply> DecodeHelloReply(std::string_view payload) {
   std::istringstream in{std::string(payload)};
   HelloReply msg;
+  std::string clock_token;
   if (!ReadToken(in, &msg.shard_name) || !ReadToken(in, &msg.incarnation) ||
-      !ReadToken(in, &msg.epoch)) {
+      !ReadToken(in, &msg.epoch) || !ReadToken(in, &clock_token)) {
     return Malformed("hello-reply");
   }
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.shard_name, "shard name"));
-  // The trace-clock token is optional (absent from a pre-telemetry peer);
-  // when present it must be a clean u64.
-  std::string clock_token;
-  if (ReadToken(in, &clock_token)) {
-    const auto [ptr, ec] =
-        std::from_chars(clock_token.data(),
-                        clock_token.data() + clock_token.size(),
-                        msg.trace_clock_micros);
-    if (ec != std::errc() || ptr != clock_token.data() + clock_token.size()) {
-      return Malformed("hello-reply");
-    }
+  // The trace clock must be a clean u64.
+  const auto [ptr, ec] =
+      std::from_chars(clock_token.data(),
+                      clock_token.data() + clock_token.size(),
+                      msg.trace_clock_micros);
+  if (ec != std::errc() || ptr != clock_token.data() + clock_token.size()) {
+    return Malformed("hello-reply");
   }
   SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "hello-reply"));
   return msg;

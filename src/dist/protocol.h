@@ -83,10 +83,10 @@ struct HelloReply {
   uint64_t incarnation = 0;
   uint64_t epoch = 0;
   /// The worker's TraceRecorder::NowMicros() when the reply was encoded.
-  /// Always encoded; optional on decode (0 from a pre-telemetry peer), so
-  /// old and new endpoints interoperate. The coordinator subtracts it from
-  /// the hello round trip's midpoint on its own recorder clock to estimate
-  /// the per-shard clock offset that aligns a merged fleet trace.
+  /// Required on decode: it shipped with the SKJ2 frame header, the only
+  /// frame the frame layer accepts. The coordinator subtracts it from the
+  /// hello round trip's midpoint on its own recorder clock to estimate the
+  /// per-shard clock offset that aligns a merged fleet trace.
   uint64_t trace_clock_micros = 0;
 };
 

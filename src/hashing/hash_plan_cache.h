@@ -117,7 +117,7 @@ class HashPlanCache {
 /// Packing helpers shared by every sketch that stores (bucket, sign) plans:
 /// the sign's negative bit rides in bit 0 so the bucket shifts left by one.
 /// Callers guard that buckets fit 31 bits (HashSketch runs without a plan
-/// cache beyond that — see HashSketch::SetKernel).
+/// cache beyond that — see TableSketch::SetKernel).
 inline uint32_t PackBucketSign(uint64_t bucket, int64_t sign) {
   return static_cast<uint32_t>((bucket << 1) |
                                static_cast<uint64_t>(sign < 0));

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "sketch/serial_limits.h"
@@ -57,6 +58,14 @@ StatusOr<MultiJoinEstimator> MultiJoinEstimator::Create(
           "join attribute " + std::to_string(attribute) +
           " must appear in exactly two relations (acyclic join), found " +
           std::to_string(uses));
+    }
+    // The constructor keeps one sign family per id up to the largest, so
+    // ids must be dense: a gap would size that allocation, not the query.
+    if (attribute >= attribute_uses.size()) {
+      return InvalidArgumentError(
+          "join attribute ids must be dense from 0; found " +
+          std::to_string(attribute) + " among " +
+          std::to_string(attribute_uses.size()) + " attributes");
     }
   }
   return MultiJoinEstimator(config, seed);
@@ -154,21 +163,35 @@ StatusOr<MultiJoinEstimator> MultiJoinEstimator::DeserializeFrom(
       config.num_means, config.num_medians, "multi-join"));
   SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
       config.num_means * config.num_medians, num_relations, "multi-join"));
-  config.relation_attributes.resize(num_relations);
-  for (std::vector<uint64_t>& attrs : config.relation_attributes) {
+  // Relations are appended as their lists are read, so a header that
+  // claims more relations than the record holds fails on the first missing
+  // list, not after sizing one empty list per claimed relation.
+  for (uint64_t relation = 0; relation < num_relations; ++relation) {
     uint64_t arity = 0;
     // The declared arity bounds the grid just like a counter dimension;
     // a relation never carries more than a handful of attributes.
     if (!(in >> arity) || arity < 1 || arity > 64) {
       return InvalidArgumentError("malformed multi-join attribute list");
     }
-    attrs.resize(arity);
+    std::vector<uint64_t>& attrs =
+        config.relation_attributes.emplace_back(arity);
     for (uint64_t& a : attrs) {
       if (!(in >> a)) {
         return InvalidArgumentError("malformed multi-join attribute list");
       }
     }
   }
+  // The constructor builds one sign family per attribute and cell beside
+  // the per-relation counter grids, so both count against the cap before
+  // Create allocates either. Ids that are not dense are refused by Create.
+  std::unordered_set<uint64_t> attributes;
+  for (const std::vector<uint64_t>& attrs : config.relation_attributes) {
+    attributes.insert(attrs.begin(), attrs.end());
+  }
+  SKIMJOIN_RETURN_IF_ERROR(
+      sketch::CheckDeserializeDims(config.num_means * config.num_medians,
+                                   num_relations + attributes.size(),
+                                   "multi-join"));
   StatusOr<MultiJoinEstimator> estimator =
       MultiJoinEstimator::Create(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(estimator.status());

@@ -42,7 +42,8 @@ struct MultiJoinConfig {
 class MultiJoinEstimator {
  public:
   /// Validates the config (grid >= 1×1, >= 2 relations, every attribute in
-  /// exactly two relations, every relation with >= 1 attribute).
+  /// exactly two relations, attribute ids dense from 0, every relation with
+  /// >= 1 attribute).
   static StatusOr<MultiJoinEstimator> Create(const MultiJoinConfig& config,
                                              uint64_t seed);
 

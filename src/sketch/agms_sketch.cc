@@ -195,10 +195,7 @@ Status AgmsSketch::SerializeTo(std::ostream& out) const {
   out << "skimjoin.agms_sketch v2\n"
       << config_.num_means << ' ' << config_.num_medians << ' ' << seed_
       << '\n';
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    out << counters_[i] << (i + 1 == counters_.size() ? '\n' : ' ');
-  }
-  out << "end\n";
+  WriteCounterBlock(out, counters_);
   if (!out) return IoError("AGMS-sketch serialization failed");
   return OkStatus();
 }
@@ -218,15 +215,8 @@ StatusOr<AgmsSketch> AgmsSketch::DeserializeFrom(std::istream& in) {
       config.num_means, config.num_medians, "AGMS-sketch"));
   StatusOr<AgmsSketch> sketch = AgmsSketch::Create(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(sketch.status());
-  for (int64_t& counter : sketch->counters_) {
-    if (!(in >> counter)) {
-      return InvalidArgumentError("truncated AGMS-sketch counter block");
-    }
-  }
-  std::string sentinel;
-  if (!(in >> sentinel) || sentinel != "end") {
-    return InvalidArgumentError("AGMS-sketch record missing its end sentinel");
-  }
+  SKIMJOIN_RETURN_IF_ERROR(
+      ReadCounterBlock(in, sketch->counters_, "AGMS-sketch"));
   return sketch;
 }
 

@@ -64,10 +64,7 @@ void FmSketch::Merge(const FmSketch& other) {
 
 Status FmSketch::SerializeTo(std::ostream& out) const {
   out << "skimjoin.fm_sketch v1\n" << num_maps_ << ' ' << seed_ << '\n';
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    out << counters_[i] << (i + 1 == counters_.size() ? '\n' : ' ');
-  }
-  out << "end\n";
+  WriteCounterBlock(out, counters_);
   if (!out) return IoError("FM-sketch serialization failed");
   return OkStatus();
 }
@@ -87,15 +84,8 @@ StatusOr<FmSketch> FmSketch::DeserializeFrom(std::istream& in) {
       CheckDeserializeDims(num_maps, kPositions, "fm-sketch"));
   StatusOr<FmSketch> sketch = FmSketch::Create(num_maps, seed);
   SKIMJOIN_RETURN_IF_ERROR(sketch.status());
-  for (int64_t& counter : sketch->counters_) {
-    if (!(in >> counter)) {
-      return InvalidArgumentError("truncated fm-sketch counter block");
-    }
-  }
-  std::string sentinel;
-  if (!(in >> sentinel) || sentinel != "end") {
-    return InvalidArgumentError("fm-sketch record missing its end sentinel");
-  }
+  SKIMJOIN_RETURN_IF_ERROR(
+      ReadCounterBlock(in, sketch->counters_, "fm-sketch"));
   return sketch;
 }
 

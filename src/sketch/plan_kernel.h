@@ -1,5 +1,5 @@
-// The kFast update kernel that HashSketch and CountMinSketch share
-// (DESIGN.md §10). Private to their .cc files.
+// The kFast update kernel of the TableSketch core under HashSketch and
+// CountMinSketch (DESIGN.md §10). Private to sketch/table_sketch.cc.
 
 #ifndef SKIMJOIN_SKETCH_PLAN_KERNEL_H_
 #define SKIMJOIN_SKETCH_PLAN_KERNEL_H_

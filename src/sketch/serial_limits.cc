@@ -40,5 +40,28 @@ Status CheckDeserializeDims(uint64_t rows, uint64_t cols, const char* what) {
   return OkStatus();
 }
 
+void WriteCounterBlock(std::ostream& out, std::span<const int64_t> counters) {
+  for (size_t i = 0; i < counters.size(); ++i) {
+    out << counters[i] << (i + 1 == counters.size() ? '\n' : ' ');
+  }
+  out << "end\n";
+}
+
+Status ReadCounterBlock(std::istream& in, std::span<int64_t> counters,
+                        const char* what) {
+  for (int64_t& counter : counters) {
+    if (!(in >> counter)) {
+      return InvalidArgumentError(std::string("truncated ") + what +
+                                  " counter block");
+    }
+  }
+  std::string sentinel;
+  if (!(in >> sentinel) || sentinel != "end") {
+    return InvalidArgumentError(std::string(what) +
+                                " record missing its end sentinel");
+  }
+  return OkStatus();
+}
+
 }  // namespace sketch
 }  // namespace skimjoin

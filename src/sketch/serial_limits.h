@@ -11,11 +11,18 @@
 // one codepath) and defaults to 1 << 26 counters — 512 MiB of int64, far
 // beyond any configuration the estimators use, yet small enough that a
 // rejected record never destabilizes the process.
+//
+// The counter-block records (hash sketch, Count-Min, AGMS, FM) end the same
+// way — the counters on one line, then an `end` sentinel line — and write
+// and read that tail through WriteCounterBlock / ReadCounterBlock.
 
 #ifndef SKIMJOIN_SKETCH_SERIAL_LIMITS_H_
 #define SKIMJOIN_SKETCH_SERIAL_LIMITS_H_
 
 #include <cstdint>
+#include <istream>
+#include <ostream>
+#include <span>
 
 #include "util/status.h"
 
@@ -38,6 +45,17 @@ void SetMaxDeserializeCounters(uint64_t cap);
 /// product within MaxDeserializeCounters(). `what` names the record kind
 /// for the error message. Returns INVALID_ARGUMENT on violation.
 Status CheckDeserializeDims(uint64_t rows, uint64_t cols, const char* what);
+
+/// Writes `counters` space-separated on one line, then the `end` sentinel
+/// line that lets a reader tell a complete block from one truncated
+/// exactly at a counter boundary.
+void WriteCounterBlock(std::ostream& out, std::span<const int64_t> counters);
+
+/// Reads the block WriteCounterBlock wrote into `counters`, which the
+/// caller sized from a header it validated with CheckDeserializeDims.
+/// INVALID_ARGUMENT naming `what` on a short block or a missing sentinel.
+Status ReadCounterBlock(std::istream& in, std::span<int64_t> counters,
+                        const char* what);
 
 }  // namespace sketch
 }  // namespace skimjoin

@@ -96,13 +96,13 @@ StatusOr<GkQuantileSummary> GkQuantileSummary::DeserializeFrom(
   StatusOr<GkQuantileSummary> summary = GkQuantileSummary::Create(epsilon);
   SKIMJOIN_RETURN_IF_ERROR(summary.status());
   // Each insert adds at most one tuple and compression only removes, so a
-  // valid record never holds more tuples than observations — this bound
-  // caps the read before any allocation.
+  // valid record never holds more tuples than observations. Both counts
+  // come from the same untrusted header, so neither sizes an allocation:
+  // tuples grow as they are read, and a short record fails on the read.
   if (count < 0 || tuple_count > static_cast<uint64_t>(count)) {
     return InvalidArgumentError("gk-quantiles record has a bad tuple count");
   }
   summary->count_ = count;
-  summary->tuples_.reserve(tuple_count);
   uint64_t previous_value = 0;
   for (uint64_t i = 0; i < tuple_count; ++i) {
     Tuple tuple{};

@@ -36,18 +36,17 @@ TEST(HelloReplyCodec, RoundTripsTraceClock) {
   EXPECT_EQ(decoded->trace_clock_micros, 123456789u);
 }
 
-TEST(HelloReplyCodec, TraceClockTokenIsOptionalForOldPeers) {
-  // A pre-telemetry peer encodes only "<shard> <incarnation> <epoch>"; the
-  // decoder must accept it and report a zero trace clock.
+TEST(HelloReplyCodec, ReplyWithoutTraceClockTokenIsRefused) {
+  // Every peer that gets past the SKJ2-only frame layer encodes the clock,
+  // so a three-token reply is malformed, not a zero clock.
   StatusOr<HelloReply> decoded = DecodeHelloReply("s1 2 9");
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->shard_name, "s1");
-  EXPECT_EQ(decoded->incarnation, 2u);
-  EXPECT_EQ(decoded->epoch, 9u);
-  EXPECT_EQ(decoded->trace_clock_micros, 0u);
-  // A present-but-garbage clock token is malformed, not silently zero.
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  // A garbage, negative or trailing clock token is malformed too.
   EXPECT_FALSE(DecodeHelloReply("s1 2 9 notanumber").ok());
+  EXPECT_FALSE(DecodeHelloReply("s1 2 9 -5").ok());
   EXPECT_FALSE(DecodeHelloReply("s1 2 9 5 extra").ok());
+  EXPECT_TRUE(DecodeHelloReply("s1 2 9 5").ok());
 }
 
 TEST(RelationCodec, RegAndUpdateRoundTrip) {

@@ -1,5 +1,7 @@
 #include "query/multi_join.h"
 
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,6 +42,10 @@ TEST(MultiJoinTest, CreateValidatesConfig) {
 
   config = ChainOfThree();
   config.relation_attributes = {{0}, {}, {0}};  // empty relation
+  EXPECT_FALSE(MultiJoinEstimator::Create(config, 1).ok());
+
+  config = ChainOfThree();
+  config.relation_attributes = {{0}, {0, 7}, {7}};  // ids 1..6 missing
   EXPECT_FALSE(MultiJoinEstimator::Create(config, 1).ok());
 
   EXPECT_TRUE(MultiJoinEstimator::Create(ChainOfThree(), 1).ok());
@@ -164,6 +170,43 @@ TEST(MultiJoinTest, FourRelationChain) {
   ASSERT_TRUE(est.Update(2, {2, 3}, 5).ok());
   ASSERT_TRUE(est.Update(3, {3}, 7).ok());
   EXPECT_DOUBLE_EQ(est.Estimate(), 2.0 * 3 * 5 * 7);
+}
+
+TEST(MultiJoinTest, RecordClaimingMoreRelationsThanListsIsRefused) {
+  // A 1x1 grid whose header claims 2^26 relations, the most the counter
+  // cap allows, and carries no attribute list: refused at the first
+  // missing list, before any per-relation allocation.
+  std::stringstream in("skimjoin.multi_join v1\n1 1 7 67108864\n");
+  StatusOr<MultiJoinEstimator> result = MultiJoinEstimator::DeserializeFrom(in);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MultiJoinTest, RecordWhoseSignFamiliesExceedTheCapIsRefused) {
+  // Each grid's counters fit the cap (2^25 cells x 2 relations = 2^26), but
+  // the constructor would also build one sign family per attribute and
+  // cell: 64 attributes x 2^25 cells. Refused by the header check, before
+  // any family is built.
+  std::string wide = "skimjoin.multi_join v1\n33554432 1 7 2\n";
+  for (int relation = 0; relation < 2; ++relation) {
+    wide += "64";
+    for (int a = 0; a < 64; ++a) wide += ' ' + std::to_string(a);
+    wide += '\n';
+  }
+  // The three-relation chain at the most cells its counter grids allow:
+  // its two attributes' families would push the record past the cap.
+  const std::string chain =
+      "skimjoin.multi_join v1\n22369621 1 7 3\n1 0\n2 0 1\n1 1\n";
+  for (const std::string& record : {wide, chain}) {
+    std::stringstream in(record);
+    StatusOr<MultiJoinEstimator> result =
+        MultiJoinEstimator::DeserializeFrom(in);
+    ASSERT_FALSE(result.ok()) << record.substr(0, 40);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("record header"),
+              std::string::npos)
+        << result.status();
+  }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // beyond the configurable cap. Covers oversized headers, dimension-product
 // overflow, truncation at every prefix length, flipped bytes, and the
 // explicit end-sentinel that distinguishes a complete counter block from
-// one truncated at a counter boundary.
+// one truncated at a counter boundary. The four counter-block records are
+// pinned byte for byte by golden records, and every record the engine
+// writes is swept with header values inflated past anything a reader may
+// allocate from.
 //
 // The same discipline applies one layer down: dist wire frames arrive from
 // the network, so a recorded coordinator/worker exchange is replayed here
@@ -12,17 +15,26 @@
 // every mutation must come back as a Status (or "need more bytes"), never
 // a crash and never a payload allocation beyond kMaxFramePayload.
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/dyadic_skim.h"
 #include "core/skimmed_sketch.h"
 #include "dist/frame.h"
 #include "gtest/gtest.h"
+#include "one_per_kind_engine.h"
+#include "query/engine.h"
 #include "sketch/agms_sketch.h"
+#include "sketch/count_min_sketch.h"
+#include "sketch/fm_sketch.h"
 #include "sketch/hash_sketch.h"
 #include "sketch/serial_limits.h"
 #include "util/random.h"
@@ -37,60 +49,141 @@ std::string Serialized(const Sketch& sketch) {
   return buffer.str();
 }
 
-void ExpectHashSketchRejected(const std::string& text) {
-  std::stringstream in(text);
-  StatusOr<sketch::HashSketch> result = sketch::HashSketch::DeserializeFrom(in);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
+// ---- counter-block records ----------------------------------------------
 
-TEST(HashSketchFuzzTest, OversizedHeaderRejectedWithoutAllocating) {
-  // 10^12 counters would be 8 TB; must be rejected by the cap, not tried.
-  ExpectHashSketchRejected(
-      "skimjoin.hash_sketch v2\n1000000 1000000 1\n0 0 0\nend\n");
-  ExpectHashSketchRejected(
-      "skimjoin.hash_sketch v2\n1 99999999999999 1\n0\nend\n");
-}
-
-TEST(HashSketchFuzzTest, DimensionProductOverflowRejected) {
-  // 2^32 x 2^32 wraps to 0 in uint64 multiplication; the divide-based guard
-  // must still reject it.
-  ExpectHashSketchRejected(
-      "skimjoin.hash_sketch v2\n4294967296 4294967296 1\n0\nend\n");
-  ExpectHashSketchRejected(
-      "skimjoin.hash_sketch v2\n18446744073709551615 3 1\n0\nend\n");
-}
-
-TEST(HashSketchFuzzTest, ZeroDimensionRejected) {
-  ExpectHashSketchRejected("skimjoin.hash_sketch v2\n0 16 1\nend\n");
-  ExpectHashSketchRejected("skimjoin.hash_sketch v2\n3 0 1\nend\n");
-}
-
-TEST(HashSketchFuzzTest, TruncationAtEveryPrefixRejectedOrExact) {
-  auto sketch = *sketch::HashSketch::Create({3, 8}, 1);
-  for (int i = 0; i < 200; ++i) sketch.Update(i % 50, 1 - 2 * (i % 2));
-  const std::string full = Serialized(sketch);
-  // Every strict prefix except "full minus the final newline" (the format is
-  // whitespace-delimited, so the sentinel still parses there) must fail.
-  for (size_t len = 0; len + 1 < full.size(); ++len) {
-    std::stringstream in(full.substr(0, len));
-    StatusOr<sketch::HashSketch> result =
-        sketch::HashSketch::DeserializeFrom(in);
-    ASSERT_FALSE(result.ok()) << "prefix length " << len;
+// A record's header dimensions with one value replaced by 0, by a pair
+// whose product wraps uint64, or by a product far past the cap.
+std::vector<std::vector<std::string>> HostileDims(size_t dims) {
+  if (dims == 1) {
+    return {{"0"}, {"18446744073709551615"}, {"288230376151711744"},
+            {"1000000000000"}};
   }
-  std::stringstream in(full);
-  EXPECT_TRUE(sketch::HashSketch::DeserializeFrom(in).ok());
+  return {{"0", "8"},
+          {"3", "0"},
+          {"4294967296", "4294967296"},
+          {"18446744073709551615", "3"},
+          {"1000000", "1000000"},
+          {"1", "99999999999999"}};
 }
 
-TEST(HashSketchFuzzTest, MissingSentinelRejected) {
-  // A record chopped exactly at a counter boundary used to be accepted;
-  // the sentinel closes that hole.
-  auto sketch = *sketch::HashSketch::Create({2, 4}, 1);
-  sketch.Update(3, 9);
-  std::string text = Serialized(sketch);
-  const auto pos = text.rfind("end\n");
-  ASSERT_NE(pos, std::string::npos);
-  ExpectHashSketchRejected(text.substr(0, pos));
+template <typename Sketch>
+std::string FedRecord(StatusOr<Sketch> sketch) {
+  EXPECT_TRUE(sketch.ok());
+  for (uint64_t v = 0; v < 40; ++v) {
+    sketch->Update(v * 7 % 64, static_cast<int64_t>(v % 5) - 1);
+  }
+  return Serialized(*sketch);
+}
+
+// Deserializes `text`, then serializes what came back.
+template <typename Sketch>
+StatusOr<std::string> Reload(const std::string& text) {
+  std::stringstream in(text);
+  SKIMJOIN_ASSIGN_OR_RETURN(Sketch sketch, Sketch::DeserializeFrom(in));
+  return Serialized(sketch);
+}
+
+// One family whose record is a header, a counter block and `end`: a small
+// seeded sketch, the exact record it writes (checkpoints and shard deltas
+// store these bytes, so a refactor must not move one), and the number of
+// dimension tokens that open the header's second line.
+struct CounterBlockRecord {
+  const char* family;
+  std::function<std::string()> build;
+  const char* golden;
+  size_t dims;
+  std::function<StatusOr<std::string>(const std::string&)> reload;
+};
+
+const std::vector<CounterBlockRecord>& CounterBlockRecords() {
+  static const std::vector<CounterBlockRecord> records = {
+      {"hash-sketch v2",
+       [] { return FedRecord(sketch::HashSketch::Create({3, 8}, 11)); },
+       "skimjoin.hash_sketch v2\n3 8 11\n"
+       "3 3 -1 -3 6 0 -2 -2 -4 0 1 0 -6 2 3 -4 2 2 3 -2 6 1 -6 6\nend\n",
+       2, Reload<sketch::HashSketch>},
+      {"count-min v1",
+       [] { return FedRecord(sketch::CountMinSketch::Create({3, 8}, 12)); },
+       "skimjoin.count_min v1\n3 8 12\n"
+       "6 9 3 4 4 9 2 3 3 6 5 4 7 5 8 2 2 10 9 4 2 7 4 2\nend\n",
+       2, Reload<sketch::CountMinSketch>},
+      {"AGMS v2",
+       [] { return FedRecord(sketch::AgmsSketch::Create({4, 3}, 13)); },
+       "skimjoin.agms_sketch v2\n4 3 13\n"
+       "14 4 6 -16 -2 -4 -14 -10 8 4 14 14\nend\n",
+       2, Reload<sketch::AgmsSketch>},
+      {"FM v1", [] { return FedRecord(sketch::FmSketch::Create(1, 14)); },
+       "skimjoin.fm_sketch v1\n1 14\n"
+       "21 9 3 2 2 0 0 3 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+       "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\nend\n",
+       1, Reload<sketch::FmSketch>},
+  };
+  return records;
+}
+
+TEST(CounterBlockRecordTest, SeededSketchWritesTheGoldenRecord) {
+  for (const CounterBlockRecord& record : CounterBlockRecords()) {
+    EXPECT_EQ(record.build(), record.golden) << record.family;
+  }
+}
+
+TEST(CounterBlockRecordTest, GoldenRecordRoundTripsByteIdentical) {
+  for (const CounterBlockRecord& record : CounterBlockRecords()) {
+    StatusOr<std::string> again = record.reload(record.golden);
+    ASSERT_TRUE(again.ok()) << record.family << ": " << again.status();
+    EXPECT_EQ(*again, record.golden) << record.family;
+  }
+}
+
+TEST(CounterBlockRecordTest, EveryTruncatedPrefixRefused) {
+  for (const CounterBlockRecord& record : CounterBlockRecords()) {
+    const std::string full = record.golden;
+    // Every strict prefix except "full minus the final newline" (the format
+    // is whitespace-delimited, so the sentinel still parses there).
+    for (size_t len = 0; len + 1 < full.size(); ++len) {
+      EXPECT_FALSE(record.reload(full.substr(0, len)).ok())
+          << record.family << " prefix length " << len;
+    }
+  }
+}
+
+TEST(CounterBlockRecordTest, HostileDimsRefusedBeforeAllocating) {
+  for (const CounterBlockRecord& record : CounterBlockRecords()) {
+    const std::string full = record.golden;
+    const size_t header = full.find('\n') + 1;
+    for (const std::vector<std::string>& dims : HostileDims(record.dims)) {
+      // Replace the leading dimension tokens of the header line.
+      size_t end = header;
+      std::string hostile = full.substr(0, header);
+      for (const std::string& dim : dims) {
+        end = full.find_first_of(" \n", end) + 1;
+        hostile += dim + ' ';
+      }
+      hostile.pop_back();
+      hostile += full.substr(end - 1);
+      StatusOr<std::string> result = record.reload(hostile);
+      ASSERT_FALSE(result.ok()) << record.family << ": " << hostile;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      // Refused by the header check, not by a short counter block read
+      // after an allocation.
+      EXPECT_NE(result.status().message().find("record header"),
+                std::string::npos)
+          << record.family << ": " << result.status();
+    }
+  }
+}
+
+TEST(CounterBlockRecordTest, MissingEndRefused) {
+  // A record chopped exactly at a counter boundary parses every counter;
+  // only the sentinel tells it from a complete one.
+  for (const CounterBlockRecord& record : CounterBlockRecords()) {
+    const std::string full = record.golden;
+    StatusOr<std::string> result =
+        record.reload(full.substr(0, full.rfind("end\n")));
+    ASSERT_FALSE(result.ok()) << record.family;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << record.family;
+  }
 }
 
 TEST(HashSketchFuzzTest, ByteFlipsNeverCrash) {
@@ -118,21 +211,6 @@ TEST(HashSketchFuzzTest, NegativeCountersAreLegalStreamData) {
       sketch::HashSketch::DeserializeFrom(buffer);
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->CompatibleWith(sketch));
-}
-
-TEST(AgmsSketchFuzzTest, OversizedAndTruncatedRejected) {
-  std::stringstream oversized(
-      "skimjoin.agms_sketch v2\n123456789123 123456789 1\n0\nend\n");
-  StatusOr<sketch::AgmsSketch> result =
-      sketch::AgmsSketch::DeserializeFrom(oversized);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-
-  auto sketch = *sketch::AgmsSketch::Create({4, 3}, 1);
-  sketch.Update(1, 1);
-  const std::string full = Serialized(sketch);
-  std::stringstream truncated(full.substr(0, full.size() - 5));
-  EXPECT_FALSE(sketch::AgmsSketch::DeserializeFrom(truncated).ok());
 }
 
 TEST(DyadicSkimmerFuzzTest, HostileExactLevelSizeRejected) {
@@ -189,6 +267,59 @@ TEST(SkimmedSketchFuzzTest, TruncationSweepNeverCrashes) {
   }
   std::stringstream in(full);
   EXPECT_TRUE(core::SkimmedSketch::DeserializeFrom(in).ok());
+}
+
+// ---- engine synopsis records ---------------------------------------------
+
+// Offset and length of each of the first `limit` integer tokens of `text`.
+std::vector<std::pair<size_t, size_t>> IntegerTokens(const std::string& text,
+                                                     size_t limit) {
+  std::vector<std::pair<size_t, size_t>> tokens;
+  size_t pos = 0;
+  while (tokens.size() < limit) {
+    const size_t begin = text.find_first_not_of(" \n", pos);
+    if (begin == std::string::npos) break;
+    pos = std::min(text.find_first_of(" \n", begin), text.size());
+    const size_t digits = begin + (text[begin] == '-' ? 1 : 0);
+    if (digits < pos &&
+        std::all_of(text.begin() + digits, text.begin() + pos,
+                    [](char c) { return c >= '0' && c <= '9'; })) {
+      tokens.emplace_back(begin, pos - begin);
+    }
+  }
+  return tokens;
+}
+
+// Every synopsis record the one-per-kind engine writes, with one or two of
+// its first 12 integer tokens inflated to a size no header may be trusted
+// with, loads as a Status: a reader checks a header value before it sizes
+// an allocation from it.
+TEST(EngineRecordFuzzTest, InflatedHeaderTokensLoadAsAStatus) {
+  query::Engine engine;
+  query::BuildOnePerKindEngine(&engine);
+  const std::string inflated[] = {"9223372036854775807", "1099511627776"};
+  size_t records = 0;
+  for (query::QueryId id = 1;; ++id) {
+    std::string record;
+    const Status serialized = engine.SerializeQuerySynopsis(id, &record);
+    if (serialized.code() == StatusCode::kNotFound) break;
+    if (!serialized.ok()) continue;  // a family with no record
+    ++records;
+    const auto tokens = IntegerTokens(record, 12);
+    for (const std::string& value : inflated) {
+      // Token i alone when j == i, else tokens i and j; the later one is
+      // replaced first so the earlier offset still holds.
+      for (size_t i = 0; i < tokens.size(); ++i) {
+        for (size_t j = i; j < tokens.size(); ++j) {
+          std::string mutated = record;
+          mutated.replace(tokens[j].first, tokens[j].second, value);
+          if (j != i) mutated.replace(tokens[i].first, tokens[i].second, value);
+          (void)engine.LoadQuerySynopsis(id, std::span(&mutated, 1));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(records, 8u);
 }
 
 // ---- dist wire frames ---------------------------------------------------
