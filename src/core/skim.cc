@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "sketch/point_scan.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -21,19 +22,15 @@ int64_t LookupDense(const DenseFrequencies& dense, uint64_t value) {
 
 namespace {
 
-// Shared extraction step: estimate `value`, and if dense, record it and
-// subtract it from the sketch (Fig. 3 steps 6, 8–9). A positive `margin`
-// holds that much of the estimate back (Theorem 4's conservative skim).
-void MaybeSkimValue(sketch::HashSketch* sketch, uint64_t value,
-                    int64_t threshold, int64_t margin,
-                    DenseFrequencies* out) {
-  const int64_t estimate = sketch->PointEstimate(value);
-  if (std::llabs(estimate) < threshold) return;
+// How much of `estimate` Fig. 3 skims (steps 6, 8–9): nothing unless
+// |estimate| reaches the threshold, else the estimate itself — less a
+// positive `margin` held back (Theorem 4's conservative skim), and nothing
+// if the margin takes it all.
+int64_t SkimmedAmount(int64_t estimate, int64_t threshold, int64_t margin) {
+  if (std::llabs(estimate) < threshold) return 0;
   const int64_t magnitude = std::llabs(estimate) - margin;
-  if (magnitude <= 0) return;
-  const int64_t skimmed = estimate >= 0 ? magnitude : -magnitude;
-  out->emplace_back(value, skimmed);
-  sketch->Update(value, -skimmed);
+  if (magnitude <= 0) return 0;
+  return estimate >= 0 ? magnitude : -magnitude;
 }
 
 }  // namespace
@@ -45,8 +42,19 @@ DenseFrequencies SkimDenseNaive(sketch::HashSketch* sketch,
   SKIMJOIN_CHECK_GE(threshold, 1);
   SKIMJOIN_CHECK_GE(margin, 0);
   DenseFrequencies dense;
-  for (uint64_t value = 0; value < domain_size; ++value) {
-    MaybeSkimValue(sketch, value, threshold, margin, &dense);
+  sketch::PointScan scan(*sketch, 0, domain_size);
+  while (scan.NextBlock()) {
+    for (size_t i = 0; i < scan.estimates().size(); ++i) {
+      const int64_t skimmed =
+          SkimmedAmount(scan.estimates()[i], threshold, margin);
+      if (skimmed == 0) continue;
+      const uint64_t value = scan.block_lo() + i;
+      dense.emplace_back(value, skimmed);
+      sketch->UpdateUncached(value, -skimmed);
+      // Fig. 3 is sequential: the rest of the block is tested against the
+      // counters this subtraction left.
+      scan.Reestimate(i + 1);
+    }
   }
   return dense;  // domain scan emits values in sorted order already
 }
@@ -62,7 +70,11 @@ DenseFrequencies SkimDenseCandidates(sketch::HashSketch* sketch,
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
   DenseFrequencies dense;
   for (uint64_t value : unique) {
-    MaybeSkimValue(sketch, value, threshold, margin, &dense);
+    const int64_t skimmed =
+        SkimmedAmount(sketch->PointEstimate(value), threshold, margin);
+    if (skimmed == 0) continue;
+    dense.emplace_back(value, skimmed);
+    sketch->UpdateUncached(value, -skimmed);
   }
   return dense;
 }

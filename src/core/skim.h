@@ -37,6 +37,16 @@ int64_t LookupDense(const DenseFrequencies& dense, uint64_t value);
 /// O(domain_size · num_tables) time — the dyadic variant in dyadic_skim.h
 /// avoids the domain scan. Pre-conditions: threshold >= 1, margin >= 0.
 ///
+/// The scan runs on the block point estimator (sketch::PointScan): hashes
+/// by finite-difference chains, counters gathered and medianed a block of
+/// values at a time, in SIMD lanes where the CPU has them (EXPERIMENTS.md
+/// has its cost against the dyadic search). It keeps Fig. 3's sequential
+/// semantics: after a dense value is subtracted, the rest of its block is
+/// re-estimated before the next value is tested, so the result is
+/// bit-identical to PointEstimate-then-Update value by value. Dense values
+/// are subtracted with UpdateUncached, so a residual copy never builds a
+/// plan cache.
+///
 /// Extraction triggers on |estimate| so that net-negative heavy values
 /// (delete-dominated streams) are skimmed too; for insert-only streams this
 /// matches the paper's est >= T rule.
@@ -53,6 +63,7 @@ DenseFrequencies SkimDenseNaive(sketch::HashSketch* sketch,
 
 /// SKIMDENSE restricted to a candidate set (produced by the dyadic search).
 /// Candidates may contain duplicates or non-dense values; both are handled.
+/// Per value: PointEstimate, then UpdateUncached for a dense one.
 /// Pre-conditions: threshold >= 1, margin >= 0.
 DenseFrequencies SkimDenseCandidates(sketch::HashSketch* sketch,
                                      const std::vector<uint64_t>& candidates,

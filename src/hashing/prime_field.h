@@ -40,6 +40,11 @@ constexpr uint64_t AddMod61(uint64_t a, uint64_t b) {
   return sum;
 }
 
+/// (a - b) mod (2^61 - 1). Pre-condition: a, b < 2^61 - 1.
+constexpr uint64_t SubMod61(uint64_t a, uint64_t b) {
+  return a >= b ? a - b : a + kMersennePrime61 - b;
+}
+
 /// Folds an arbitrary 64-bit value into the field [0, 2^61 - 1).
 constexpr uint64_t FoldToField61(uint64_t x) {
   uint64_t r = (x & kMersennePrime61) + (x >> 61);

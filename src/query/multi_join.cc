@@ -188,10 +188,9 @@ StatusOr<MultiJoinEstimator> MultiJoinEstimator::DeserializeFrom(
   for (const std::vector<uint64_t>& attrs : config.relation_attributes) {
     attributes.insert(attrs.begin(), attrs.end());
   }
-  SKIMJOIN_RETURN_IF_ERROR(
-      sketch::CheckDeserializeDims(config.num_means * config.num_medians,
-                                   num_relations + attributes.size(),
-                                   "multi-join"));
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeFootprint(
+      config.num_means * config.num_medians, num_relations, attributes.size(),
+      "multi-join"));
   StatusOr<MultiJoinEstimator> estimator =
       MultiJoinEstimator::Create(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(estimator.status());

@@ -211,8 +211,10 @@ StatusOr<AgmsSketch> AgmsSketch::DeserializeFrom(std::istream& in) {
   if (!(in >> config.num_means >> config.num_medians >> seed)) {
     return InvalidArgumentError("malformed AGMS-sketch header");
   }
-  SKIMJOIN_RETURN_IF_ERROR(CheckDeserializeDims(
-      config.num_means, config.num_medians, "AGMS-sketch"));
+  // Every cell builds its own four-wise family before a counter is read.
+  SKIMJOIN_RETURN_IF_ERROR(
+      CheckDeserializeFootprint(config.num_means, config.num_medians,
+                                config.num_medians, "AGMS-sketch"));
   StatusOr<AgmsSketch> sketch = AgmsSketch::Create(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(sketch.status());
   SKIMJOIN_RETURN_IF_ERROR(

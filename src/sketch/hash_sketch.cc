@@ -1,7 +1,9 @@
 #include "sketch/hash_sketch.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,13 +25,20 @@ StatusOr<HashSketch> HashSketch::DeserializeFrom(std::istream& in) {
 }
 
 int64_t HashSketch::PointEstimate(uint64_t value) const {
-  std::vector<int64_t> estimates;
-  estimates.reserve(config().num_tables);
-  for (uint64_t table = 0; table < config().num_tables; ++table) {
-    estimates.push_back(Sign(table, value) *
-                        Counter(table, Bucket(table, value)));
+  // Per-table estimates live on the stack; only a sketch wider than any
+  // shipped shape takes them from the heap.
+  constexpr uint64_t kStackTables = 32;
+  const uint64_t tables = config().num_tables;
+  std::array<int64_t, kStackTables> stack;
+  std::vector<int64_t> heap(tables > kStackTables ? tables : 0);
+  const std::span<int64_t> estimates =
+      tables > kStackTables ? std::span<int64_t>(heap)
+                            : std::span<int64_t>(stack).first(tables);
+  for (uint64_t table = 0; table < tables; ++table) {
+    estimates[table] = SignedCounter(Sign(table, value) < 0,
+                                     Counter(table, Bucket(table, value)));
   }
-  return MedianInt64(std::move(estimates));
+  return MedianInt64(estimates);
 }
 
 StatusOr<double> HashSketch::EstimateJoinSize(const HashSketch& f,

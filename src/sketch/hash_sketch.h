@@ -30,6 +30,16 @@
 namespace skimjoin {
 namespace sketch {
 
+/// ξ·counter for a sign ξ in {-1, +1} given as `negative`. The negation is
+/// unsigned, so a counter of INT64_MIN wraps — as it does in the vector
+/// lanes of sketch/point_scan.cc — instead of overflowing.
+inline int64_t SignedCounter(bool negative, int64_t counter) {
+  // Branch-free: signs are random, so a branch would mispredict half the
+  // time. (c ^ m) - m is c for m = 0 and -c for m = all ones.
+  const uint64_t mask = 0 - static_cast<uint64_t>(negative);
+  return static_cast<int64_t>((static_cast<uint64_t>(counter) ^ mask) - mask);
+}
+
 /// One hash sketch for one stream. Copyable; copies are independent.
 class HashSketch : public TableSketch<true> {
  public:
@@ -45,7 +55,9 @@ class HashSketch : public TableSketch<true> {
 
   /// Point frequency estimate for `value`: median over tables of
   /// ξ_j(value)·C[j][h_j(value)] (the COUNTSKETCH estimator used by
-  /// SKIMDENSE, Fig. 3 step 5).
+  /// SKIMDENSE, Fig. 3 step 5), MedianInt64's rule for an even table
+  /// count. Allocation-free up to 32 tables. sketch::PointScan estimates
+  /// whole ranges of values bit-identically.
   int64_t PointEstimate(uint64_t value) const;
 
   /// Join-size estimate WITHOUT skimming: for each table, the sum over

@@ -40,6 +40,23 @@ Status CheckDeserializeDims(uint64_t rows, uint64_t cols, const char* what) {
   return OkStatus();
 }
 
+Status CheckDeserializeFootprint(uint64_t rows, uint64_t cols,
+                                 uint64_t families_per_row, const char* what) {
+  SKIMJOIN_RETURN_IF_ERROR(CheckDeserializeDims(rows, cols, what));
+  const uint64_t cap = MaxDeserializeCounters();
+  // cols <= cap now, so the row's words cannot wrap once its families fit.
+  if (families_per_row > cap / kWordsPerHashFamily ||
+      rows > cap / (cols + families_per_row * kWordsPerHashFamily)) {
+    return InvalidArgumentError(
+        std::string(what) + " record header claims " + std::to_string(rows) +
+        " x " + std::to_string(cols) + " counters with " +
+        std::to_string(families_per_row) +
+        " hash families per row, above the deserialization cap of " +
+        std::to_string(cap) + " words");
+  }
+  return OkStatus();
+}
+
 void WriteCounterBlock(std::ostream& out, std::span<const int64_t> counters) {
   for (size_t i = 0; i < counters.size(); ++i) {
     out << counters[i] << (i + 1 == counters.size() ? '\n' : ' ');

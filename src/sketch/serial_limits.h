@@ -8,9 +8,13 @@
 // non-zero, must not overflow, and must not exceed a configurable cap.
 //
 // The cap is process-wide (servers deserialize synopses of many shapes on
-// one codepath) and defaults to 1 << 26 counters — 512 MiB of int64, far
+// one codepath) and defaults to 1 << 26 counter-sized words — 512 MiB, far
 // beyond any configuration the estimators use, yet small enough that a
-// rejected record never destabilizes the process.
+// rejected record never destabilizes the process. A record that also
+// builds hash families from its header (a hash sketch's per-table
+// families, an AGMS sketch's per-cell ones) charges each family
+// kWordsPerHashFamily words through CheckDeserializeFootprint, so the cap
+// bounds the bytes a header can ask for, not only its counters.
 //
 // The counter-block records (hash sketch, Count-Min, AGMS, FM) end the same
 // way — the counters on one line, then an `end` sentinel line — and write
@@ -45,6 +49,19 @@ void SetMaxDeserializeCounters(uint64_t cap);
 /// product within MaxDeserializeCounters(). `what` names the record kind
 /// for the error message. Returns INVALID_ARGUMENT on violation.
 Status CheckDeserializeDims(uint64_t rows, uint64_t cols, const char* what);
+
+/// Counter-sized words charged for each hash family a record builds: an
+/// upper bound on one BucketHash or SignHash object, its heap coefficients
+/// and their allocator overhead (at most 128 bytes).
+inline constexpr uint64_t kWordsPerHashFamily = 16;
+
+/// CheckDeserializeDims for a record that builds `families_per_row` hash
+/// families beside each row of `cols` counters: rows × cols counters must
+/// pass CheckDeserializeDims, and rows × (cols + families_per_row ×
+/// kWordsPerHashFamily) words must fit the same cap. INVALID_ARGUMENT
+/// naming `what` otherwise.
+Status CheckDeserializeFootprint(uint64_t rows, uint64_t cols,
+                                 uint64_t families_per_row, const char* what);
 
 /// Writes `counters` space-separated on one line, then the `end` sentinel
 /// line that lets a reader tell a complete block from one truncated

@@ -35,6 +35,13 @@ struct Family<false> {
   static constexpr FamilyTag kBucketTag = FamilyTag::kCountMinBucket;
 };
 
+// A family's object and heap coefficients fit kWordsPerHashFamily with two
+// words to spare for allocator overhead.
+static_assert(sizeof(hashing::BucketHash) + 2 * sizeof(uint64_t) <=
+              (kWordsPerHashFamily - 2) * sizeof(int64_t));
+static_assert(sizeof(hashing::SignHash) + 4 * sizeof(uint64_t) <=
+              (kWordsPerHashFamily - 2) * sizeof(int64_t));
+
 }  // namespace
 
 template <bool kSigned>
@@ -101,11 +108,17 @@ internal::PlanKernel<kSigned> TableSketch<kSigned>::FastKernel() {
 
 template <bool kSigned>
 void TableSketch<kSigned>::Update(uint64_t value, int64_t weight) {
-  ++update_epoch_;
-  if (UsePlanCache()) {
-    FastKernel().Update(value, weight);
+  if (!UsePlanCache()) {
+    UpdateUncached(value, weight);
     return;
   }
+  ++update_epoch_;
+  FastKernel().Update(value, weight);
+}
+
+template <bool kSigned>
+void TableSketch<kSigned>::UpdateUncached(uint64_t value, int64_t weight) {
+  ++update_epoch_;
   for (uint64_t table = 0; table < config_.num_tables; ++table) {
     const uint64_t bucket = bucket_hashes_[table](value);
     if constexpr (kSigned) {
@@ -221,9 +234,10 @@ StatusOr<TableSketch<kSigned>> TableSketch<kSigned>::ReadRecord(
     return InvalidArgumentError(std::string("malformed ") + name + " header");
   }
   // Validate the untrusted dimensions BEFORE allocating counters (a hostile
-  // header could otherwise demand a multi-GB assign).
-  SKIMJOIN_RETURN_IF_ERROR(
-      CheckDeserializeDims(config.num_tables, config.num_buckets, name));
+  // header could otherwise demand a multi-GB assign), charging each table's
+  // families too: at one bucket per table they outweigh the counters.
+  SKIMJOIN_RETURN_IF_ERROR(CheckDeserializeFootprint(
+      config.num_tables, config.num_buckets, kSigned ? 2 : 1, name));
   TableSketch sketch(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(ReadCounterBlock(in, sketch.counters_, name));
   return sketch;

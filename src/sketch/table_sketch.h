@@ -40,6 +40,23 @@ namespace sketch {
 namespace internal {
 template <bool kSigned>
 class PlanKernel;
+
+/// A TableSketch's optional plan cache, which a copy does not take: the
+/// copy starts without one and builds its own on its first update, so a
+/// copy that never ingests (a skim's residual, a scratch copy) costs no
+/// cache (~0.5 MiB at s = 7). A move keeps it.
+class UncopiedPlanCache : public std::optional<hashing::HashPlanCache> {
+ public:
+  UncopiedPlanCache() = default;
+  UncopiedPlanCache(const UncopiedPlanCache&)
+      : std::optional<hashing::HashPlanCache>() {}
+  UncopiedPlanCache(UncopiedPlanCache&&) = default;
+  UncopiedPlanCache& operator=(const UncopiedPlanCache&) {
+    reset();
+    return *this;
+  }
+  UncopiedPlanCache& operator=(UncopiedPlanCache&&) = default;
+};
 }  // namespace internal
 
 /// Shape of a hash sketch.
@@ -75,6 +92,12 @@ class TableSketch {
     Update(element.value, element.weight);
   }
 
+  /// Update without the plan cache: the scalar loop, counter-for-counter
+  /// identical to Update. For the few updates of a sketch that otherwise
+  /// only answers — a skim subtracting its dense values from a residual
+  /// copy — which would pay more to build a cache than it saves.
+  void UpdateUncached(uint64_t value, int64_t weight);
+
   /// Applies a batch of arrivals. Counter-for-counter identical to calling
   /// Update element by element (integer addition commutes). The kFast
   /// kernel blocks the batch: it hashes kBatchBlockSize elements into a
@@ -85,6 +108,8 @@ class TableSketch {
   /// Selects the update kernel (DESIGN.md §10); new sketches run kFast.
   /// Both are bit-identical on counters. Drops the plan cache, so hit/miss
   /// tallies restart from zero; kFast builds a new one on the next update.
+  /// A copy runs its source's kernel but starts without a cache, which it
+  /// builds on its first update.
   void SetKernel(Kernel kernel) { SetKernel(kernel, kPlanCacheSlots); }
 
   Kernel kernel() const { return kernel_; }
@@ -155,6 +180,17 @@ class TableSketch {
     return sign_hashes_[table](value);
   }
 
+  /// Table `table`'s families h_j and ξ_j, for the block point estimator
+  /// (sketch/point_scan.h), which tabulates their polynomials.
+  const hashing::BucketHash& bucket_hash(uint64_t table) const {
+    return bucket_hashes_[table];
+  }
+  const hashing::SignHash& sign_hash(uint64_t table) const
+    requires kSigned
+  {
+    return sign_hashes_[table];
+  }
+
   /// Counter of `bucket` in `table`.
   int64_t Counter(uint64_t table, uint64_t bucket) const {
     return counters_[table * config_.num_buckets + bucket];
@@ -214,8 +250,8 @@ class TableSketch {
   // CompatibleWith/Merge, and kept across Reset (plans depend only on the
   // hash families). Built by the first update, so a sketch that never
   // ingests — a deserialized delta, a merge target, a coordinator's
-  // synopsis — never pays for one.
-  std::optional<hashing::HashPlanCache> plan_cache_;
+  // synopsis, a skim's residual copy — never pays for one.
+  internal::UncopiedPlanCache plan_cache_;
 };
 
 // Defined in table_sketch.cc; every includer links the one copy.

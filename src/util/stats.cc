@@ -45,15 +45,23 @@ double Percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-int64_t MedianInt64(std::vector<int64_t> values) {
+int64_t MedianInt64(std::span<int64_t> values) {
   SKIMJOIN_CHECK(!values.empty());
+  if (values.size() == 7) {
+    std::array<int64_t, 7> v;
+    std::copy(values.begin(), values.end(), v.begin());
+    return MedianOf7(v);
+  }
   const size_t mid = values.size() / 2;
   std::nth_element(values.begin(), values.begin() + mid, values.end());
-  int64_t upper = values[mid];
+  const int64_t upper = values[mid];
   if (values.size() % 2 == 1) return upper;
-  int64_t lower = *std::max_element(values.begin(), values.begin() + mid);
-  // Average with truncation toward zero; avoids overflow via midpoint form.
-  return lower + (upper - lower) / 2;
+  const int64_t lower =
+      *std::max_element(values.begin(), values.begin() + mid);
+  // upper - lower can pass INT64_MAX; as an unsigned gap it cannot wrap.
+  const uint64_t gap =
+      static_cast<uint64_t>(upper) - static_cast<uint64_t>(lower);
+  return static_cast<int64_t>(static_cast<uint64_t>(lower) + gap / 2);
 }
 
 }  // namespace skimjoin

@@ -4,11 +4,13 @@
 #include <cstdlib>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "stream/exact.h"
 #include "stream/zipf.h"
 #include "util/random.h"
+#include "util/stats.h"
 
 namespace skimjoin {
 namespace sketch {
@@ -72,6 +74,27 @@ TEST(HashSketchTest, PointEstimateExactWhenNoCollisions) {
   EXPECT_EQ(sketch.PointEstimate(20), -4);
   EXPECT_EQ(sketch.PointEstimate(30), 100);
   EXPECT_EQ(sketch.PointEstimate(40), 0);
+}
+
+// PointEstimate keeps up to 32 per-table estimates on the stack; wider
+// sketches take them from the heap. Both sides of that bound median the
+// same per-table estimates.
+TEST(HashSketchTest, PointEstimateMediansEveryTableAtAnyWidth) {
+  for (const uint64_t tables : {32, 33, 40}) {
+    HashSketch sketch = MustCreate({tables, 16}, 9);
+    for (uint64_t value = 0; value < 64; ++value) {
+      sketch.Update(value, static_cast<int64_t>(value % 7) - 3);
+    }
+    for (uint64_t value = 0; value < 64; ++value) {
+      std::vector<int64_t> per_table;
+      for (uint64_t table = 0; table < tables; ++table) {
+        per_table.push_back(sketch.Sign(table, value) *
+                            sketch.Counter(table, sketch.Bucket(table, value)));
+      }
+      EXPECT_EQ(sketch.PointEstimate(value), MedianInt64(per_table))
+          << "tables=" << tables << " value=" << value;
+    }
+  }
 }
 
 TEST(HashSketchTest, PointEstimateErrorBoundedOnSkewedData) {

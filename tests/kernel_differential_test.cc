@@ -6,6 +6,10 @@
 // and under SKIMJOIN_FORCE_SCALAR=1, which covers both phase-1 paths of the
 // blocked kernel.
 //
+// The read side is held to the same line: SKIMDENSE's block scan
+// (sketch::PointScan under core::SkimDenseNaive) against the per-value
+// oracle it replaced, and the rule that a copy carries no plan cache.
+//
 // The workload's shape does the stress testing: a cold tail over a domain
 // of at least 2^20 keeps the kPlanCacheSlots-slot cache evicting, and batch
 // sizes that are not multiples of kBatchBlockSize — some below the 8-lane
@@ -13,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <span>
 #include <sstream>
@@ -20,12 +25,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/skim.h"
 #include "core/skimmed_sketch.h"
 #include "gtest/gtest.h"
+#include "hashing/prime_field.h"
+#include "hashing/simd_hash.h"
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/hash_sketch.h"
 #include "sketch/kernel.h"
+#include "sketch/point_scan.h"
 #include "stream/stream_element.h"
 #include "util/random.h"
 
@@ -322,6 +331,258 @@ TEST(KernelDifferentialTest, ResetThenReuseStaysBitIdentical) {
   reference->UpdateBatch(std::span<const StreamElement>(after));
 
   EXPECT_EQ(Serialize(*fast), Serialize(*reference));
+}
+
+// --- The block scan against the per-value skim ---------------------------
+
+constexpr uint64_t kScanBlock = sketch::PointScan::kBlockSize;
+
+/// The per-value SKIMDENSE the block scan replaced, kept as its oracle:
+/// PointEstimate, then Update, one value at a time (paper Fig. 3).
+core::DenseFrequencies PerValueSkim(sketch::HashSketch* sketch,
+                                    uint64_t domain, int64_t threshold,
+                                    int64_t margin) {
+  core::DenseFrequencies dense;
+  for (uint64_t value = 0; value < domain; ++value) {
+    const int64_t estimate = sketch->PointEstimate(value);
+    if (std::llabs(estimate) < threshold) continue;
+    const int64_t magnitude = std::llabs(estimate) - margin;
+    if (magnitude <= 0) continue;
+    const int64_t skimmed = estimate >= 0 ? magnitude : -magnitude;
+    dense.emplace_back(value, skimmed);
+    sketch->Update(value, -skimmed);
+  }
+  return dense;
+}
+
+/// A stream over [0, domain) with three heavy values, two delete-dominated
+/// ones (inserted, then deleted twice over, so their net frequency is
+/// negative) and a ±1 tail of up to 2048 elements.
+std::vector<StreamElement> MakeSkimStream(Rng* rng, uint64_t domain) {
+  std::vector<StreamElement> elements;
+  for (int heavy = 0; heavy < 5; ++heavy) {
+    const uint64_t value = rng->NextUint64Below(domain);
+    const auto weight = static_cast<int64_t>(100 + rng->NextUint64Below(400));
+    elements.push_back({value, weight});
+    elements.push_back({value, weight});
+    if (heavy >= 3) elements.push_back({value, -4 * weight});
+  }
+  const uint64_t tail = std::min<uint64_t>(domain, 2048);
+  for (uint64_t i = 0; i < tail; ++i) {
+    elements.push_back({rng->NextUint64Below(domain),
+                        rng->NextUint64Below(2) == 0 ? 1 : -1});
+  }
+  return elements;
+}
+
+bool SameCounters(const sketch::HashSketch& a, const sketch::HashSketch& b) {
+  return std::ranges::equal(a.CounterArray(), b.CounterArray());
+}
+
+// Dense sets and residual counters of the block scan equal the per-value
+// oracle's over table counts (odd, even, the network's seven), bucket
+// counts (one and three put many dense values in shared buckets inside a
+// block; 585 and 1025 are not powers of two), domains around the block size
+// (ragged final blocks, domains below one block), margins and thresholds
+// from 1 to above every estimate.
+TEST(KernelDifferentialTest, BlockSkimMatchesPerValueSkim) {
+  Rng rng(707);
+  int cases = 0;
+  for (const uint64_t tables : {1, 2, 7, 8, 9}) {
+    for (const uint64_t buckets : {1, 3, 585, 1024, 1025}) {
+      for (const uint64_t domain :
+           {uint64_t{2}, kScanBlock - 1, kScanBlock, kScanBlock + 1,
+            3 * kScanBlock + 5, uint64_t{1} << 16}) {
+        auto sketch = sketch::HashSketch::Create({tables, buckets},
+                                                 rng.NextUint64());
+        ASSERT_TRUE(sketch.ok());
+        const std::vector<StreamElement> elements =
+            MakeSkimStream(&rng, domain);
+        sketch->UpdateBatch(elements);
+        int64_t above_every_estimate = 1;
+        for (const StreamElement& element : elements) {
+          above_every_estimate += std::llabs(element.weight);
+        }
+        for (const int64_t threshold : {int64_t{1}, int64_t{150},
+                                        above_every_estimate}) {
+          // The 2^16 domain (the shipped scan's size, where the per-value
+          // oracle costs ~20 ms at nine tables) runs one threshold and no
+          // margin; a threshold of 1 there would make nearly every value
+          // dense, each re-estimating the rest of its block.
+          const bool large = domain > 3 * kScanBlock + 5;
+          if (large && threshold != 150) continue;
+          for (const int64_t margin : {int64_t{0}, threshold / 2 + 1}) {
+            if (margin > 0 && (large || threshold == above_every_estimate)) {
+              continue;
+            }
+            const std::string context =
+                "tables=" + std::to_string(tables) +
+                " buckets=" + std::to_string(buckets) +
+                " domain=" + std::to_string(domain) +
+                " threshold=" + std::to_string(threshold) +
+                " margin=" + std::to_string(margin);
+            sketch::HashSketch block = *sketch;
+            sketch::HashSketch oracle = *sketch;
+            const core::DenseFrequencies got =
+                core::SkimDenseNaive(&block, domain, threshold, margin);
+            const core::DenseFrequencies want =
+                PerValueSkim(&oracle, domain, threshold, margin);
+            ASSERT_EQ(got, want) << context;
+            ASSERT_TRUE(SameCounters(block, oracle)) << context;
+            EXPECT_EQ(block.hash_cache_hits() + block.hash_cache_misses(), 0u)
+                << context << ": the skim built a plan cache";
+            if (threshold == above_every_estimate) {
+              EXPECT_TRUE(got.empty()) << context;
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5 * 5 * (5 * (2 + 2 + 1) + 1));
+}
+
+/// Every SIMD level from scalar up to the widest this machine runs.
+std::vector<hashing::SimdLevel> SupportedLevels() {
+  std::vector<hashing::SimdLevel> levels = {hashing::SimdLevel::kScalar};
+  const hashing::SimdLevel widest = hashing::DetectSimdLevel();
+  if (widest >= hashing::SimdLevel::kAvx2) {
+    levels.push_back(hashing::SimdLevel::kAvx2);
+  }
+  if (widest >= hashing::SimdLevel::kAvx512) {
+    levels.push_back(hashing::SimdLevel::kAvx512);
+  }
+  return levels;
+}
+
+// Each level's chains, gathers and medians give PointEstimate's answer for
+// every value of ranges that start off a lane boundary, cross the field
+// modulus 2^61 - 1 (where the fold wraps to 0) and end at 2^64 - 1; and
+// Reestimate re-reads a block after its sketch changed.
+TEST(KernelDifferentialTest, PointScanMatchesPointEstimateAtEveryLevel) {
+  Rng rng(808);
+  const uint64_t p = hashing::kMersennePrime61;
+  const uint64_t top = ~uint64_t{0};
+  const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {0, 0},
+      {0, 2},
+      {5, kScanBlock + 9},
+      {0, 3 * kScanBlock + 5},
+      {p - 700, p + 300},
+      {top - 2 * kScanBlock - 3, top}};
+  for (const uint64_t tables : {1, 2, 7, 8, 9}) {
+    for (const uint64_t buckets : {1, 3, 585, 1025}) {
+      auto sketch =
+          sketch::HashSketch::Create({tables, buckets}, rng.NextUint64());
+      ASSERT_TRUE(sketch.ok());
+      for (const auto& [lo, hi] : ranges) {
+        for (uint64_t i = 0; i < 600 && lo + i < hi; ++i) {
+          sketch->Update(lo + rng.NextUint64Below(hi - lo),
+                         static_cast<int64_t>(rng.NextUint64Below(41)) - 20);
+        }
+      }
+      for (const auto& [lo, hi] : ranges) {
+        for (const hashing::SimdLevel level : SupportedLevels()) {
+          const std::string context =
+              "tables=" + std::to_string(tables) +
+              " buckets=" + std::to_string(buckets) + " lo=" +
+              std::to_string(lo) + " level=" + SimdLevelName(level);
+          sketch::HashSketch scanned = *sketch;
+          sketch::PointScan scan(scanned, lo, hi, level);
+          uint64_t next = lo;
+          while (scan.NextBlock()) {
+            ASSERT_EQ(scan.block_lo(), next) << context;
+            const size_t n = scan.estimates().size();
+            for (size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(scan.estimates()[i], scanned.PointEstimate(next + i))
+                  << context << " value=" << next + i;
+            }
+            const size_t from = n / 2;
+            scanned.UpdateUncached(next + from, 1000);
+            scan.Reestimate(from);
+            for (size_t i = from; i < n; ++i) {
+              ASSERT_EQ(scan.estimates()[i], scanned.PointEstimate(next + i))
+                  << context << " re-estimated value=" << next + i;
+            }
+            next += n;
+          }
+          EXPECT_EQ(next, hi) << context;
+        }
+      }
+    }
+  }
+}
+
+// --- Copies carry no plan cache ------------------------------------------
+
+// The engine skims a sketch that ingested (and holds a plan cache); the
+// traced replay skims the same sketch deserialized (no cache). Both skims
+// give the same answer, and neither residual copies or builds a cache.
+TEST(KernelDifferentialTest, SkimOfDeserializedCopyMatchesIngestingOriginal) {
+  for (const bool dyadic : {false, true}) {
+    core::SkimmedSketchConfig config;
+    config.domain_size = uint64_t{1} << 14;
+    config.num_tables = 7;
+    config.num_buckets = 585;
+    config.use_dyadic_skim = dyadic;
+    auto original = core::SkimmedSketch::Create(config, 42);
+    ASSERT_TRUE(original.ok());
+    Rng rng(909);
+    original->UpdateBatch(MakeWorkload(&rng, config.domain_size, 50000,
+                                       /*include_out_of_domain=*/false));
+    ASSERT_GT(original->hash_cache_misses(), 0u);
+    std::stringstream record(Serialize(*original));
+    auto loaded = core::SkimmedSketch::DeserializeFrom(record);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+    const core::SkimmedSketch::SkimOutput a = original->Skim();
+    const core::SkimmedSketch::SkimOutput b = loaded->Skim();
+    const std::string context = "dyadic=" + std::to_string(dyadic);
+    EXPECT_FALSE(a.dense.empty()) << context;
+    EXPECT_EQ(a.threshold, b.threshold) << context;
+    EXPECT_EQ(a.dense, b.dense) << context;
+    EXPECT_EQ(Serialize(a.skimmed), Serialize(b.skimmed)) << context;
+    for (const auto* residual : {&a.skimmed, &b.skimmed}) {
+      EXPECT_EQ(residual->hash_cache_hits() + residual->hash_cache_misses(),
+                0u)
+          << context;
+    }
+    EXPECT_EQ(a.skimmed.MemoryBytes(), b.skimmed.MemoryBytes()) << context;
+  }
+}
+
+// A copy of an updated sketch starts without its source's plan cache —
+// copy-constructed or copy-assigned — builds one on its first update, and
+// then tracks the source counter for counter.
+TEST(KernelDifferentialTest, CopyOfUpdatedSketchStartsWithoutPlanCache) {
+  Rng rng(1001);
+  const auto first = MakeWorkload(&rng, 1 << 16, 20000, false);
+  const auto second = MakeWorkload(&rng, 1 << 16, 20000, false);
+  auto original = sketch::HashSketch::Create({7, 585}, 31);
+  ASSERT_TRUE(original.ok());
+  original->UpdateBatch(first);
+  ASSERT_GT(original->hash_cache_misses(), 0u);
+
+  std::stringstream record(Serialize(*original));
+  auto loaded = sketch::HashSketch::DeserializeFrom(record);
+  ASSERT_TRUE(loaded.ok());
+  sketch::HashSketch copy = *original;
+  auto assigned = sketch::HashSketch::Create({7, 585}, 31);
+  ASSERT_TRUE(assigned.ok());
+  assigned->Update(3, 1);  // its own cache, which the assignment drops
+  *assigned = *original;
+  for (const sketch::HashSketch* sketch : {&copy, &*assigned}) {
+    EXPECT_EQ(sketch->hash_cache_hits() + sketch->hash_cache_misses(), 0u);
+    EXPECT_EQ(sketch->MemoryBytes(), loaded->MemoryBytes());
+    EXPECT_LT(sketch->MemoryBytes(), original->MemoryBytes());
+  }
+
+  original->UpdateBatch(second);
+  copy.UpdateBatch(second);
+  EXPECT_GT(copy.hash_cache_misses(), 0u);
+  EXPECT_EQ(copy.MemoryBytes(), original->MemoryBytes());
+  EXPECT_EQ(Serialize(copy), Serialize(*original));
 }
 
 }  // namespace

@@ -425,6 +425,39 @@ TEST(WireFrameFuzzTest, HostileLengthRejectedBeforeAllocation) {
   EXPECT_EQ(frames.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A record that builds hash families from its header — one sign family per
+// AGMS cell, two families per hash-sketch table — charges them against the
+// cap with its counters. Under a cap of 1000, 100 cells or tables (100
+// counters) are refused by the header check, before any family is built or
+// a counter read; at the default cap the same header-only records pass it
+// and are refused as truncated.
+TEST(SerialLimitsTest, HashFamiliesCountAgainstTheCap) {
+  const std::vector<std::string> headers = {
+      "skimjoin.agms_sketch v2\n100 1 7\n",
+      "skimjoin.hash_sketch v2\n100 1 7\n"};
+  const auto load = [](const std::string& record) -> Status {
+    std::stringstream in(record);
+    if (record.find("agms") != std::string::npos) {
+      return sketch::AgmsSketch::DeserializeFrom(in).status();
+    }
+    return sketch::HashSketch::DeserializeFrom(in).status();
+  };
+  sketch::SetMaxDeserializeCounters(1000);
+  for (const std::string& record : headers) {
+    const Status status = load(record);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << record;
+    EXPECT_NE(status.message().find("deserialization cap"), std::string::npos)
+        << record << ": " << status.ToString();
+  }
+  sketch::SetMaxDeserializeCounters(0);
+  for (const std::string& record : headers) {
+    const Status status = load(record);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << record;
+    EXPECT_NE(status.message().find("truncated"), std::string::npos)
+        << record << ": " << status.ToString();
+  }
+}
+
 TEST(SerialLimitsTest, CapIsConfigurableAndRestorable) {
   auto sketch = *sketch::HashSketch::Create({4, 1024}, 1);
   const std::string record = Serialized(sketch);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -71,6 +72,24 @@ TEST(MedianInt64Test, LargeMagnitudesDoNotOverflow) {
   const int64_t big = INT64_MAX - 1;
   EXPECT_EQ(MedianInt64({big, big}), big);
   EXPECT_EQ(MedianInt64({-big, -big}), -big);
+  // The middle two straddle more than INT64_MAX; the midpoint rounds down.
+  EXPECT_EQ(MedianInt64({INT64_MIN, INT64_MAX}), -1);
+  EXPECT_EQ(MedianInt64({INT64_MIN, INT64_MIN + 1}), INT64_MIN);
+}
+
+// Seven values take the sorting network; every ordering of a multiset with
+// repeats gives the selected middle value.
+TEST(MedianInt64Test, SevenValuesThroughTheNetworkMatchSelection) {
+  std::vector<int64_t> values = {-5, 3, 3, INT64_MIN, 9, 0, INT64_MAX};
+  std::sort(values.begin(), values.end());
+  const int64_t middle = values[3];
+  int permutations = 0;
+  do {
+    std::vector<int64_t> copy = values;
+    ASSERT_EQ(MedianInt64(std::span<int64_t>(copy)), middle);
+    ++permutations;
+  } while (std::next_permutation(values.begin(), values.end()));
+  EXPECT_EQ(permutations, 5040 / 2);  // 7! over the repeated 3
 }
 
 // Property sweep: Median is invariant under permutation and bounded by
