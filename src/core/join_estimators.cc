@@ -53,6 +53,7 @@ StatusOr<EstimateReport> JoinEstimatorPair::EstimateWithReport() const {
   report.method = Name();
   report.estimate = *estimate;
   FinishReportFromCopies(&report);
+  report.health = HealthProbe();
   return report;
 }
 
@@ -93,7 +94,18 @@ class SketchPair final : public JoinEstimatorPair {
     return Sketch::EstimateJoinSize(f_, g_);
   }
   StatusOr<EstimateReport> EstimateWithReport() const override {
-    return Sketch::EstimateJoinSizeWithReport(f_, g_);
+    StatusOr<EstimateReport> report =
+        Sketch::EstimateJoinSizeWithReport(f_, g_);
+    if (!report.ok()) return report;
+    // A skimmed sketch's probes read the skims this estimate just made
+    // rather than skimming each side a second time.
+    if constexpr (kKind == EstimatorKind::kSkimmedSketch) {
+      report->health =
+          WithRoles(f_.HealthProbeAtEstimate(), g_.HealthProbeAtEstimate());
+    } else {
+      report->health = HealthProbe();
+    }
+    return report;
   }
   uint64_t SpaceCounters() const override {
     if constexpr (requires { f_.TotalCounters(); }) {
@@ -121,13 +133,17 @@ class SketchPair final : public JoinEstimatorPair {
   }
 
   std::vector<SynopsisHealth> HealthProbe() const override {
-    std::vector<SynopsisHealth> probes = {f_.HealthProbe(), g_.HealthProbe()};
-    probes[0].role = "f";
-    probes[1].role = "g";
-    return probes;
+    return WithRoles(f_.HealthProbe(), g_.HealthProbe());
   }
 
  private:
+  static std::vector<SynopsisHealth> WithRoles(SynopsisHealth f,
+                                               SynopsisHealth g) {
+    f.role = "f";
+    g.role = "g";
+    return {std::move(f), std::move(g)};
+  }
+
   /// Reads one pair record and replaces the synopses with it or, with
   /// `merge`, adds it counter-for-counter.
   Status Restore(std::istream& in, bool merge) {

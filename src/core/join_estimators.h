@@ -105,8 +105,10 @@ class JoinEstimatorPair {
   virtual StatusOr<double> Estimate() const = 0;
 
   /// The same estimate with provenance (per-copy estimates, spread,
-  /// empirical CI, a-priori envelope, skim diagnostics where applicable);
-  /// `estimate` is bit-identical to Estimate(). The default wraps
+  /// empirical CI, a-priori envelope, skim diagnostics where applicable)
+  /// and the synopses' health probes as of this estimate (`health`, as
+  /// HealthProbe() would return them); `estimate` is bit-identical to
+  /// Estimate(). The default wraps
   /// Estimate() in a minimal report (no copies, degenerate CI) for methods
   /// without per-copy structure (sampling, partitioned AGMS); the sketch-
   /// backed pairs override it with their family's *WithReport variant.

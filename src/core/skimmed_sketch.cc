@@ -401,8 +401,7 @@ EstimateReport SkimmedSketch::EstimateSelfJoinSizeWithReport() const {
 }
 
 SynopsisHealth SkimmedSketch::HealthProbe() const {
-  SynopsisHealth health = level0_.HealthProbe();
-  health.kind = "skimmed";
+  SynopsisHealth health = HealthProbeAtEstimate();
   const SkimOutput skim = Skim();
   health.dense_fraction = static_cast<double>(skim.dense.size()) /
                           static_cast<double>(config_.domain_size);
@@ -413,6 +412,14 @@ SynopsisHealth SkimmedSketch::HealthProbe() const {
   health.residual_ratio = before > 0.0
                               ? after / before
                               : std::numeric_limits<double>::quiet_NaN();
+  return health;
+}
+
+SynopsisHealth SkimmedSketch::HealthProbeAtEstimate() const {
+  SynopsisHealth health = level0_.HealthProbe();
+  health.kind = "skimmed";
+  health.dense_fraction = dense_fraction_at_estimate_;
+  health.residual_ratio = residual_ratio_at_estimate_;
   health.dense_fraction_at_estimate = dense_fraction_at_estimate_;
   health.residual_ratio_at_estimate = residual_ratio_at_estimate_;
   return health;

@@ -270,6 +270,12 @@ class SkimmedSketch {
   /// ingest-priced — and never updates the recorded baseline.
   SynopsisHealth HealthProbe() const;
 
+  /// HealthProbe as of the last reporting estimate, read from the skim that
+  /// estimate made instead of a new SKIMDENSE: the fresh skim fields are
+  /// the recorded ones. Valid right after EstimateJoinSizeWithReport on an
+  /// unchanged sketch, where it equals HealthProbe() bit for bit.
+  SynopsisHealth HealthProbeAtEstimate() const;
+
   /// Probe of the dyadic auxiliary levels; std::nullopt when
   /// use_dyadic_skim is off. See DyadicSkimmer::HealthProbe.
   std::optional<SynopsisHealth> DyadicHealthProbe() const;

@@ -951,12 +951,11 @@ StatusOr<EstimateReport> Engine::AnswerJoinWithReport(QueryId query) const {
   if (join == nullptr) return NotFoundError("unknown join query id");
   metrics::TraceSpan span("estimate", "query");
   ScopedEstimate timer(q->metrics.estimate_calls, q->metrics.estimate_ns);
+  // The report carries the synopses' probes as of this estimate (a skimmed
+  // pair reads them from the estimate's own skims); the estimate is still
+  // bit-identical to AnswerJoin.
   StatusOr<EstimateReport> report = (*join)->EstimateWithReport();
   if (report.ok()) {
-    // Probe AFTER the estimate so skimmed probes compare against the
-    // baselines this very answer just recorded. Probes are read-only;
-    // the estimate is still bit-identical to AnswerJoin.
-    report->health = (*join)->HealthProbe();
     MaybeRecordJoinDrift(query, *q, report->estimate);
     RecordReportMetrics(query, q->metrics, *report);
   }

@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "sketch/serial_limits.h"
@@ -68,6 +67,13 @@ StatusOr<MultiJoinEstimator> MultiJoinEstimator::Create(
           std::to_string(attribute_uses.size()) + " attributes");
     }
   }
+  // One sign family per attribute and cell beside the per-relation counter
+  // grids, held to the cap the record reader applies.
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
+      config.num_means, config.num_medians, "multi-join"));
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeFootprint(
+      config.num_means * config.num_medians, config.relation_attributes.size(),
+      attribute_uses.size(), "multi-join"));
   return MultiJoinEstimator(config, seed);
 }
 
@@ -181,16 +187,8 @@ StatusOr<MultiJoinEstimator> MultiJoinEstimator::DeserializeFrom(
       }
     }
   }
-  // The constructor builds one sign family per attribute and cell beside
-  // the per-relation counter grids, so both count against the cap before
-  // Create allocates either. Ids that are not dense are refused by Create.
-  std::unordered_set<uint64_t> attributes;
-  for (const std::vector<uint64_t>& attrs : config.relation_attributes) {
-    attributes.insert(attrs.begin(), attrs.end());
-  }
-  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeFootprint(
-      config.num_means * config.num_medians, num_relations, attributes.size(),
-      "multi-join"));
+  // Create counts the sign families and counter grids against the cap
+  // before it allocates either, and refuses ids that are not dense.
   StatusOr<MultiJoinEstimator> estimator =
       MultiJoinEstimator::Create(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(estimator.status());

@@ -43,7 +43,8 @@ class MultiJoinEstimator {
  public:
   /// Validates the config (grid >= 1×1, >= 2 relations, every attribute in
   /// exactly two relations, attribute ids dense from 0, every relation with
-  /// >= 1 attribute).
+  /// >= 1 attribute, grids and sign families within
+  /// MaxDeserializeCounters()).
   static StatusOr<MultiJoinEstimator> Create(const MultiJoinConfig& config,
                                              uint64_t seed);
 

@@ -51,6 +51,15 @@ StatusOr<MultiJoinHashEstimator> MultiJoinHashEstimator::Create(
     return InvalidArgumentError(
         "MultiJoinHashConfig requires num_tables >= 1 and num_buckets >= 1");
   }
+  // An interior relation holds buckets² counters per table: the worst-case
+  // product is held to the cap the record reader applies.
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
+      config.num_buckets, config.num_buckets, "multi-join-hash"));
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
+      config.num_tables, config.num_relations, "multi-join-hash"));
+  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
+      config.num_buckets * config.num_buckets,
+      config.num_tables * config.num_relations, "multi-join-hash"));
   return MultiJoinHashEstimator(config, seed);
 }
 
@@ -178,15 +187,7 @@ StatusOr<MultiJoinHashEstimator> MultiJoinHashEstimator::DeserializeFrom(
         config.num_buckets >> seed)) {
     return InvalidArgumentError("malformed multi-join-hash header");
   }
-  // A middle relation holds buckets² counters per table — validate that
-  // worst-case product before Create allocates it.
-  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
-      config.num_buckets, config.num_buckets, "multi-join-hash"));
-  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
-      config.num_tables, config.num_relations, "multi-join-hash"));
-  SKIMJOIN_RETURN_IF_ERROR(sketch::CheckDeserializeDims(
-      config.num_buckets * config.num_buckets,
-      config.num_tables * config.num_relations, "multi-join-hash"));
+  // Create validates the worst-case counter product before it allocates.
   StatusOr<MultiJoinHashEstimator> estimator =
       MultiJoinHashEstimator::Create(config, seed);
   SKIMJOIN_RETURN_IF_ERROR(estimator.status());

@@ -42,8 +42,9 @@ struct MultiJoinHashConfig {
 /// Streaming chain-join estimator. Copyable.
 class MultiJoinHashEstimator {
  public:
-  /// Validates `config` (all dimensions >= 1, >= 2 relations); families
-  /// derive from `seed`.
+  /// Validates `config` (all dimensions >= 1, >= 2 relations, buckets² per
+  /// table and relation within MaxDeserializeCounters()); families derive
+  /// from `seed`.
   static StatusOr<MultiJoinHashEstimator> Create(
       const MultiJoinHashConfig& config, uint64_t seed);
 

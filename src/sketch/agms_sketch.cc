@@ -34,6 +34,11 @@ StatusOr<AgmsSketch> AgmsSketch::Create(const AgmsConfig& config,
   if (config.num_medians < 1) {
     return InvalidArgumentError("AgmsConfig.num_medians must be >= 1");
   }
+  // Every cell builds its own four-wise family beside its counter: the
+  // footprint is held to the cap the record reader applies.
+  SKIMJOIN_RETURN_IF_ERROR(
+      CheckDeserializeFootprint(config.num_means, config.num_medians,
+                                config.num_medians, "AGMS-sketch"));
   return AgmsSketch(config, seed);
 }
 

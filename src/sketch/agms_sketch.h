@@ -46,7 +46,8 @@ struct AgmsConfig {
 /// One AGMS synopsis for one stream. Copyable (copies share no state).
 class AgmsSketch {
  public:
-  /// Validates `config` (both dimensions >= 1) and draws the ξ families
+  /// Validates `config` (both dimensions >= 1, cells and their families
+  /// within MaxDeserializeCounters()) and draws the ξ families
   /// deterministically from `seed`. Two sketches created with equal config
   /// and seed are compatible for join estimation.
   static StatusOr<AgmsSketch> Create(const AgmsConfig& config, uint64_t seed);

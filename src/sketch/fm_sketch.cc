@@ -40,6 +40,9 @@ StatusOr<FmSketch> FmSketch::Create(uint64_t num_maps, uint64_t seed) {
   if (num_maps == 0) {
     return InvalidArgumentError("FmSketch needs at least one bit map");
   }
+  // Held to the cap its record reader applies.
+  SKIMJOIN_RETURN_IF_ERROR(
+      CheckDeserializeDims(num_maps, kPositions, "fm-sketch"));
   return FmSketch(num_maps, seed);
 }
 

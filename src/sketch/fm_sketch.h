@@ -30,7 +30,8 @@ namespace sketch {
 class FmSketch {
  public:
   /// `num_maps` bit maps (more maps → lower variance; the standard error is
-  /// about 0.78/sqrt(num_maps)). INVALID_ARGUMENT if num_maps == 0.
+  /// about 0.78/sqrt(num_maps)). INVALID_ARGUMENT if num_maps == 0 or its
+  /// counters exceed MaxDeserializeCounters().
   static StatusOr<FmSketch> Create(uint64_t num_maps, uint64_t seed);
 
   /// Applies one arrival. A deletion of a value that was inserted earlier

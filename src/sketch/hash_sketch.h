@@ -43,7 +43,8 @@ inline int64_t SignedCounter(bool negative, int64_t counter) {
 /// One hash sketch for one stream. Copyable; copies are independent.
 class HashSketch : public TableSketch<true> {
  public:
-  /// Validates `config` (both dimensions >= 1). Families are deterministic
+  /// Validates `config` (both dimensions >= 1, the shape within
+  /// MaxDeserializeCounters()). Families are deterministic
   /// in `seed`: equal (config, seed) ⇒ compatible sketches with identical
   /// h_j and ξ_j — required for join estimation across two streams.
   static StatusOr<HashSketch> Create(const HashSketchConfig& config,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "sketch/serial_limits.h"
 #include "sketch/sketch_seed.h"
 #include "util/logging.h"
 
@@ -19,6 +20,10 @@ StatusOr<ReservoirSample> ReservoirSample::Create(uint64_t capacity,
   if (capacity < 1) {
     return InvalidArgumentError("reservoir capacity must be >= 1");
   }
+  // The sample reserves one word per slot up front: held to the cap every
+  // synopsis record reader applies.
+  SKIMJOIN_RETURN_IF_ERROR(
+      CheckDeserializeDims(1, capacity, "reservoir-sample"));
   return ReservoirSample(capacity, seed);
 }
 

@@ -23,7 +23,7 @@ namespace sketch {
 /// Uniform-without-replacement reservoir over the inserts of one stream.
 class ReservoirSample {
  public:
-  /// Pre-condition at Create: capacity >= 1.
+  /// INVALID_ARGUMENT unless 1 <= capacity <= MaxDeserializeCounters().
   static StatusOr<ReservoirSample> Create(uint64_t capacity, uint64_t seed);
 
   /// Processes one arrival. Inserts run Vitter's Algorithm R; a delete

@@ -72,6 +72,12 @@ StatusOr<TableSketch<kSigned>> TableSketch<kSigned>::Make(const Config& config,
     return InvalidArgumentError(std::string(Family<kSigned>::kConfig) +
                                 ".num_buckets must be >= 1");
   }
+  // The counters and each table's families count against the cap the
+  // record reader applies, so no shape is built that its own record would
+  // refuse, or that would exhaust memory.
+  SKIMJOIN_RETURN_IF_ERROR(CheckDeserializeFootprint(
+      config.num_tables, config.num_buckets, kSigned ? 2 : 1,
+      Family<kSigned>::kName));
   return TableSketch(config, seed);
 }
 

@@ -211,7 +211,8 @@ class TableSketch {
   /// deterministic in `seed`: equal (config, seed) ⇒ compatible sketches.
   TableSketch(const Config& config, uint64_t seed);
 
-  /// The families' Create: INVALID_ARGUMENT unless both dimensions >= 1.
+  /// The families' Create: INVALID_ARGUMENT unless both dimensions >= 1
+  /// and the shape fits MaxDeserializeCounters() (serial_limits.h).
   static StatusOr<TableSketch> Make(const Config& config, uint64_t seed);
 
   /// The families' DeserializeFrom: reads a record SerializeTo wrote,

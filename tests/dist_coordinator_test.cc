@@ -21,6 +21,8 @@
 #include <variant>
 #include <vector>
 
+#include "dist/frame.h"
+#include "dist/protocol.h"
 #include "dist/worker.h"
 #include "gtest/gtest.h"
 #include "query/engine.h"
@@ -963,6 +965,36 @@ TEST(CoordinatorTest, WorkerWithChainJoinRestartsFromCheckpoint) {
           << tag << " " << statuses[i].shard;
     }
   }
+}
+
+// A worker handed a registration frame for a synopsis past the
+// deserialization cap answers an error frame and keeps serving: no frame
+// can make it allocate what no record could hold.
+TEST(CoordinatorTest, WorkerRefusesAnOversizedRegistrationFrame) {
+  const std::string socket = ::testing::TempDir() + "/worker_oversized.sock";
+  WorkerHarness worker(MakeWorkerOptions(socket, "s0"));
+  StatusOr<FrameChannel> channel =
+      ConnectUnix(socket, DeadlineAfter(milliseconds(2000)));
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  const auto call = [&channel](MessageType type, const std::string& payload) {
+    return Call(*channel, type, payload, DeadlineAfter(milliseconds(2000)));
+  };
+  ASSERT_TRUE(
+      call(MessageType::kRegisterStream, EncodeStreamReg({"f", 1u << 12}))
+          .ok());
+  query::FrequencyQuerySpec frequency;
+  frequency.stream = "f";
+  frequency.space_counters = 100'000'000'000;
+  EXPECT_EQ(call(MessageType::kRegisterQuery,
+                 EncodeQueryReg({"oversized", 1, frequency}))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  frequency.space_counters = 512;
+  EXPECT_TRUE(call(MessageType::kRegisterQuery,
+                   EncodeQueryReg({"normal", 1, frequency}))
+                  .ok());
+  EXPECT_TRUE(call(MessageType::kPing, "").ok());
 }
 
 }  // namespace

@@ -1,16 +1,22 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "dist/coordinator.h"
 #include "gtest/gtest.h"
+#include "query/shell.h"
 #include "stream/zipf.h"
+#include "util/metrics.h"
 
 namespace skimjoin {
 namespace query {
@@ -679,6 +685,172 @@ TEST(EngineTest, LoadQuerySynopsisSetsTheMergeOfShardRecords) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(merged.LoadQuerySynopsis(3, frequency_records).code(),
             StatusCode::kNotFound);
+}
+
+// Every factory that sizes memory from a spec refuses a shape past the
+// deserialization cap before allocating: a registration of any kind or
+// size is answered with a Status, never aborts the process, and leaves the
+// engine, the shell and the coordinator serving.
+TEST(EngineTest, RegistrationsPastTheCapAreRefusedBeforeAllocating) {
+  constexpr uint64_t kHuge = 100'000'000'000;  // 10^11
+  std::vector<std::pair<std::string, QuerySpec>> cases;
+  for (core::EstimatorKind kind :
+       {core::EstimatorKind::kAgms, core::EstimatorKind::kHashSketch,
+        core::EstimatorKind::kSkimmedSketch, core::EstimatorKind::kCountMin,
+        core::EstimatorKind::kSampling}) {
+    JoinQuerySpec join = BasicJoinSpec();
+    join.estimator.kind = kind;
+    join.estimator.space_counters = kHuge;
+    cases.emplace_back(std::string("join ") + core::EstimatorKindName(kind),
+                       join);
+  }
+  FrequencyQuerySpec frequency;
+  frequency.stream = "packets";
+  frequency.space_counters = kHuge;
+  cases.emplace_back("freq", frequency);
+  DistinctCountQuerySpec distinct;
+  distinct.stream = "packets";
+  distinct.num_maps = kHuge;
+  cases.emplace_back("distinct", distinct);
+  TopKQuerySpec topk;
+  topk.stream = "packets";
+  topk.space_counters = kHuge;
+  cases.emplace_back("topk", topk);
+  ChainJoinQuerySpec grid;
+  grid.relations = {"a", "b", "c"};
+  grid.method = ChainJoinQuerySpec::Method::kAgmsGrid;
+  grid.num_means = kHuge;
+  cases.emplace_back("chain agms grid", grid);
+  ChainJoinQuerySpec hash_chain;
+  hash_chain.relations = {"a", "b", "c"};  // b is interior: buckets²
+  hash_chain.num_buckets = 1'000'000;
+  cases.emplace_back("chain hash sketch", hash_chain);
+
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream(Packets()).ok());
+  ASSERT_TRUE(engine.RegisterStream(Flows()).ok());
+  for (const RelationSpec& relation :
+       {RelationSpec{"a", 1, 64}, RelationSpec{"b", 2, 64},
+        RelationSpec{"c", 1, 64}}) {
+    ASSERT_TRUE(engine.RegisterRelation(relation).ok());
+  }
+  // No worker listens on the shard, so a frame for it would count a failed
+  // attempt.
+  dist::CoordinatorOptions options;
+  options.rpc_attempts = 1;
+  options.rpc_timeout = std::chrono::milliseconds(200);
+  dist::Coordinator coordinator(
+      {{"s0", ::testing::TempDir() + "/engine_test_no_worker.sock"}},
+      options);
+  (void)coordinator.RegisterStream(Packets());  // the shard is unreachable
+  (void)coordinator.RegisterStream(Flows());
+  for (const RelationSpec& relation :
+       {RelationSpec{"a", 1, 64}, RelationSpec{"b", 2, 64},
+        RelationSpec{"c", 1, 64}}) {
+    (void)coordinator.RegisterRelation(relation);
+  }
+  // Every attempt to reach the shard fails and counts one failure.
+  const auto attempts = [&coordinator] {
+    return coordinator.ShardStatuses()[0].rpc_failures;
+  };
+  const uint64_t attempts_before = attempts();
+  ASSERT_GT(attempts_before, 0u);  // the registrations above tried the shard
+
+  for (const auto& [what, spec] : cases) {
+    const StatusOr<QueryId> refused = engine.AddQuery(spec, 1);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << refused.status();
+    // The fleet answers joins, frequencies and chain joins only; it refuses
+    // the rest by kind, and this shape by size (in its own engine), before
+    // any frame goes out.
+    const bool fleet_kind =
+        !std::holds_alternative<DistinctCountQuerySpec>(spec) &&
+        !std::holds_alternative<TopKQuerySpec>(spec);
+    EXPECT_EQ(coordinator.AddQuery(spec, 1).status().code(),
+              fleet_kind ? StatusCode::kInvalidArgument
+                         : StatusCode::kUnimplemented)
+        << what;
+  }
+  EXPECT_EQ(attempts(), attempts_before);
+  FrequencyQuerySpec normal = frequency;
+  normal.space_counters = 4096;
+  (void)coordinator.AddQuery(normal, 1);  // accepted, so it tries the shard
+  EXPECT_GT(attempts(), attempts_before);
+
+  // The same engine still registers and answers a query of normal size.
+  StatusOr<QueryId> query = engine.AddJoinQuery(BasicJoinSpec(), 3);
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE(engine.Update("packets", {5, 4, 0}).ok());
+  ASSERT_TRUE(engine.Update("flows", {5, 3, 0}).ok());
+  EXPECT_DOUBLE_EQ(*engine.AnswerJoin(*query), 12.0);
+
+  // The shell reports the refusal on its line and keeps the session going.
+  Shell shell;
+  std::ostringstream out;
+  for (const char* line :
+       {"stream f 1024", "freq q f 100000000000", "distinct d f 100000000000",
+        "topk t f 10 100000000000", "join j f f skimmed 100000000000",
+        "freq q f 4096", "update f 3 2", "point q 3"}) {
+    ASSERT_TRUE(shell.ExecuteLine(line, out)) << line;
+  }
+  std::istringstream replies(out.str());
+  std::vector<std::string> lines;
+  for (std::string reply; std::getline(replies, reply);) {
+    lines.push_back(reply);
+  }
+  ASSERT_EQ(lines.size(), 8u) << out.str();
+  EXPECT_EQ(lines[0], "ok");
+  for (size_t i = 1; i <= 4; ++i) {
+    EXPECT_EQ(lines[i].rfind("error: INVALID_ARGUMENT: ", 0), 0u) << lines[i];
+    EXPECT_NE(lines[i].find("deserialization cap"), std::string::npos)
+        << lines[i];
+  }
+  EXPECT_EQ(lines[5], "ok");
+  EXPECT_EQ(lines[6], "ok");
+  EXPECT_EQ(lines[7], "ok 2");
+}
+
+// The report path skims each side once: its health probes come from the
+// estimate's own skims (rendering exactly as a fresh probe would), while a
+// health report still takes its own.
+TEST(EngineTest, JoinReportSkimsEachSideOnce) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream(Packets()).ok());
+  ASSERT_TRUE(engine.RegisterStream(Flows()).ok());
+  StatusOr<QueryId> query = engine.AddJoinQuery(BasicJoinSpec(), 11);
+  ASSERT_TRUE(query.ok()) << query.status();
+  for (uint64_t value = 0; value < 300; ++value) {
+    const int64_t count = 1 + static_cast<int64_t>(value % 3);
+    ASSERT_TRUE(engine.Update("packets", {value % 17, count, 0}).ok());
+    ASSERT_TRUE(engine.Update("flows", {value % 23, 1, 0}).ok());
+  }
+  metrics::TraceRecorder& recorder = metrics::TraceRecorder::Global();
+  const auto skims = [&recorder](const std::function<void()>& call) {
+    (void)recorder.DrainEvents();
+    recorder.Enable();
+    call();
+    recorder.Disable();
+    int count = 0;
+    for (const metrics::TraceEvent& event : recorder.DrainEvents()) {
+      count += event.name == "skimdense" ? 1 : 0;
+    }
+    return count;
+  };
+  StatusOr<EstimateReport> report = InternalError("not run");
+  EXPECT_EQ(skims([&] { report = engine.AnswerJoinWithReport(*query); }), 2);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_DOUBLE_EQ(report->estimate, *engine.AnswerJoin(*query));
+  HealthReport health;
+  EXPECT_EQ(skims([&] { health = engine.HealthReport(); }), 2);
+  ASSERT_EQ(health.queries.size(), 1u);
+  ASSERT_EQ(report->health.size(), 2u);
+  ASSERT_EQ(health.queries[0].synopses.size(), 2u);
+  for (size_t side = 0; side < 2; ++side) {
+    EXPECT_EQ(report->health[side].role, health.queries[0].synopses[side].role);
+    EXPECT_EQ(DescribeSynopsisHealth(report->health[side]),
+              DescribeSynopsisHealth(health.queries[0].synopses[side]))
+        << side;
+  }
 }
 
 }  // namespace
