@@ -257,7 +257,7 @@ class SamplingPair final : public JoinEstimatorPair {
     for (uint64_t value = 0; value < counts.size(); ++value) {
       SKIMJOIN_CHECK_GE(counts[value], 0)
           << "sampling cannot absorb negative frequencies";
-      for (int64_t i = 0; i < counts[value]; ++i) sample->Update(value, 1);
+      sample->Update(value, counts[value]);
     }
   }
 

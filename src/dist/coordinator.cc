@@ -57,71 +57,16 @@ EstimateReport WithShards(EstimateReport report,
 
 }  // namespace
 
-const char* Coordinator::RpcTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kHello:
-      return "hello";
-    case MessageType::kHelloReply:
-      return "hello_reply";
-    case MessageType::kRegisterStream:
-      return "register_stream";
-    case MessageType::kRegistered:
-      return "registered";
-    case MessageType::kUpdateBatch:
-      return "update_batch";
-    case MessageType::kUpdateAck:
-      return "update_ack";
-    case MessageType::kPullDelta:
-      return "pull_delta";
-    case MessageType::kDelta:
-      return "delta";
-    case MessageType::kCheckpoint:
-      return "checkpoint";
-    case MessageType::kCheckpointAck:
-      return "checkpoint_ack";
-    case MessageType::kPing:
-      return "ping";
-    case MessageType::kError:
-      return "error";
-    case MessageType::kRegisterRelation:
-      return "register_relation";
-    case MessageType::kUpdateRelation:
-      return "update_relation";
-    case MessageType::kMetricsRequest:
-      return "metrics_request";
-    case MessageType::kMetricsSnapshot:
-      return "metrics_snapshot";
-    case MessageType::kEventsRequest:
-      return "events_request";
-    case MessageType::kEventBatch:
-      return "event_batch";
-    case MessageType::kTraceControl:
-      return "trace_control";
-    case MessageType::kTraceRequest:
-      return "trace_request";
-    case MessageType::kTraceEvents:
-      return "trace_events";
-    case MessageType::kHealthRequest:
-      return "health_request";
-    case MessageType::kHealthReport:
-      return "health_report";
-    case MessageType::kRegisterQuery:
-      return "register_query";
-  }
-  return "unknown";
-}
-
-metrics::ShardedHistogram* Coordinator::RpcLatencyHistogram(MessageType type) {
-  const uint32_t key = static_cast<uint32_t>(type);
-  const auto it = rpc_latency_.find(key);
-  if (it != rpc_latency_.end()) return it->second;
-  const std::string name =
-      std::string("dist.rpc.") + RpcTypeName(type) + ".latency_ns";
-  metrics::ShardedHistogram* histogram = metrics_.GetHistogram(name);
-  metrics_.SetHelp(name,
-                   std::string("End-to-end latency of ") + RpcTypeName(type) +
+metrics::ShardedHistogram* Coordinator::RpcLatencyHistogram(
+    MessageType type, const char* name) {
+  metrics::ShardedHistogram*& histogram =
+      rpc_latency_[static_cast<uint32_t>(type)];
+  if (histogram != nullptr) return histogram;
+  const std::string metric = std::string("dist.rpc.") + name + ".latency_ns";
+  histogram = metrics_.GetHistogram(metric);
+  metrics_.SetHelp(metric,
+                   std::string("End-to-end latency of ") + name +
                        " RPCs in nanoseconds, retries and backoff included.");
-  rpc_latency_[key] = histogram;
   return histogram;
 }
 
@@ -214,15 +159,9 @@ Status Coordinator::EnsureConnected(ShardState& shard) {
 Status Coordinator::Handshake(ShardState& shard, Deadline deadline) {
   metrics::TraceRecorder& recorder = metrics::TraceRecorder::Global();
   const uint64_t hello_sent = recorder.NowMicros();
-  SKIMJOIN_ASSIGN_OR_RETURN(
-      Frame hello,
-      Call(shard.channel, MessageType::kHello, "", deadline));
+  SKIMJOIN_ASSIGN_OR_RETURN(const HelloReply reply,
+                            Call(shard.channel, HelloMsg{}, deadline));
   const uint64_t hello_received = recorder.NowMicros();
-  if (hello.type != static_cast<uint32_t>(MessageType::kHelloReply)) {
-    return InvalidArgumentError("unexpected hello reply type " +
-                                std::to_string(hello.type));
-  }
-  SKIMJOIN_ASSIGN_OR_RETURN(HelloReply reply, DecodeHelloReply(hello.payload));
   if (reply.trace_clock_micros != 0) {
     // The worker stamped its recorder clock into the reply; assuming a
     // symmetric link, that stamp was taken at the round trip's midpoint on
@@ -238,14 +177,14 @@ Status Coordinator::Handshake(ShardState& shard, Deadline deadline) {
     // every recorded registration (idempotent on the worker) so the shard
     // can serve queries again; its data lag shows up as epochs_behind
     // until the lost updates are re-driven.
-    for (const RegistrationRecord& record : registrations_) {
-      SKIMJOIN_ASSIGN_OR_RETURN(
-          Frame ack, Call(shard.channel, record.type, record.payload,
-                          DeadlineAfter(options_.rpc_timeout)));
-      if (ack.type != static_cast<uint32_t>(MessageType::kRegistered)) {
-        return InternalError("registration replay got reply type " +
-                             std::to_string(ack.type));
-      }
+    for (const Registration& registration : registrations_) {
+      SKIMJOIN_RETURN_IF_ERROR(std::visit(
+          [&](const auto& request) {
+            return Call(shard.channel, request,
+                        DeadlineAfter(options_.rpc_timeout))
+                .status();
+          },
+          registration));
     }
     if (shard.incarnation != 0) {
       EventLog::Global().Emit(
@@ -272,15 +211,18 @@ StatusOr<Frame> Coordinator::CallOnce(ShardState& shard, MessageType type,
               DeadlineAfter(options_.rpc_timeout));
 }
 
-StatusOr<Frame> Coordinator::Rpc(ShardState& shard, MessageType type,
-                                 std::string_view payload) {
-  const LatencyScope latency(RpcLatencyHistogram(type));
+template <typename Request>
+StatusOr<ReplyTo<Request>> Coordinator::Rpc(ShardState& shard,
+                                           const Request& request) {
+  constexpr const auto& row = RowOf<Request>();
+  const LatencyScope latency(RpcLatencyHistogram(row.request, row.name));
+  const std::string payload = Encode(request);
   Status last = OkStatus();
   for (int attempt = 1; attempt <= options_.rpc_attempts; ++attempt) {
-    StatusOr<Frame> reply = CallOnce(shard, type, payload);
+    StatusOr<Frame> reply = CallOnce(shard, row.request, payload);
     if (reply.ok()) {
       MarkSuccess(shard);
-      return reply;
+      return DecodeReply<Request>(*reply);
     }
     last = reply.status();
     // A remote application error means the RPC itself worked — the worker
@@ -309,12 +251,13 @@ StatusOr<Frame> Coordinator::Rpc(ShardState& shard, MessageType type,
   return last;
 }
 
-Status Coordinator::Broadcast(MessageType type, const std::string& payload) {
-  registrations_.push_back({type, payload});
+template <typename Request>
+Status Coordinator::Broadcast(const Request& registration) {
+  registrations_.push_back(registration);
   Status first_failure = OkStatus();
   for (const auto& shard : shards_) {
-    StatusOr<Frame> reply = Rpc(*shard, type, payload);
-    if (!reply.ok() && first_failure.ok()) first_failure = reply.status();
+    const Status acked = Rpc(*shard, registration).status();
+    if (!acked.ok() && first_failure.ok()) first_failure = acked;
   }
   // A shard that missed the broadcast gets it replayed at its next
   // handshake (the record above is what makes that possible), but the
@@ -326,10 +269,7 @@ Status Coordinator::RegisterStream(const query::StreamSpec& spec) {
   std::lock_guard<std::mutex> lock(mutex_);
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(spec.name, "stream name"));
   SKIMJOIN_RETURN_IF_ERROR(engine_.RegisterStream(spec).status());
-  StreamReg reg;
-  reg.name = spec.name;
-  reg.domain_size = spec.domain_size;
-  return Broadcast(MessageType::kRegisterStream, EncodeStreamReg(reg));
+  return Broadcast(spec);
 }
 
 StatusOr<query::QueryId> Coordinator::AddQuery(const query::QuerySpec& spec,
@@ -351,8 +291,7 @@ StatusOr<query::QueryId> Coordinator::AddQuery(const query::QuerySpec& spec,
   std::string record;
   SKIMJOIN_RETURN_IF_ERROR(engine_.SerializeQuerySynopsis(id, &record));
   SKIMJOIN_RETURN_IF_ERROR(
-      Broadcast(MessageType::kRegisterQuery,
-                EncodeQueryReg({"q" + std::to_string(id), seed, spec})));
+      Broadcast(QueryReg{"q" + std::to_string(id), seed, spec}));
   queries_.insert(id);
   return id;
 }
@@ -382,20 +321,14 @@ Status Coordinator::UpdateBatch(const std::string& stream,
   Status first_failure = OkStatus();
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (routed[i].empty()) continue;
-    UpdateBatchMsg msg;
-    msg.stream = stream;
-    msg.updates = std::move(routed[i]);
-    StatusOr<Frame> reply =
-        Rpc(*shards_[i], MessageType::kUpdateBatch, EncodeUpdateBatch(msg));
-    if (!reply.ok()) {
-      if (first_failure.ok()) first_failure = reply.status();
+    StatusOr<HelloReply> ack =
+        Rpc(*shards_[i], UpdateBatchMsg{stream, std::move(routed[i])});
+    if (!ack.ok()) {
+      if (first_failure.ok()) first_failure = ack.status();
       continue;
     }
-    StatusOr<HelloReply> ack = DecodeHelloReply(reply->payload);
-    if (ack.ok()) {
-      shards_[i]->last_acked_epoch = ack->epoch;
-      PublishHealth(*shards_[i]);
-    }
+    shards_[i]->last_acked_epoch = ack->epoch;
+    PublishHealth(*shards_[i]);
   }
   return first_failure;
 }
@@ -411,29 +344,25 @@ StatusOr<std::vector<ShardContribution>> Coordinator::Refresh(
   contributions.reserve(shards_.size());
   std::vector<std::string> records;
   for (const auto& shard : shards_) {
-    StatusOr<Frame> reply = Rpc(*shard, MessageType::kPullDelta, wire_name);
-    if (reply.ok() &&
-        reply->type == static_cast<uint32_t>(MessageType::kDelta)) {
-      StatusOr<DeltaMsg> delta = DecodeDelta(reply->payload);
-      if (delta.ok() && delta->query_name == wire_name) {
-        CachedDelta& cached = shard->deltas[query];
-        cached.synopsis = std::move(delta->synopsis);
-        cached.incarnation = delta->incarnation;
-        cached.epoch = delta->epoch;
-        cached.round = pull_round_;
-        cached.valid = true;
-        shard->delta_bytes->Increment(cached.synopsis.size());
-        if (shard->health != Health::kHealthy) {
-          shard->health = Health::kHealthy;
-          shard->consecutive_failures = 0;
-          EventLog::Global().Emit(
-              LogLevel::kInfo, "worker_restored",
-              {{"shard", shard->address.name},
-               {"incarnation", std::to_string(cached.incarnation)},
-               {"epoch", std::to_string(cached.epoch)}});
-        }
-        PublishHealth(*shard);
+    StatusOr<DeltaMsg> delta = Rpc(*shard, PullDeltaMsg{wire_name});
+    if (delta.ok() && delta->query_name == wire_name) {
+      CachedDelta& cached = shard->deltas[query];
+      cached.synopsis = std::move(delta->synopsis);
+      cached.incarnation = delta->incarnation;
+      cached.epoch = delta->epoch;
+      cached.round = pull_round_;
+      cached.valid = true;
+      shard->delta_bytes->Increment(cached.synopsis.size());
+      if (shard->health != Health::kHealthy) {
+        shard->health = Health::kHealthy;
+        shard->consecutive_failures = 0;
+        EventLog::Global().Emit(
+            LogLevel::kInfo, "worker_restored",
+            {{"shard", shard->address.name},
+             {"incarnation", std::to_string(cached.incarnation)},
+             {"epoch", std::to_string(cached.epoch)}});
       }
+      PublishHealth(*shard);
     }
     ShardContribution contribution;
     contribution.shard = shard->address.name;
@@ -495,11 +424,7 @@ Status Coordinator::RegisterRelation(const query::RelationSpec& spec) {
   SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(spec.name, "relation name"));
   SKIMJOIN_RETURN_IF_ERROR(engine_.RegisterRelation(spec).status());
   relation_arities_[spec.name] = spec.arity;
-  RelationReg reg;
-  reg.name = spec.name;
-  reg.arity = spec.arity;
-  reg.domain_size = spec.domain_size;
-  return Broadcast(MessageType::kRegisterRelation, EncodeRelationReg(reg));
+  return Broadcast(spec);
 }
 
 Status Coordinator::UpdateRelation(const std::string& relation,
@@ -522,18 +447,12 @@ Status Coordinator::UpdateRelation(const std::string& relation,
   // on attributes[0] lets tests aim a tuple at a chosen shard the same way
   // stream updates do.
   ShardState& shard = *shards_[ShardIndexFor(attributes[0])];
-  RelationUpdateMsg msg;
-  msg.relation = relation;
-  msg.arity = it->second;
-  msg.tuples.push_back({attributes, weight});
   SKIMJOIN_ASSIGN_OR_RETURN(
-      Frame reply,
-      Rpc(shard, MessageType::kUpdateRelation, EncodeRelationUpdate(msg)));
-  StatusOr<HelloReply> ack = DecodeHelloReply(reply.payload);
-  if (ack.ok()) {
-    shard.last_acked_epoch = ack->epoch;
-    PublishHealth(shard);
-  }
+      const HelloReply ack,
+      Rpc(shard,
+          RelationUpdateMsg{relation, it->second, {{attributes, weight}}}));
+  shard.last_acked_epoch = ack.epoch;
+  PublishHealth(shard);
   return OkStatus();
 }
 
@@ -562,12 +481,8 @@ StatusOr<metrics::Snapshot> Coordinator::FleetMetricsSnapshot() {
   // reachable shard's series are appended as `base{shard="<index>"}`.
   metrics::Snapshot merged = metrics_.TakeSnapshot();
   for (size_t i = 0; i < shards_.size(); ++i) {
-    StatusOr<Frame> reply = Rpc(*shards_[i], MessageType::kMetricsRequest, "");
-    if (!reply.ok() ||
-        reply->type != static_cast<uint32_t>(MessageType::kMetricsSnapshot)) {
-      continue;  // a down shard is simply absent from this snapshot
-    }
-    StatusOr<metrics::Snapshot> remote = DecodeMetricsSnapshot(reply->payload);
+    StatusOr<metrics::Snapshot> remote = Rpc(*shards_[i], MetricsRequest{});
+    // A down shard is simply absent from this snapshot.
     if (!remote.ok()) continue;
     const std::vector<std::pair<std::string, std::string>> labels = {
         {"shard", std::to_string(i)}};
@@ -598,19 +513,9 @@ Status Coordinator::ScrapeFleetEvents() {
   Status first_failure = OkStatus();
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardState& shard = *shards_[i];
-    EventsRequest request;
-    request.max_events = 0;  // worker default: its whole retained tail
-    request.after_sequence = shard.events_scraped_through;
-    StatusOr<Frame> reply =
-        Rpc(shard, MessageType::kEventsRequest, EncodeEventsRequest(request));
-    if (!reply.ok()) {
-      if (first_failure.ok()) first_failure = reply.status();
-      continue;
-    }
-    if (reply->type != static_cast<uint32_t>(MessageType::kEventBatch)) {
-      continue;
-    }
-    StatusOr<EventBatchMsg> batch = DecodeEventBatch(reply->payload);
+    // max_events 0: the worker's whole retained tail.
+    StatusOr<EventBatchMsg> batch =
+        Rpc(shard, EventsRequest{0, shard.events_scraped_through});
     if (!batch.ok()) {
       if (first_failure.ok()) first_failure = batch.status();
       continue;
@@ -638,13 +543,10 @@ Status Coordinator::SetFleetTracing(bool enable) {
   } else {
     metrics::TraceRecorder::Global().Disable();
   }
-  TraceControlMsg msg;
-  msg.enable = enable;
-  const std::string payload = EncodeTraceControl(msg);
   Status first_failure = OkStatus();
   for (const auto& shard : shards_) {
-    StatusOr<Frame> reply = Rpc(*shard, MessageType::kTraceControl, payload);
-    if (!reply.ok() && first_failure.ok()) first_failure = reply.status();
+    const Status acked = Rpc(*shard, TraceControlMsg{enable}).status();
+    if (!acked.ok() && first_failure.ok()) first_failure = acked;
   }
   return first_failure;
 }
@@ -663,13 +565,9 @@ StatusOr<std::string> Coordinator::DumpFleetTrace() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardState& shard = *shards_[i];
     const uint64_t sent = recorder.NowMicros();
-    StatusOr<Frame> reply = Rpc(shard, MessageType::kTraceRequest, "");
+    StatusOr<TraceEventsMsg> msg = Rpc(shard, TraceRequest{});
     const uint64_t received = recorder.NowMicros();
-    if (!reply.ok() ||
-        reply->type != static_cast<uint32_t>(MessageType::kTraceEvents)) {
-      continue;  // an unreachable shard is absent from the merged trace
-    }
-    StatusOr<TraceEventsMsg> msg = DecodeTraceEvents(reply->payload);
+    // An unreachable shard is absent from the merged trace.
     if (!msg.ok()) continue;
     if (msg->now_micros != 0) {
       // Refine the hello-handshake offset estimate with this (much more
@@ -701,21 +599,10 @@ StatusOr<query::HealthReport> Coordinator::FleetHealthReport() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardState& shard = *shards_[i];
     const std::string shard_label = std::to_string(i);
-    StatusOr<Frame> reply = Rpc(shard, MessageType::kHealthRequest, "");
-    if (!reply.ok() ||
-        reply->type != static_cast<uint32_t>(MessageType::kHealthReport)) {
+    StatusOr<HealthReportMsg> msg = Rpc(shard, HealthRequest{});
+    if (!msg.ok()) {
       // A dead shard must not vanish from the doctor's view: it becomes a
       // finding itself, labeled like everything else from this shard.
-      report.findings.push_back(
-          {query::HealthFinding::Severity::kCritical,
-           "shard " + shard.address.name, "unreachable",
-           reply.ok() ? "worker sent an unexpected reply type"
-                      : reply.status().ToString(),
-           shard_label});
-      continue;
-    }
-    StatusOr<HealthReportMsg> msg = DecodeHealthReport(reply->payload);
-    if (!msg.ok()) {
       report.findings.push_back({query::HealthFinding::Severity::kCritical,
                                  "shard " + shard.address.name, "unreachable",
                                  msg.status().ToString(), shard_label});
@@ -734,13 +621,12 @@ Status Coordinator::CheckpointShards() {
   std::lock_guard<std::mutex> lock(mutex_);
   Status first_failure = OkStatus();
   for (const auto& shard : shards_) {
-    StatusOr<Frame> reply = Rpc(*shard, MessageType::kCheckpoint, "");
-    if (!reply.ok()) {
-      if (first_failure.ok()) first_failure = reply.status();
+    StatusOr<HelloReply> ack = Rpc(*shard, CheckpointMsg{});
+    if (!ack.ok()) {
+      if (first_failure.ok()) first_failure = ack.status();
       continue;
     }
-    StatusOr<HelloReply> ack = DecodeHelloReply(reply->payload);
-    if (ack.ok()) shard->last_acked_epoch = ack->epoch;
+    shard->last_acked_epoch = ack->epoch;
   }
   return first_failure;
 }
@@ -749,7 +635,8 @@ Status Coordinator::ProbeHealth() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& shard : shards_) {
     // Single attempt on purpose: a probe measures, it does not insist.
-    StatusOr<Frame> reply = CallOnce(*shard, MessageType::kPing, "");
+    StatusOr<Frame> reply =
+        CallOnce(*shard, RowOf<PingMsg>().request, Encode(PingMsg{}));
     if (reply.ok()) {
       MarkSuccess(*shard);
     } else {

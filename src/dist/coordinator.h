@@ -47,6 +47,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "dist/frame.h"
@@ -189,12 +190,9 @@ class Coordinator : public query::DistBackend {
     metrics::Gauge* epoch_gauge = nullptr;
   };
 
-  /// One registration message, recorded in order for replay after a worker
+  /// One registration, recorded in order for replay after a worker
   /// restart.
-  struct RegistrationRecord {
-    MessageType type;
-    std::string payload;
-  };
+  using Registration = std::variant<StreamReg, QueryReg, RelationReg>;
 
   /// Ensures a connected, handshaken channel. A handshake that fails after
   /// connect closes the channel again and leaves the shard unadopted; a
@@ -214,13 +212,16 @@ class Coordinator : public query::DistBackend {
 
   /// The retrying RPC: up to rpc_attempts tries, each its own connect +
   /// call under rpc_timeout, with jittered exponential backoff between.
-  StatusOr<Frame> Rpc(ShardState& shard, MessageType type,
-                      std::string_view payload);
+  /// Returns the reply kMessages pairs with `request`, decoded; a reply of
+  /// another type or one that does not decode is INVALID_ARGUMENT.
+  template <typename Request>
+  StatusOr<ReplyTo<Request>> Rpc(ShardState& shard, const Request& request);
 
   /// Broadcasts one registration to every shard and records it for replay.
   /// Fails if any shard never acked (after retries) — registrations are
   /// the one operation that must reach everyone before use.
-  Status Broadcast(MessageType type, const std::string& payload);
+  template <typename Request>
+  Status Broadcast(const Request& registration);
 
   void MarkFailure(ShardState& shard, const Status& status);
   void MarkSuccess(ShardState& shard);
@@ -233,13 +234,11 @@ class Coordinator : public query::DistBackend {
   /// delivered a delta yet.
   StatusOr<std::vector<ShardContribution>> Refresh(query::QueryId query);
 
-  /// The `dist.rpc.<type>.latency_ns` histogram for one message type,
-  /// created on first use and cached (registry instruments are stable).
-  metrics::ShardedHistogram* RpcLatencyHistogram(MessageType type);
-
-  /// Stable lower-case name of a request type for metric names
-  /// ("hello", "update_batch", ...).
-  static const char* RpcTypeName(MessageType type);
+  /// The `dist.rpc.<name>.latency_ns` histogram of one request type
+  /// (`name` is its kMessages row's), created on first use and cached
+  /// (registry instruments are stable).
+  metrics::ShardedHistogram* RpcLatencyHistogram(MessageType type,
+                                                 const char* name);
 
   /// Serializes the whole public surface. Coarse by design: the
   /// coordinator is a control plane, not a data plane — contention is
@@ -259,7 +258,7 @@ class Coordinator : public query::DistBackend {
   std::map<std::string, uint64_t> relation_arities_;
   /// Queries registered fleet-wide ("q<id>" on the wire); ids are engine_'s.
   std::set<query::QueryId> queries_;
-  std::vector<RegistrationRecord> registrations_;
+  std::vector<Registration> registrations_;
   /// MessageType → latency histogram, filled lazily by RpcLatencyHistogram.
   std::unordered_map<uint32_t, metrics::ShardedHistogram*> rpc_latency_;
   uint64_t pull_round_ = 0;

@@ -1,8 +1,10 @@
 #include "dist/protocol.h"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
-#include <cstring>
+#include <concepts>
 #include <sstream>
 #include <utility>
 
@@ -14,114 +16,436 @@ namespace dist {
 
 namespace {
 
-// Telemetry doubles (gauges, histogram sums and bounds) cross the wire as
-// their IEEE-754 bit pattern (decimal u64), so they arrive bit-exact.
-// Query-spec doubles use the spec codec's max_digits10 text instead, which
-// round-trips exactly too.
-uint64_t DoubleBits(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
+// --- the writer and the reader ---------------------------------------------
 
-double DoubleFromBits(uint64_t bits) {
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-Status Malformed(const char* what) {
-  return InvalidArgumentError(std::string("malformed ") + what + " payload");
-}
-
-// Reads one whitespace-delimited token as the requested type; false on
-// exhaustion or a non-numeric token.
-bool ReadToken(std::istringstream& in, uint64_t* out) {
-  return static_cast<bool>(in >> *out);
-}
-bool ReadToken(std::istringstream& in, int64_t* out) {
-  return static_cast<bool>(in >> *out);
-}
-bool ReadToken(std::istringstream& in, std::string* out) {
-  return static_cast<bool>(in >> *out);
-}
-
-// A payload is fully consumed when only trailing whitespace remains;
-// anything else is a framing bug or tampering.
-Status ExpectExhausted(std::istringstream& in, const char* what) {
-  std::string extra;
-  if (in >> extra) {
-    return InvalidArgumentError(std::string(what) +
-                                " payload has trailing tokens");
-  }
-  return OkStatus();
-}
-
-// Telemetry payloads carry free text (metric names with label blocks,
-// event names, field values), which whitespace tokenization can't frame.
-// They use a cursor grammar instead: decimal integers separated by single
-// spaces, and strings as length-prefixed blobs `<len>:<bytes>` whose bytes
-// are taken raw. The declared blob length is checked against the bytes
-// actually remaining BEFORE any copy, so a lying length can't over-read or
-// over-allocate; the same bound makes every element-count cap of the form
-// `count <= remaining bytes` airtight.
-class WireCursor {
+/// Appends each field by the grammar in protocol.h.
+class WireWriter {
  public:
-  explicit WireCursor(std::string_view data) : rest_(data) {}
+  void U64(uint64_t value) { Number(value); }
+  void I64(int64_t value) { Number(value); }
+  void Bits(double value) { U64(std::bit_cast<uint64_t>(value)); }
 
-  bool U64(uint64_t* out) {
-    SkipSpace();
-    const auto [ptr, ec] =
-        std::from_chars(rest_.data(), rest_.data() + rest_.size(), *out);
-    if (ec != std::errc()) return false;
-    rest_.remove_prefix(static_cast<size_t>(ptr - rest_.data()));
-    return true;
+  void Name(const std::string& name, const char* /*what*/) { Rest(name); }
+  void Blob(const std::string& bytes) { Sized(bytes, ':'); }
+
+  /// An enumerator (or bool) as its unsigned value.
+  template <typename E>
+  void Bounded(E value, E /*max*/) {
+    U64(static_cast<uint64_t>(value));
   }
 
-  bool I64(int64_t* out) {
-    SkipSpace();
-    const auto [ptr, ec] =
-        std::from_chars(rest_.data(), rest_.data() + rest_.size(), *out);
-    if (ec != std::errc()) return false;
-    rest_.remove_prefix(static_cast<size_t>(ptr - rest_.data()));
-    return true;
+  /// A reader-side check: the writer writes what it is given.
+  bool Require(bool /*holds*/) { return true; }
+
+  template <typename T, typename Each>
+  void List(const std::vector<T>& items, Each each) {
+    U64(items.size());
+    for (const T& item : items) each(item);
   }
 
-  bool Blob(std::string* out) {
-    uint64_t len = 0;
-    if (!U64(&len)) return false;
-    if (rest_.empty() || rest_.front() != ':') return false;
-    rest_.remove_prefix(1);
-    if (len > rest_.size()) return false;  // caps allocation at what arrived
-    out->assign(rest_.substr(0, len));
-    rest_.remove_prefix(len);
-    return true;
+  /// Values whose count the payload states elsewhere.
+  void Array(const std::vector<uint64_t>& values, uint64_t /*count*/) {
+    for (const uint64_t value : values) U64(value);
   }
 
-  /// Remaining un-parsed bytes — the bound for declared element counts.
-  size_t remaining() const { return rest_.size(); }
-
-  bool AtEnd() {
-    SkipSpace();
-    return rest_.empty();
-  }
-
- private:
-  void SkipSpace() {
-    while (!rest_.empty() &&
-           std::isspace(static_cast<unsigned char>(rest_.front())) != 0) {
-      rest_.remove_prefix(1);
+  /// A histogram's nonzero buckets as (index, count) pairs.
+  void Buckets(const std::vector<uint64_t>& buckets) {
+    U64(static_cast<uint64_t>(std::count_if(
+        buckets.begin(), buckets.end(), [](uint64_t n) { return n != 0; })));
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      if (buckets[i] == 0) continue;
+      U64(i);
+      U64(buckets[i]);
     }
   }
 
-  std::string_view rest_;
+  void Synopsis(const std::string& bytes) { Sized(bytes, '\n'); }
+
+  /// The kind token, then spec_codec's record.
+  void Spec(const query::QuerySpec& spec) {
+    std::ostringstream record;
+    record << query::QueryKindName(spec) << ' ';
+    query::WriteQuerySpec(record, spec);
+    Rest(record.str());
+  }
+
+  /// Free text running to the payload's end.
+  void Rest(const std::string& text) {
+    Separate();
+    out_ += text;
+  }
+
+  std::string Take() { return std::move(out_); }
+
+ private:
+  void Separate() {
+    if (!first_) out_ += ' ';
+    first_ = false;
+  }
+
+  // `<len><delimiter><bytes>`.
+  void Sized(const std::string& bytes, char delimiter) {
+    U64(bytes.size());
+    out_ += delimiter;
+    out_ += bytes;
+  }
+
+  template <typename T>
+  void Number(T value) {
+    Separate();
+    char digits[24] = {};
+    out_.append(digits,
+                std::to_chars(digits, digits + sizeof(digits), value).ptr);
+  }
+
+  std::string out_;
+  bool first_ = true;
 };
 
-void AppendBlob(std::ostringstream& out, std::string_view bytes) {
-  out << bytes.size() << ':' << bytes;
+/// The writer's inverse over untrusted bytes. The first malformed field
+/// stops it, and Finish reports it.
+class WireReader {
+ public:
+  explicit WireReader(std::string_view payload)
+      : payload_(payload), rest_(payload) {}
+
+  void U64(uint64_t& value) { Number(value); }
+  void I64(int64_t& value) { Number(value); }
+
+  void Bits(double& value) {
+    uint64_t bits = 0;
+    U64(bits);
+    value = std::bit_cast<double>(bits);
+  }
+
+  void Name(std::string& name, const char* what) {
+    if (!Separate()) return;
+    const std::string_view token = rest_.substr(0, rest_.find(' '));
+    if (!Check(ValidateWireName(token, what))) return;
+    name.assign(token);
+    rest_.remove_prefix(token.size());
+  }
+
+  void Blob(std::string& bytes) { Sized(bytes, ':'); }
+
+  /// An unsigned value no larger than `max`, as the field's type.
+  template <typename E>
+  void Bounded(E& value, E max) {
+    uint64_t raw = 0;
+    U64(raw);
+    if (Require(raw <= static_cast<uint64_t>(max))) value = static_cast<E>(raw);
+  }
+
+  /// Fails the read unless `holds`; true while nothing has failed.
+  bool Require(bool holds) {
+    return holds || Check(InvalidArgumentError(
+                        "malformed payload at byte " +
+                        std::to_string(payload_.size() - rest_.size())));
+  }
+
+  template <typename T, typename Each>
+  void List(std::vector<T>& items, Each each) {
+    uint64_t count = 0;
+    U64(count);
+    if (!Require(count <= kMaxWireBatchElements && count <= rest_.size())) {
+      return;
+    }
+    items.reserve(count);
+    for (uint64_t i = 0; i < count && ok(); ++i) each(items.emplace_back());
+  }
+
+  void Array(std::vector<uint64_t>& values, uint64_t count) {
+    if (!Require(count <= rest_.size())) return;
+    values.resize(count);
+    for (uint64_t& value : values) U64(value);
+  }
+
+  void Buckets(std::vector<uint64_t>& buckets) {
+    uint64_t nonzero = 0;
+    U64(nonzero);
+    if (!Require(nonzero <= static_cast<uint64_t>(Histogram::kBuckets))) return;
+    buckets.assign(Histogram::kBuckets, 0);
+    for (uint64_t i = 0; i < nonzero && ok(); ++i) {
+      uint64_t index = 0;
+      U64(index);
+      if (Require(index < buckets.size())) U64(buckets[index]);
+    }
+  }
+
+  /// Exact length: a truncated or padded synopsis is a framing error.
+  void Synopsis(std::string& bytes) {
+    Sized(bytes, '\n');
+    Require(rest_.empty());
+  }
+
+  /// The kind token, then spec_codec's record to the payload's end.
+  void Spec(query::QuerySpec& spec) {
+    if (!Separate()) return;
+    const std::string kind(rest_.substr(0, rest_.find(' ')));
+    std::istringstream fields{std::string(rest_.substr(kind.size()))};
+    StatusOr<query::QuerySpec> read = query::ReadQuerySpec(kind, fields);
+    std::string extra;
+    if (!Check(read.status()) || !Require(!(fields >> extra))) return;
+    spec = *std::move(read);
+    rest_ = {};
+  }
+
+  void Rest(std::string& text) {
+    if (!Separate()) return;
+    text.assign(rest_);
+    rest_ = {};
+  }
+
+  /// OK once every byte was read as a field.
+  Status Finish() {
+    Require(rest_.empty());
+    return status_;
+  }
+
+ private:
+  bool ok() const { return status_.ok(); }
+
+  // Keeps the first error; true while there is none.
+  bool Check(Status status) {
+    if (ok()) status_ = std::move(status);
+    return ok();
+  }
+
+  bool Consume(char c) {
+    if (!Require(!rest_.empty() && rest_.front() == c)) return false;
+    rest_.remove_prefix(1);
+    return true;
+  }
+
+  bool Separate() {
+    if (!first_) return Consume(' ');
+    first_ = false;
+    return ok();
+  }
+
+  // `<len><delimiter><bytes>`, the length capped by the bytes left before
+  // anything is copied.
+  void Sized(std::string& bytes, char delimiter) {
+    uint64_t size = 0;
+    U64(size);
+    if (!Consume(delimiter) || !Require(size <= rest_.size())) return;
+    bytes.assign(rest_.substr(0, size));
+    rest_.remove_prefix(size);
+  }
+
+  // Decimal digits, with a leading '-' only where T is signed.
+  template <typename T>
+  void Number(T& value) {
+    if (!Separate()) return;
+    const auto [end, error] =
+        std::from_chars(rest_.data(), rest_.data() + rest_.size(), value);
+    if (Require(error == std::errc())) rest_.remove_prefix(end - rest_.data());
+  }
+
+  std::string_view payload_;
+  std::string_view rest_;
+  bool first_ = true;
+  Status status_;
+};
+
+// --- field descriptions ----------------------------------------------------
+
+/// `M` is `T` or `const T`: a field description runs on a const message
+/// when writing and on a mutable one when reading.
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+template <typename Io, MessageType kType>
+void Fields(Io& /*io*/, const NoFields<kType>& /*msg*/) {}
+
+void Fields(auto& io, Is<HelloReply> auto& m) {
+  io.Name(m.shard_name, "shard name");
+  io.U64(m.incarnation);
+  io.U64(m.epoch);
+  io.U64(m.trace_clock_micros);
+}
+
+void Fields(auto& io, Is<StreamReg> auto& m) {
+  io.Name(m.name, "stream name");
+  io.U64(m.domain_size);
+}
+
+void Fields(auto& io, Is<RegisteredMsg> auto& m) {
+  io.Name(m.name, "registered name");
+}
+
+void Fields(auto& io, Is<QueryReg> auto& m) {
+  io.Name(m.query_name, "query name");
+  io.U64(m.seed);
+  io.Spec(m.spec);
+}
+
+void Fields(auto& io, Is<UpdateBatchMsg> auto& m) {
+  io.Name(m.stream, "stream name");
+  io.List(m.updates, [&io](auto& update) {
+    io.U64(update.value);
+    io.I64(update.count);
+    io.I64(update.measure);
+  });
+}
+
+void Fields(auto& io, Is<RelationReg> auto& m) {
+  io.Name(m.name, "relation name");
+  io.U64(m.arity);
+  io.U64(m.domain_size);
+}
+
+void Fields(auto& io, Is<RelationUpdateMsg> auto& m) {
+  io.Name(m.relation, "relation name");
+  io.U64(m.arity);
+  // Arity is tiny in practice (chain ends 1, interiors 2); 64 is a
+  // generous protocol ceiling.
+  io.Require(m.arity >= 1 && m.arity <= 64);
+  io.List(m.tuples, [&io, &m](auto& tuple) {
+    io.Array(tuple.attributes, m.arity);
+    io.I64(tuple.weight);
+  });
+}
+
+void Fields(auto& io, Is<PullDeltaMsg> auto& m) {
+  io.Name(m.query_name, "query name");
+}
+
+void Fields(auto& io, Is<DeltaMsg> auto& m) {
+  io.Name(m.query_name, "query name");
+  io.U64(m.incarnation);
+  io.U64(m.epoch);
+  io.Synopsis(m.synopsis);
+}
+
+// Help strings stay behind: they are registration-site documentation, and
+// the receiver re-attaches its own. Metric names are non-empty.
+void Fields(auto& io, Is<metrics::Snapshot> auto& m) {
+  const auto name = [&io](auto& series) {
+    io.Blob(series.first);
+    io.Require(!series.first.empty());
+  };
+  io.List(m.counters, [&](auto& counter) {
+    name(counter);
+    io.U64(counter.second);
+  });
+  io.List(m.gauges, [&](auto& gauge) {
+    name(gauge);
+    io.Bits(gauge.second);
+  });
+  io.List(m.histograms, [&](auto& histogram) {
+    name(histogram);
+    auto& h = histogram.second;
+    io.U64(h.count);
+    io.Bits(h.sum);
+    io.Bits(h.min);
+    io.Bits(h.max);
+    io.Buckets(h.buckets);
+  });
+}
+
+void Fields(auto& io, Is<EventsRequest> auto& m) {
+  io.U64(m.max_events);
+  io.U64(m.after_sequence);
+}
+
+void Fields(auto& io, Is<EventBatchMsg> auto& m) {
+  io.List(m.events, [&io](auto& event) {
+    io.Bounded(event.level, LogLevel::kError);
+    io.U64(event.sequence);
+    io.U64(event.ts_micros);
+    io.Blob(event.event);
+    io.List(event.fields, [&io](auto& field) {
+      io.Blob(field.first);
+      io.Blob(field.second);
+    });
+  });
+}
+
+void Fields(auto& io, Is<TraceControlMsg> auto& m) {
+  io.Bounded(m.enable, true);
+}
+
+void Fields(auto& io, Is<TraceEventsMsg> auto& m) {
+  io.U64(m.dropped);
+  io.U64(m.now_micros);
+  io.List(m.events, [&io](auto& event) {
+    io.Blob(event.name);
+    io.Blob(event.category);
+    io.U64(event.start_micros);
+    io.U64(event.duration_micros);
+    io.U64(event.thread_id);
+    io.U64(event.trace_id);
+    io.U64(event.span_id);
+    io.U64(event.parent_span_id);
+  });
+}
+
+void Fields(auto& io, Is<HealthReportMsg> auto& m) {
+  io.List(m.findings, [&io](auto& finding) {
+    io.Bounded(finding.severity, query::HealthFinding::Severity::kCritical);
+    io.Blob(finding.subject);
+    io.Blob(finding.rule);
+    io.Blob(finding.message);
+  });
+}
+
+/// kError's fields: a non-OK status code, then its text.
+struct ErrorMsg {
+  StatusCode code = StatusCode::kOk;
+  std::string text;
+};
+
+void Fields(auto& io, Is<ErrorMsg> auto& m) {
+  io.Bounded(m.code, StatusCode::kInternal);
+  io.Require(m.code != StatusCode::kOk);
+  io.Rest(m.text);
 }
 
 }  // namespace
+
+template <typename Msg>
+std::string Encode(const Msg& msg) {
+  WireWriter out;
+  Fields(out, msg);
+  return out.Take();
+}
+
+template <typename Msg>
+StatusOr<Msg> Decode(std::string_view payload) {
+  WireReader in(payload);
+  Msg msg;
+  Fields(in, msg);
+  SKIMJOIN_RETURN_IF_ERROR(in.Finish());
+  return msg;
+}
+
+// The codec of every payload struct kMessages names.
+#define SKIMJOIN_WIRE_PAYLOAD(Msg)             \
+  template std::string Encode(const Msg& msg); \
+  template StatusOr<Msg> Decode<Msg>(std::string_view payload)
+SKIMJOIN_WIRE_PAYLOAD(HelloMsg);
+SKIMJOIN_WIRE_PAYLOAD(PingMsg);
+SKIMJOIN_WIRE_PAYLOAD(CheckpointMsg);
+SKIMJOIN_WIRE_PAYLOAD(MetricsRequest);
+SKIMJOIN_WIRE_PAYLOAD(TraceRequest);
+SKIMJOIN_WIRE_PAYLOAD(HealthRequest);
+SKIMJOIN_WIRE_PAYLOAD(HelloReply);
+SKIMJOIN_WIRE_PAYLOAD(StreamReg);
+SKIMJOIN_WIRE_PAYLOAD(RegisteredMsg);
+SKIMJOIN_WIRE_PAYLOAD(QueryReg);
+SKIMJOIN_WIRE_PAYLOAD(UpdateBatchMsg);
+SKIMJOIN_WIRE_PAYLOAD(RelationReg);
+SKIMJOIN_WIRE_PAYLOAD(RelationUpdateMsg);
+SKIMJOIN_WIRE_PAYLOAD(PullDeltaMsg);
+SKIMJOIN_WIRE_PAYLOAD(DeltaMsg);
+SKIMJOIN_WIRE_PAYLOAD(metrics::Snapshot);
+SKIMJOIN_WIRE_PAYLOAD(EventsRequest);
+SKIMJOIN_WIRE_PAYLOAD(EventBatchMsg);
+SKIMJOIN_WIRE_PAYLOAD(TraceControlMsg);
+SKIMJOIN_WIRE_PAYLOAD(TraceEventsMsg);
+SKIMJOIN_WIRE_PAYLOAD(HealthReportMsg);
+#undef SKIMJOIN_WIRE_PAYLOAD
 
 Status ValidateWireName(std::string_view name, const char* what) {
   if (name.empty() || name.size() > 256) {
@@ -137,490 +461,18 @@ Status ValidateWireName(std::string_view name, const char* what) {
   return OkStatus();
 }
 
-std::string EncodeHelloReply(const HelloReply& msg) {
-  std::ostringstream out;
-  out << msg.shard_name << ' ' << msg.incarnation << ' ' << msg.epoch << ' '
-      << msg.trace_clock_micros;
-  return out.str();
-}
-
-StatusOr<HelloReply> DecodeHelloReply(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  HelloReply msg;
-  std::string clock_token;
-  if (!ReadToken(in, &msg.shard_name) || !ReadToken(in, &msg.incarnation) ||
-      !ReadToken(in, &msg.epoch) || !ReadToken(in, &clock_token)) {
-    return Malformed("hello-reply");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.shard_name, "shard name"));
-  // The trace clock must be a clean u64.
-  const auto [ptr, ec] =
-      std::from_chars(clock_token.data(),
-                      clock_token.data() + clock_token.size(),
-                      msg.trace_clock_micros);
-  if (ec != std::errc() || ptr != clock_token.data() + clock_token.size()) {
-    return Malformed("hello-reply");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "hello-reply"));
-  return msg;
-}
-
-std::string EncodeStreamReg(const StreamReg& msg) {
-  std::ostringstream out;
-  out << msg.name << ' ' << msg.domain_size;
-  return out.str();
-}
-
-StatusOr<StreamReg> DecodeStreamReg(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  StreamReg msg;
-  if (!ReadToken(in, &msg.name) || !ReadToken(in, &msg.domain_size)) {
-    return Malformed("stream-registration");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.name, "stream name"));
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "stream-registration"));
-  return msg;
-}
-
-std::string EncodeQueryReg(const QueryReg& msg) {
-  std::ostringstream out;
-  out << msg.query_name << ' ' << msg.seed << ' '
-      << query::QueryKindName(msg.spec) << ' ';
-  query::WriteQuerySpec(out, msg.spec);
-  return out.str();
-}
-
-StatusOr<QueryReg> DecodeQueryReg(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  QueryReg msg;
-  std::string kind;
-  if (!ReadToken(in, &msg.query_name) || !ReadToken(in, &msg.seed) ||
-      !ReadToken(in, &kind)) {
-    return Malformed("query-registration");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.query_name, "query name"));
-  SKIMJOIN_ASSIGN_OR_RETURN(msg.spec, query::ReadQuerySpec(kind, in));
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "query-registration"));
-  return msg;
-}
-
-std::string EncodeUpdateBatch(const UpdateBatchMsg& msg) {
-  std::ostringstream out;
-  out << msg.stream << ' ' << msg.updates.size();
-  for (const query::StreamUpdate& update : msg.updates) {
-    out << ' ' << update.value << ' ' << update.count << ' ' << update.measure;
-  }
-  return out.str();
-}
-
-StatusOr<UpdateBatchMsg> DecodeUpdateBatch(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  UpdateBatchMsg msg;
-  uint64_t count = 0;
-  if (!ReadToken(in, &msg.stream) || !ReadToken(in, &count)) {
-    return Malformed("update-batch");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.stream, "stream name"));
-  if (count > kMaxWireBatchElements) {
-    return InvalidArgumentError(
-        "update-batch declares " + std::to_string(count) +
-        " elements, above the " + std::to_string(kMaxWireBatchElements) +
-        " cap");
-  }
-  // The declared count is additionally sanity-checked against the payload
-  // size — each element needs at least 6 bytes ("v c m ") — so a lying
-  // header can't even reserve beyond ~payload/6 entries.
-  if (count > payload.size()) {
-    return Malformed("update-batch");
-  }
-  msg.updates.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    query::StreamUpdate update;
-    if (!ReadToken(in, &update.value) || !ReadToken(in, &update.count) ||
-        !ReadToken(in, &update.measure)) {
-      return Malformed("update-batch");
-    }
-    msg.updates.push_back(update);
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "update-batch"));
-  return msg;
-}
-
-std::string EncodeDelta(const DeltaMsg& msg) {
-  std::ostringstream out;
-  out << msg.query_name << ' ' << msg.incarnation << ' ' << msg.epoch << ' '
-      << msg.synopsis.size() << '\n'
-      << msg.synopsis;
-  return out.str();
-}
-
-StatusOr<DeltaMsg> DecodeDelta(std::string_view payload) {
-  const size_t newline = payload.find('\n');
-  if (newline == std::string_view::npos) return Malformed("delta");
-  std::istringstream in{std::string(payload.substr(0, newline))};
-  DeltaMsg msg;
-  uint64_t declared_len = 0;
-  if (!ReadToken(in, &msg.query_name) || !ReadToken(in, &msg.incarnation) ||
-      !ReadToken(in, &msg.epoch) || !ReadToken(in, &declared_len)) {
-    return Malformed("delta");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.query_name, "query name"));
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "delta"));
-  const std::string_view body = payload.substr(newline + 1);
-  // Exact-length match: a truncated or padded synopsis block is a framing
-  // error, and the declared length can never exceed what actually arrived
-  // (the frame layer already capped that), so no speculative allocation.
-  if (declared_len != body.size()) {
-    return InvalidArgumentError("delta synopsis length mismatch: declared " +
-                                std::to_string(declared_len) + ", got " +
-                                std::to_string(body.size()));
-  }
-  msg.synopsis.assign(body);
-  return msg;
-}
-
-std::string EncodeRelationReg(const RelationReg& msg) {
-  std::ostringstream out;
-  out << msg.name << ' ' << msg.arity << ' ' << msg.domain_size;
-  return out.str();
-}
-
-StatusOr<RelationReg> DecodeRelationReg(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  RelationReg msg;
-  if (!ReadToken(in, &msg.name) || !ReadToken(in, &msg.arity) ||
-      !ReadToken(in, &msg.domain_size)) {
-    return Malformed("relation-registration");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.name, "relation name"));
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "relation-registration"));
-  return msg;
-}
-
-std::string EncodeRelationUpdate(const RelationUpdateMsg& msg) {
-  std::ostringstream out;
-  out << msg.relation << ' ' << msg.arity << ' ' << msg.tuples.size();
-  for (const RelationUpdateMsg::Tuple& tuple : msg.tuples) {
-    for (const uint64_t attribute : tuple.attributes) {
-      out << ' ' << attribute;
-    }
-    out << ' ' << tuple.weight;
-  }
-  return out.str();
-}
-
-StatusOr<RelationUpdateMsg> DecodeRelationUpdate(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  RelationUpdateMsg msg;
-  uint64_t count = 0;
-  if (!ReadToken(in, &msg.relation) || !ReadToken(in, &msg.arity) ||
-      !ReadToken(in, &count)) {
-    return Malformed("relation-update");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(msg.relation, "relation name"));
-  // Arity is tiny in practice (chain ends 1, interiors 2); 64 is a
-  // generous protocol ceiling that keeps count*arity from overflowing.
-  if (msg.arity < 1 || msg.arity > 64) return Malformed("relation-update");
-  if (count > kMaxWireBatchElements || count * msg.arity > payload.size()) {
-    return Malformed("relation-update");
-  }
-  msg.tuples.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RelationUpdateMsg::Tuple tuple;
-    tuple.attributes.resize(msg.arity);
-    for (uint64_t a = 0; a < msg.arity; ++a) {
-      if (!ReadToken(in, &tuple.attributes[a])) {
-        return Malformed("relation-update");
-      }
-    }
-    if (!ReadToken(in, &tuple.weight)) return Malformed("relation-update");
-    msg.tuples.push_back(std::move(tuple));
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "relation-update"));
-  return msg;
-}
-
-std::string EncodeMetricsSnapshot(const metrics::Snapshot& snapshot) {
-  std::ostringstream out;
-  out << snapshot.counters.size();
-  for (const auto& [name, value] : snapshot.counters) {
-    out << ' ';
-    AppendBlob(out, name);
-    out << ' ' << value;
-  }
-  out << ' ' << snapshot.gauges.size();
-  for (const auto& [name, value] : snapshot.gauges) {
-    out << ' ';
-    AppendBlob(out, name);
-    out << ' ' << DoubleBits(value);
-  }
-  out << ' ' << snapshot.histograms.size();
-  for (const auto& [name, h] : snapshot.histograms) {
-    out << ' ';
-    AppendBlob(out, name);
-    out << ' ' << h.count << ' ' << DoubleBits(h.sum) << ' '
-        << DoubleBits(h.min) << ' ' << DoubleBits(h.max);
-    uint64_t nonzero = 0;
-    for (const uint64_t b : h.buckets) nonzero += b != 0 ? 1 : 0;
-    out << ' ' << nonzero;
-    for (size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] != 0) out << ' ' << i << ' ' << h.buckets[i];
-    }
-  }
-  return out.str();
-}
-
-StatusOr<metrics::Snapshot> DecodeMetricsSnapshot(std::string_view payload) {
-  WireCursor in(payload);
-  metrics::Snapshot snapshot;
-  uint64_t num_counters = 0;
-  if (!in.U64(&num_counters) || num_counters > kMaxWireBatchElements ||
-      num_counters > in.remaining()) {
-    return Malformed("metrics-snapshot");
-  }
-  snapshot.counters.reserve(num_counters);
-  for (uint64_t i = 0; i < num_counters; ++i) {
-    std::string name;
-    uint64_t value = 0;
-    if (!in.Blob(&name) || name.empty() || !in.U64(&value)) {
-      return Malformed("metrics-snapshot");
-    }
-    snapshot.counters.emplace_back(std::move(name), value);
-  }
-  uint64_t num_gauges = 0;
-  if (!in.U64(&num_gauges) || num_gauges > kMaxWireBatchElements ||
-      num_gauges > in.remaining()) {
-    return Malformed("metrics-snapshot");
-  }
-  snapshot.gauges.reserve(num_gauges);
-  for (uint64_t i = 0; i < num_gauges; ++i) {
-    std::string name;
-    uint64_t bits = 0;
-    if (!in.Blob(&name) || name.empty() || !in.U64(&bits)) {
-      return Malformed("metrics-snapshot");
-    }
-    snapshot.gauges.emplace_back(std::move(name), DoubleFromBits(bits));
-  }
-  uint64_t num_histograms = 0;
-  if (!in.U64(&num_histograms) || num_histograms > kMaxWireBatchElements ||
-      num_histograms > in.remaining()) {
-    return Malformed("metrics-snapshot");
-  }
-  snapshot.histograms.reserve(num_histograms);
-  for (uint64_t i = 0; i < num_histograms; ++i) {
-    std::string name;
-    metrics::HistogramSnapshot h;
-    uint64_t sum_bits = 0, min_bits = 0, max_bits = 0, nonzero = 0;
-    if (!in.Blob(&name) || name.empty() || !in.U64(&h.count) ||
-        !in.U64(&sum_bits) || !in.U64(&min_bits) || !in.U64(&max_bits) ||
-        !in.U64(&nonzero) ||
-        nonzero > static_cast<uint64_t>(Histogram::kBuckets)) {
-      return Malformed("metrics-snapshot");
-    }
-    h.sum = DoubleFromBits(sum_bits);
-    h.min = DoubleFromBits(min_bits);
-    h.max = DoubleFromBits(max_bits);
-    h.buckets.assign(Histogram::kBuckets, 0);
-    for (uint64_t b = 0; b < nonzero; ++b) {
-      uint64_t index = 0, bucket_count = 0;
-      if (!in.U64(&index) ||
-          index >= static_cast<uint64_t>(Histogram::kBuckets) ||
-          !in.U64(&bucket_count)) {
-        return Malformed("metrics-snapshot");
-      }
-      h.buckets[index] = bucket_count;
-    }
-    snapshot.histograms.emplace_back(std::move(name), std::move(h));
-  }
-  if (!in.AtEnd()) {
-    return InvalidArgumentError("metrics-snapshot payload has trailing bytes");
-  }
-  return snapshot;
-}
-
-std::string EncodeEventsRequest(const EventsRequest& msg) {
-  std::ostringstream out;
-  out << msg.max_events << ' ' << msg.after_sequence;
-  return out.str();
-}
-
-StatusOr<EventsRequest> DecodeEventsRequest(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  EventsRequest msg;
-  if (!ReadToken(in, &msg.max_events) || !ReadToken(in, &msg.after_sequence)) {
-    return Malformed("events-request");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "events-request"));
-  return msg;
-}
-
-std::string EncodeEventBatch(const EventBatchMsg& msg) {
-  std::ostringstream out;
-  out << msg.events.size();
-  for (const LogEvent& event : msg.events) {
-    out << ' ' << static_cast<uint64_t>(event.level) << ' ' << event.sequence
-        << ' ' << event.ts_micros << ' ';
-    AppendBlob(out, event.event);
-    out << ' ' << event.fields.size();
-    for (const auto& [key, value] : event.fields) {
-      out << ' ';
-      AppendBlob(out, key);
-      out << ' ';
-      AppendBlob(out, value);
-    }
-  }
-  return out.str();
-}
-
-StatusOr<EventBatchMsg> DecodeEventBatch(std::string_view payload) {
-  WireCursor in(payload);
-  EventBatchMsg msg;
-  uint64_t count = 0;
-  if (!in.U64(&count) || count > kMaxWireBatchElements ||
-      count > in.remaining()) {
-    return Malformed("event-batch");
-  }
-  msg.events.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LogEvent event;
-    uint64_t level = 0, num_fields = 0;
-    if (!in.U64(&level) || level > static_cast<uint64_t>(LogLevel::kError) ||
-        !in.U64(&event.sequence) || !in.U64(&event.ts_micros) ||
-        !in.Blob(&event.event) || !in.U64(&num_fields) ||
-        num_fields > in.remaining()) {
-      return Malformed("event-batch");
-    }
-    event.level = static_cast<LogLevel>(level);
-    event.fields.reserve(num_fields);
-    for (uint64_t f = 0; f < num_fields; ++f) {
-      std::string key, value;
-      if (!in.Blob(&key) || !in.Blob(&value)) return Malformed("event-batch");
-      event.fields.emplace_back(std::move(key), std::move(value));
-    }
-    msg.events.push_back(std::move(event));
-  }
-  if (!in.AtEnd()) {
-    return InvalidArgumentError("event-batch payload has trailing bytes");
-  }
-  return msg;
-}
-
-std::string EncodeTraceControl(const TraceControlMsg& msg) {
-  return msg.enable ? "1" : "0";
-}
-
-StatusOr<TraceControlMsg> DecodeTraceControl(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  uint64_t enable = 0;
-  if (!ReadToken(in, &enable) || enable > 1) {
-    return Malformed("trace-control");
-  }
-  SKIMJOIN_RETURN_IF_ERROR(ExpectExhausted(in, "trace-control"));
-  TraceControlMsg msg;
-  msg.enable = enable == 1;
-  return msg;
-}
-
-std::string EncodeTraceEvents(const TraceEventsMsg& msg) {
-  std::ostringstream out;
-  out << msg.dropped << ' ' << msg.now_micros << ' ' << msg.events.size();
-  for (const metrics::TraceEvent& event : msg.events) {
-    out << ' ';
-    AppendBlob(out, event.name);
-    out << ' ';
-    AppendBlob(out, event.category);
-    out << ' ' << event.start_micros << ' ' << event.duration_micros << ' '
-        << event.thread_id << ' ' << event.trace_id << ' ' << event.span_id
-        << ' ' << event.parent_span_id;
-  }
-  return out.str();
-}
-
-StatusOr<TraceEventsMsg> DecodeTraceEvents(std::string_view payload) {
-  WireCursor in(payload);
-  TraceEventsMsg msg;
-  uint64_t count = 0;
-  if (!in.U64(&msg.dropped) || !in.U64(&msg.now_micros) || !in.U64(&count) ||
-      count > kMaxWireBatchElements || count > in.remaining()) {
-    return Malformed("trace-events");
-  }
-  msg.events.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    metrics::TraceEvent event;
-    if (!in.Blob(&event.name) || !in.Blob(&event.category) ||
-        !in.U64(&event.start_micros) || !in.U64(&event.duration_micros) ||
-        !in.U64(&event.thread_id) || !in.U64(&event.trace_id) ||
-        !in.U64(&event.span_id) || !in.U64(&event.parent_span_id)) {
-      return Malformed("trace-events");
-    }
-    msg.events.push_back(std::move(event));
-  }
-  if (!in.AtEnd()) {
-    return InvalidArgumentError("trace-events payload has trailing bytes");
-  }
-  return msg;
-}
-
-std::string EncodeHealthReport(const HealthReportMsg& msg) {
-  std::ostringstream out;
-  out << msg.findings.size();
-  for (const query::HealthFinding& finding : msg.findings) {
-    out << ' ' << static_cast<uint64_t>(finding.severity) << ' ';
-    AppendBlob(out, finding.subject);
-    out << ' ';
-    AppendBlob(out, finding.rule);
-    out << ' ';
-    AppendBlob(out, finding.message);
-  }
-  return out.str();
-}
-
-StatusOr<HealthReportMsg> DecodeHealthReport(std::string_view payload) {
-  WireCursor in(payload);
-  HealthReportMsg msg;
-  uint64_t count = 0;
-  if (!in.U64(&count) || count > kMaxWireBatchElements ||
-      count > in.remaining()) {
-    return Malformed("health-report");
-  }
-  msg.findings.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    query::HealthFinding finding;
-    uint64_t severity = 0;
-    if (!in.U64(&severity) ||
-        severity >
-            static_cast<uint64_t>(query::HealthFinding::Severity::kCritical) ||
-        !in.Blob(&finding.subject) || !in.Blob(&finding.rule) ||
-        !in.Blob(&finding.message)) {
-      return Malformed("health-report");
-    }
-    finding.severity = static_cast<query::HealthFinding::Severity>(severity);
-    msg.findings.push_back(std::move(finding));
-  }
-  if (!in.AtEnd()) {
-    return InvalidArgumentError("health-report payload has trailing bytes");
-  }
-  return msg;
-}
-
 std::string EncodeError(const Status& status) {
-  std::ostringstream out;
-  out << static_cast<int>(status.code()) << ' ' << status.message();
-  return out.str();
+  return Encode(ErrorMsg{status.code(), status.message()});
 }
 
 Status DecodeError(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  int code = 0;
-  if (!(in >> code) || code < static_cast<int>(StatusCode::kInvalidArgument) ||
-      code > static_cast<int>(StatusCode::kInternal)) {
+  StatusOr<ErrorMsg> error = Decode<ErrorMsg>(payload);
+  if (!error.ok()) {
     return InternalError("peer sent an undecodable error payload");
   }
-  std::string message;
-  std::getline(in, message);
-  if (!message.empty() && message.front() == ' ') message.erase(0, 1);
-  return Status(static_cast<StatusCode>(code),
-                "remote: " + (message.empty() ? "(no message)" : message));
+  const std::string text = error->text.substr(0, error->text.find('\n'));
+  return Status(error->code,
+                "remote: " + (text.empty() ? "(no message)" : text));
 }
 
 StatusOr<Frame> Call(FrameChannel& channel, MessageType type,

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <random>
@@ -23,14 +23,11 @@ constexpr char kMetaIncarnation[] = "dist.incarnation";
 constexpr char kMetaEpoch[] = "dist.epoch";
 constexpr char kMetaQueryPrefix[] = "dist.query.";
 
+// Decimal digits only: no sign, no whitespace.
 bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
+  const char* end = text.data() + text.size();
+  const auto [last, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc() && last == end;
 }
 
 /// The incarnation of a worker that restores no checkpoint: drawn at
@@ -41,13 +38,6 @@ uint64_t FreshIncarnation() {
   std::random_device device;
   const uint64_t drawn = (uint64_t{device()} << 32) ^ device();
   return (drawn >> 2) + 1;
-}
-
-Frame MakeFrame(MessageType type, std::string payload) {
-  Frame frame;
-  frame.type = static_cast<uint32_t>(type);
-  frame.payload = std::move(payload);
-  return frame;
 }
 
 }  // namespace
@@ -122,33 +112,16 @@ Status Worker::Checkpoint() {
   return engine_.SaveCheckpoint(options_.checkpoint_path, metadata);
 }
 
-Frame Worker::HelloFrame() const {
-  HelloReply reply;
-  reply.shard_name = options_.shard_name;
-  reply.incarnation = incarnation_;
-  reply.epoch = epoch_;
-  // The recorder clock stamped here is one half of the fleet clock-offset
-  // estimate; the coordinator pairs it with the hello round trip's
-  // midpoint on its own recorder clock.
-  reply.trace_clock_micros = metrics::TraceRecorder::Global().NowMicros();
-  return MakeFrame(MessageType::kHelloReply, EncodeHelloReply(reply));
-}
-
-StatusOr<Frame> Worker::HandleRegisterStream(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(StreamReg msg, DecodeStreamReg(request.payload));
+StatusOr<RegisteredMsg> Worker::Handle(const StreamReg& msg) {
   // Idempotent by name: re-registration of a known stream is the replay
   // path after coordinator re-adoption, not an error.
   if (!engine_.StreamElementCount(msg.name).ok()) {
-    query::StreamSpec spec;
-    spec.name = msg.name;
-    spec.domain_size = msg.domain_size;
-    SKIMJOIN_RETURN_IF_ERROR(engine_.RegisterStream(spec).status());
+    SKIMJOIN_RETURN_IF_ERROR(engine_.RegisterStream(msg).status());
   }
-  return MakeFrame(MessageType::kRegistered, msg.name);
+  return RegisteredMsg{msg.name};
 }
 
-StatusOr<Frame> Worker::HandleRegisterQuery(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(QueryReg msg, DecodeQueryReg(request.payload));
+StatusOr<RegisteredMsg> Worker::Handle(const QueryReg& msg) {
   // Idempotent by name, like stream registration: the coordinator replays
   // every registration when it re-adopts a restarted worker.
   if (query_ids_.count(msg.query_name) == 0) {
@@ -156,52 +129,36 @@ StatusOr<Frame> Worker::HandleRegisterQuery(const Frame& request) {
                               engine_.AddQuery(msg.spec, msg.seed));
     query_ids_[msg.query_name] = id;
   }
-  return MakeFrame(MessageType::kRegistered, msg.query_name);
+  return RegisteredMsg{msg.query_name};
 }
 
-StatusOr<Frame> Worker::HandleRegisterRelation(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(RelationReg msg,
-                            DecodeRelationReg(request.payload));
-  query::RelationSpec spec;
-  spec.name = msg.name;
-  spec.arity = msg.arity;
-  spec.domain_size = msg.domain_size;
+StatusOr<RegisteredMsg> Worker::Handle(const RelationReg& msg) {
   // Idempotent by name like stream registration: an ALREADY_EXISTS on the
   // coordinator's re-adoption replay is the expected path, not an error.
-  const StatusOr<query::StreamId> id = engine_.RegisterRelation(spec);
+  const StatusOr<query::StreamId> id = engine_.RegisterRelation(msg);
   if (!id.ok() && id.status().code() != StatusCode::kAlreadyExists) {
     return id.status();
   }
-  return MakeFrame(MessageType::kRegistered, msg.name);
+  return RegisteredMsg{msg.name};
 }
 
-StatusOr<Frame> Worker::HandleUpdateRelation(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(RelationUpdateMsg msg,
-                            DecodeRelationUpdate(request.payload));
+StatusOr<HelloReply> Worker::Handle(const RelationUpdateMsg& msg) {
   for (const RelationUpdateMsg::Tuple& tuple : msg.tuples) {
     SKIMJOIN_RETURN_IF_ERROR(
         engine_.UpdateRelation(msg.relation, tuple.attributes, tuple.weight));
   }
   ++epoch_;
   ++batches_since_checkpoint_;
-  HelloReply ack;
-  ack.shard_name = options_.shard_name;
-  ack.incarnation = incarnation_;
-  ack.epoch = epoch_;
-  return MakeFrame(MessageType::kUpdateAck, EncodeHelloReply(ack));
+  return Progress();
 }
 
-StatusOr<Frame> Worker::HandleMetricsRequest(const Frame& request) {
-  (void)request;
+StatusOr<metrics::Snapshot> Worker::Handle(const MetricsRequest&) {
   // Serve() is the engine's writer thread, so the full gauge-refreshing
   // snapshot is safe here.
-  return MakeFrame(MessageType::kMetricsSnapshot,
-                   EncodeMetricsSnapshot(engine_.MetricsSnapshot()));
+  return engine_.MetricsSnapshot();
 }
 
-StatusOr<Frame> Worker::HandleEventsRequest(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(EventsRequest msg,
-                            DecodeEventsRequest(request.payload));
+StatusOr<EventBatchMsg> Worker::Handle(const EventsRequest& msg) {
   const uint64_t cap =
       msg.max_events == 0
           ? EventLog::kDefaultRingCapacity
@@ -212,42 +169,34 @@ StatusOr<Frame> Worker::HandleEventsRequest(const Frame& request) {
       batch.events.push_back(std::move(event));
     }
   }
-  return MakeFrame(MessageType::kEventBatch, EncodeEventBatch(batch));
+  return batch;
 }
 
-StatusOr<Frame> Worker::HandleTraceControl(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(TraceControlMsg msg,
-                            DecodeTraceControl(request.payload));
+StatusOr<RegisteredMsg> Worker::Handle(const TraceControlMsg& msg) {
   if (msg.enable) {
     metrics::TraceRecorder::Global().Enable();
   } else {
     metrics::TraceRecorder::Global().Disable();
   }
-  return MakeFrame(MessageType::kRegistered, "trace");
+  return RegisteredMsg{"trace"};
 }
 
-StatusOr<Frame> Worker::HandleTraceRequest(const Frame& request) {
-  (void)request;
+StatusOr<TraceEventsMsg> Worker::Handle(const TraceRequest&) {
   TraceEventsMsg msg;
   msg.events = metrics::TraceRecorder::Global().DrainEvents(&msg.dropped);
   msg.now_micros = metrics::TraceRecorder::Global().NowMicros();
-  return MakeFrame(MessageType::kTraceEvents, EncodeTraceEvents(msg));
+  return msg;
 }
 
-StatusOr<Frame> Worker::HandleHealthRequest(const Frame& request) {
-  (void)request;
+StatusOr<HealthReportMsg> Worker::Handle(const HealthRequest&) {
   // Serve() is the engine's writer thread, so the full (estimate-priced,
   // read-only) health pass is safe here. Only the findings travel — the
   // coordinator's fleet doctor aggregates those; profiles and probes stay
   // inspectable worker-side.
-  HealthReportMsg msg;
-  msg.findings = engine_.HealthReport().findings;
-  return MakeFrame(MessageType::kHealthReport, EncodeHealthReport(msg));
+  return HealthReportMsg{engine_.HealthReport().findings};
 }
 
-StatusOr<Frame> Worker::HandleUpdateBatch(const Frame& request) {
-  SKIMJOIN_ASSIGN_OR_RETURN(UpdateBatchMsg msg,
-                            DecodeUpdateBatch(request.payload));
+StatusOr<HelloReply> Worker::Handle(const UpdateBatchMsg& msg) {
   SKIMJOIN_RETURN_IF_ERROR(engine_.UpdateBatch(
       msg.stream, std::span<const query::StreamUpdate>(msg.updates)));
   ++epoch_;
@@ -265,82 +214,27 @@ StatusOr<Frame> Worker::HandleUpdateBatch(const Frame& request) {
                                {"error", saved.ToString()}});
     }
   }
-  HelloReply ack;
-  ack.shard_name = options_.shard_name;
-  ack.incarnation = incarnation_;
-  ack.epoch = epoch_;
-  return MakeFrame(MessageType::kUpdateAck, EncodeHelloReply(ack));
+  return Progress();
 }
 
-StatusOr<Frame> Worker::HandlePullDelta(const Frame& request) {
-  const std::string name(request.payload);
-  SKIMJOIN_RETURN_IF_ERROR(ValidateWireName(name, "query name"));
-  const auto it = query_ids_.find(name);
+StatusOr<DeltaMsg> Worker::Handle(const PullDeltaMsg& msg) {
+  const auto it = query_ids_.find(msg.query_name);
   if (it == query_ids_.end()) {
-    return NotFoundError("unknown query '" + name + "' on shard " +
+    return NotFoundError("unknown query '" + msg.query_name + "' on shard " +
                          options_.shard_name);
   }
   DeltaMsg delta;
-  delta.query_name = name;
+  delta.query_name = msg.query_name;
   delta.incarnation = incarnation_;
   delta.epoch = epoch_;
   SKIMJOIN_RETURN_IF_ERROR(
       engine_.SerializeQuerySynopsis(it->second, &delta.synopsis));
-  return MakeFrame(MessageType::kDelta, EncodeDelta(delta));
+  return delta;
 }
 
-StatusOr<Frame> Worker::Handle(const Frame& request) {
-  // Adopt the caller's trace context from the frame header: every span
-  // opened while handling this request — including the engine's own ingest
-  // and checkpoint spans — becomes a child of the coordinator's RPC span,
-  // so a merged fleet trace shows the call fanning into this shard.
-  metrics::ScopedTraceContext adopt(metrics::TraceContext{
-      request.trace_id, request.span_id, request.parent_span_id});
-  switch (static_cast<MessageType>(request.type)) {
-    case MessageType::kHello:
-    case MessageType::kPing:
-      return HelloFrame();
-    case MessageType::kRegisterStream:
-      return HandleRegisterStream(request);
-    case MessageType::kRegisterQuery:
-      return HandleRegisterQuery(request);
-    case MessageType::kRegisterRelation:
-      return HandleRegisterRelation(request);
-    case MessageType::kUpdateBatch: {
-      metrics::TraceSpan span("worker.ingest", "dist");
-      return HandleUpdateBatch(request);
-    }
-    case MessageType::kUpdateRelation: {
-      metrics::TraceSpan span("worker.ingest_relation", "dist");
-      return HandleUpdateRelation(request);
-    }
-    case MessageType::kPullDelta: {
-      metrics::TraceSpan span("worker.delta", "dist");
-      return HandlePullDelta(request);
-    }
-    case MessageType::kMetricsRequest:
-      return HandleMetricsRequest(request);
-    case MessageType::kEventsRequest:
-      return HandleEventsRequest(request);
-    case MessageType::kTraceControl:
-      return HandleTraceControl(request);
-    case MessageType::kTraceRequest:
-      return HandleTraceRequest(request);
-    case MessageType::kHealthRequest:
-      return HandleHealthRequest(request);
-    case MessageType::kCheckpoint: {
-      metrics::TraceSpan span("worker.checkpoint", "dist");
-      SKIMJOIN_RETURN_IF_ERROR(Checkpoint());
-      HelloReply ack;
-      ack.shard_name = options_.shard_name;
-      ack.incarnation = incarnation_;
-      ack.epoch = epoch_;
-      return MakeFrame(MessageType::kCheckpointAck, EncodeHelloReply(ack));
-    }
-    default:
-      return InvalidArgumentError("unknown message type " +
-                                  std::to_string(request.type));
-  }
+StatusOr<HelloReply> Worker::Handle(const CheckpointMsg&) {
+  SKIMJOIN_RETURN_IF_ERROR(Checkpoint());
+  return Progress();
 }
 
 Status Worker::Serve() {
@@ -379,11 +273,9 @@ Status Worker::Serve() {
         conn.Close();
         continue;
       }
-      StatusOr<Frame> reply = Handle(*request);
-      Frame out = reply.ok() ? *std::move(reply)
-                             : MakeFrame(MessageType::kError,
-                                         EncodeError(reply.status()));
-      const Status sent = conn.Send(out.type, out.payload,
+      const Frame reply = Dispatch(
+          *request, [this](const auto& msg) { return Handle(msg); });
+      const Status sent = conn.Send(reply.type, reply.payload,
                                     DeadlineAfter(options_.io_timeout));
       if (!sent.ok()) conn.Close();
     }

@@ -39,6 +39,7 @@
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "query/engine.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace skimjoin {
@@ -96,23 +97,33 @@ class Worker {
   /// SaveCheckpoint with the worker's protocol bookkeeping as metadata.
   Status Checkpoint();
 
-  /// Dispatches one request frame; the returned frame is the reply (kError
-  /// frames are built by the caller from a non-OK status).
-  StatusOr<Frame> Handle(const Frame& request);
+  // One handler per request payload, for protocol.h's Dispatch; kMessages
+  // fixes each reply type.
 
-  StatusOr<Frame> HandleRegisterStream(const Frame& request);
-  StatusOr<Frame> HandleRegisterQuery(const Frame& request);
-  StatusOr<Frame> HandleRegisterRelation(const Frame& request);
-  StatusOr<Frame> HandleUpdateBatch(const Frame& request);
-  StatusOr<Frame> HandleUpdateRelation(const Frame& request);
-  StatusOr<Frame> HandlePullDelta(const Frame& request);
-  StatusOr<Frame> HandleMetricsRequest(const Frame& request);
-  StatusOr<Frame> HandleEventsRequest(const Frame& request);
-  StatusOr<Frame> HandleTraceControl(const Frame& request);
-  StatusOr<Frame> HandleTraceRequest(const Frame& request);
-  StatusOr<Frame> HandleHealthRequest(const Frame& request);
+  /// Hello and ping replies carry the recorder clock: one half of the fleet
+  /// clock-offset estimate, which the coordinator pairs with the hello
+  /// round trip's midpoint on its own recorder clock.
+  StatusOr<HelloReply> Handle(const HelloMsg&) {
+    return Progress(metrics::TraceRecorder::Global().NowMicros());
+  }
+  StatusOr<HelloReply> Handle(const PingMsg&) { return Handle(HelloMsg{}); }
+  StatusOr<RegisteredMsg> Handle(const StreamReg& msg);
+  StatusOr<RegisteredMsg> Handle(const QueryReg& msg);
+  StatusOr<RegisteredMsg> Handle(const RelationReg& msg);
+  StatusOr<HelloReply> Handle(const UpdateBatchMsg& msg);
+  StatusOr<HelloReply> Handle(const RelationUpdateMsg& msg);
+  StatusOr<DeltaMsg> Handle(const PullDeltaMsg& msg);
+  StatusOr<HelloReply> Handle(const CheckpointMsg&);
+  StatusOr<metrics::Snapshot> Handle(const MetricsRequest&);
+  StatusOr<EventBatchMsg> Handle(const EventsRequest& msg);
+  StatusOr<RegisteredMsg> Handle(const TraceControlMsg& msg);
+  StatusOr<TraceEventsMsg> Handle(const TraceRequest&);
+  StatusOr<HealthReportMsg> Handle(const HealthRequest&);
 
-  Frame HelloFrame() const;
+  /// The shard's identity and progress, as acks carry it (clock 0).
+  HelloReply Progress(uint64_t trace_clock_micros = 0) const {
+    return {options_.shard_name, incarnation_, epoch_, trace_clock_micros};
+  }
 
   WorkerOptions options_;
   Listener listener_;

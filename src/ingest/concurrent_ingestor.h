@@ -54,6 +54,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,9 +67,15 @@
 namespace skimjoin {
 namespace ingest {
 
+/// Most worker threads one ConcurrentIngestor starts, and so most ingest
+/// shards an engine accepts: far above any core count this runs on, and
+/// low enough that a corrupt configuration or checkpoint cannot start
+/// thousands of threads.
+constexpr uint64_t kMaxIngestWorkers = 256;
+
 /// Tuning knobs for one ConcurrentIngestor.
 struct ConcurrentIngestOptions {
-  /// Worker threads (and private replicas). Must be >= 1.
+  /// Worker threads (and private replicas): 1..kMaxIngestWorkers.
   uint64_t num_workers = 2;
   /// A worker volunteers a propagation after folding this many elements
   /// since its last one. Smaller = fresher reads, more lock traffic.
@@ -104,6 +111,11 @@ class ConcurrentIngestor {
     if (options.num_workers < 1) {
       return InvalidArgumentError(
           "ConcurrentIngestor requires num_workers >= 1");
+    }
+    if (options.num_workers > kMaxIngestWorkers) {
+      return InvalidArgumentError(
+          "ConcurrentIngestor takes at most " +
+          std::to_string(kMaxIngestWorkers) + " workers");
     }
     if (options.propagation_interval_elements < 1) {
       return InvalidArgumentError(

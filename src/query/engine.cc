@@ -836,6 +836,10 @@ Status Engine::SetIngestOptions(const IngestOptions& options) {
   if (options.shards < 1) {
     return InvalidArgumentError("ingest shard count must be >= 1");
   }
+  if (options.shards > ingest::kMaxIngestWorkers) {
+    return InvalidArgumentError("ingest shard count must be <= " +
+                                std::to_string(ingest::kMaxIngestWorkers));
+  }
   if (options.propagation_interval_elements < 1) {
     return InvalidArgumentError("propagation interval must be >= 1");
   }

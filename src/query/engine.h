@@ -248,7 +248,8 @@ class Engine {
   /// Reconfigures ingestion. Flushes and drops existing worker ingestors
   /// first, so switching modes never loses elements. Change one knob by
   /// copying ingest_options() and editing it.
-  /// INVALID_ARGUMENT for shards == 0 or a zero propagation interval.
+  /// INVALID_ARGUMENT for shards == 0, shards above
+  /// ingest::kMaxIngestWorkers, or a zero propagation interval.
   Status SetIngestOptions(const IngestOptions& options);
 
   const IngestOptions& ingest_options() const { return ingest_options_; }

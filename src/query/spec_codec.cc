@@ -41,7 +41,10 @@ void WriteDouble(std::ostream& out, double value) {
   out.write(buffer, result.ptr - buffer);
 }
 
-bool ReadDouble(std::istream& in, double* value) {
+// Reads one whole token as a number: a double, or an unsigned integer with
+// no sign (an istream would read "-5" as 2^64 - 5 and take a '+').
+template <typename T>
+bool ReadNumber(std::istream& in, T* value) {
   std::string token;
   if (!(in >> token)) return false;
   const std::from_chars_result result =
@@ -68,7 +71,7 @@ StatusOr<std::optional<RangePredicate>> ReadPredicate(std::istream& in) {
     return InvalidArgumentError("bad predicate token in query spec: " + token);
   }
   RangePredicate predicate;
-  if (!(in >> predicate.lo >> predicate.hi)) {
+  if (!ReadNumber(in, &predicate.lo) || !ReadNumber(in, &predicate.hi)) {
     return Malformed("predicate bounds");
   }
   if (predicate.lo > predicate.hi) {
@@ -124,11 +127,12 @@ Status ReadFields(std::istream& in, JoinQuerySpec* spec) {
   int left_input = 0;
   int right_input = 0;
   core::EstimatorSpec& est = spec->estimator;
-  if (!(in >> estimator_token >> est.space_counters >> est.agms_num_medians >>
-        est.num_tables) ||
-      !ReadDouble(in, &est.threshold_scale) ||
-      !ReadDouble(in, &est.recurse_slack) ||
-      !ReadDouble(in, &est.skim_margin) ||
+  if (!(in >> estimator_token) || !ReadNumber(in, &est.space_counters) ||
+      !ReadNumber(in, &est.agms_num_medians) ||
+      !ReadNumber(in, &est.num_tables) ||
+      !ReadNumber(in, &est.threshold_scale) ||
+      !ReadNumber(in, &est.recurse_slack) ||
+      !ReadNumber(in, &est.skim_margin) ||
       !(in >> use_dyadic >> left_input >> right_input)) {
     return Malformed("join query fields");
   }
@@ -153,7 +157,8 @@ Status ReadFields(std::istream& in, FrequencyQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->stream,
                             ReadEncodedName(in, "frequency query stream"));
   int use_dyadic = 0;
-  if (!(in >> spec->space_counters >> spec->num_tables >> use_dyadic)) {
+  if (!ReadNumber(in, &spec->space_counters) ||
+      !ReadNumber(in, &spec->num_tables) || !(in >> use_dyadic)) {
     return Malformed("frequency query");
   }
   spec->use_dyadic = use_dyadic != 0;
@@ -169,7 +174,7 @@ void WriteFields(std::ostream& out, const DistinctCountQuerySpec& spec) {
 Status ReadFields(std::istream& in, DistinctCountQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->stream,
                             ReadEncodedName(in, "distinct query stream"));
-  if (!(in >> spec->num_maps)) return Malformed("distinct query");
+  if (!ReadNumber(in, &spec->num_maps)) return Malformed("distinct query");
   SKIMJOIN_ASSIGN_OR_RETURN(spec->predicate, ReadPredicate(in));
   return OkStatus();
 }
@@ -183,7 +188,8 @@ void WriteFields(std::ostream& out, const TopKQuerySpec& spec) {
 Status ReadFields(std::istream& in, TopKQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->stream,
                             ReadEncodedName(in, "top-k query stream"));
-  if (!(in >> spec->k >> spec->space_counters >> spec->num_tables)) {
+  if (!ReadNumber(in, &spec->k) || !ReadNumber(in, &spec->space_counters) ||
+      !ReadNumber(in, &spec->num_tables)) {
     return Malformed("top-k query");
   }
   SKIMJOIN_ASSIGN_OR_RETURN(spec->predicate, ReadPredicate(in));
@@ -200,7 +206,7 @@ void WriteFields(std::ostream& out, const QuantileQuerySpec& spec) {
 Status ReadFields(std::istream& in, QuantileQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->stream,
                             ReadEncodedName(in, "quantile query stream"));
-  if (!ReadDouble(in, &spec->epsilon)) return Malformed("quantile query");
+  if (!ReadNumber(in, &spec->epsilon)) return Malformed("quantile query");
   SKIMJOIN_ASSIGN_OR_RETURN(spec->predicate, ReadPredicate(in));
   return OkStatus();
 }
@@ -213,7 +219,9 @@ void WriteFields(std::ostream& out, const RangeSumQuerySpec& spec) {
 Status ReadFields(std::istream& in, RangeSumQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->stream,
                             ReadEncodedName(in, "range-sum query stream"));
-  if (!(in >> spec->coefficient_budget)) return Malformed("range-sum query");
+  if (!ReadNumber(in, &spec->coefficient_budget)) {
+    return Malformed("range-sum query");
+  }
   SKIMJOIN_ASSIGN_OR_RETURN(spec->predicate, ReadPredicate(in));
   return OkStatus();
 }
@@ -232,7 +240,9 @@ void WriteFields(std::ostream& out, const ChainJoinQuerySpec& spec) {
 
 Status ReadFields(std::istream& in, ChainJoinQuerySpec* spec) {
   uint64_t relation_count = 0;
-  if (!(in >> relation_count)) return Malformed("chain relation count");
+  if (!ReadNumber(in, &relation_count)) {
+    return Malformed("chain relation count");
+  }
   // Every relation name costs at least a separator and one byte, so the
   // bytes left bound the count before anything is reserved.
   const uint64_t bytes_left =
@@ -249,8 +259,10 @@ Status ReadFields(std::istream& in, ChainJoinQuerySpec* spec) {
     spec->relations.push_back(std::move(name));
   }
   std::string method;
-  if (!(in >> method >> spec->num_means >> spec->num_medians >>
-        spec->num_tables >> spec->num_buckets)) {
+  if (!(in >> method) || !ReadNumber(in, &spec->num_means) ||
+      !ReadNumber(in, &spec->num_medians) ||
+      !ReadNumber(in, &spec->num_tables) ||
+      !ReadNumber(in, &spec->num_buckets)) {
     return Malformed("chain query");
   }
   if (method == "agmsgrid") {

@@ -5,7 +5,6 @@
 
 #include "sketch/serial_limits.h"
 #include "sketch/sketch_seed.h"
-#include "util/logging.h"
 
 namespace skimjoin {
 namespace sketch {
@@ -28,22 +27,25 @@ StatusOr<ReservoirSample> ReservoirSample::Create(uint64_t capacity,
 }
 
 void ReservoirSample::Update(uint64_t value, int64_t weight) {
-  SKIMJOIN_CHECK(weight == 1 || weight == -1)
-      << "reservoir sampling handles unit inserts/deletes only";
-  if (weight == 1) {
-    ++insert_count_;
-    ++stream_size_;
-    if (sample_.size() < capacity_) {
-      sample_.push_back(value);
-      return;
-    }
-    // Algorithm R: keep the new element with probability capacity / t.
-    const uint64_t slot =
-        rng_.NextUint64Below(static_cast<uint64_t>(insert_count_));
-    if (slot < capacity_) sample_[slot] = value;
+  for (int64_t i = 0; i < weight; ++i) Insert(value);
+  for (int64_t i = 0; i > weight; --i) Delete(value);
+}
+
+void ReservoirSample::Insert(uint64_t value) {
+  ++insert_count_;
+  ++stream_size_;
+  if (sample_.size() < capacity_) {
+    sample_.push_back(value);
     return;
   }
-  // Delete: best effort — drop one sampled copy if we have one.
+  // Algorithm R: keep the new element with probability capacity / t.
+  const uint64_t slot =
+      rng_.NextUint64Below(static_cast<uint64_t>(insert_count_));
+  if (slot < capacity_) sample_[slot] = value;
+}
+
+void ReservoirSample::Delete(uint64_t value) {
+  // Best effort: drop one sampled copy if we have one.
   --stream_size_;
   auto it = std::find(sample_.begin(), sample_.end(), value);
   if (it != sample_.end()) {

@@ -26,10 +26,12 @@ class ReservoirSample {
   /// INVALID_ARGUMENT unless 1 <= capacity <= MaxDeserializeCounters().
   static StatusOr<ReservoirSample> Create(uint64_t capacity, uint64_t seed);
 
-  /// Processes one arrival. Inserts run Vitter's Algorithm R; a delete
-  /// removes one sampled copy of the value if present (and always decrements
-  /// the insert count), which degrades the sample — this limitation is
-  /// intrinsic to sampling and is measured in the ablation bench.
+  /// Processes one arrival of weight `weight`, applied as |weight| unit
+  /// inserts (weight > 0) or unit deletes (weight < 0); a zero weight is a
+  /// no-op. Inserts run Vitter's Algorithm R; a delete removes one sampled
+  /// copy of the value if present (and always decrements the stream size),
+  /// which degrades the sample — this limitation is intrinsic to sampling
+  /// and is measured in the ablation bench. Costs O(|weight|).
   void Update(uint64_t value, int64_t weight);
 
   void Update(const stream::StreamElement& element) {
@@ -56,6 +58,9 @@ class ReservoirSample {
 
  private:
   ReservoirSample(uint64_t capacity, uint64_t seed);
+
+  void Insert(uint64_t value);
+  void Delete(uint64_t value);
 
   uint64_t capacity_;
   Rng rng_;

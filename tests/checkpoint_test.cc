@@ -459,6 +459,47 @@ TEST(CheckpointTest, StrictRestoreRecoversChainJoins) {
   }
 }
 
+// A manifest's ingest shard count past ingest::kMaxIngestWorkers (or one
+// read through a sign) fails the restore before any ingestor is built, and
+// leaves the engine empty.
+TEST(CheckpointTest, ShardCountAboveTheIngestBoundIsRefused) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"s", 256}).ok());
+  FrequencyQuerySpec frequency;
+  frequency.stream = "s";
+  frequency.space_counters = 64;
+  frequency.num_tables = 4;
+  frequency.use_dyadic = false;
+  ASSERT_TRUE(engine.AddFrequencyQuery(frequency, 3).ok());
+  for (uint64_t v = 0; v < 50; ++v) {
+    SKIMJOIN_CHECK_OK(engine.Update("s", StreamUpdate{v % 9, 1, 0}));
+  }
+  const std::string path = TempPath("current");
+  ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+  const std::map<std::string, std::string> sections = ReadSections(path);
+  const std::string manifest = sections.at("manifest");
+  const size_t at = manifest.find("\nshards 1\n");
+  ASSERT_NE(at, std::string::npos) << manifest;
+  for (const std::string& shards :
+       {std::to_string(ingest::kMaxIngestWorkers + 1), std::string("-1"),
+        std::string("18446744073709551615")}) {
+    std::string edited = manifest;
+    edited.replace(at, 10, "\nshards " + shards + "\n");
+    const std::string bad = TempPath("shards");
+    WriteSections(bad, {{"manifest", edited},
+                        {"query:1", sections.at("query:1")}});
+    for (const bool allow_partial : {false, true}) {
+      Engine restored;
+      StatusOr<RestoreReport> report = restored.RestoreCheckpoint(
+          bad, RestoreOptions{.allow_partial = allow_partial});
+      ASSERT_FALSE(report.ok()) << shards;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+          << shards;
+      ExpectEmpty(restored);
+    }
+  }
+}
+
 // A checkpoint written before chain joins were serializable flags them 0
 // and carries no section for them. It still restores exactly as it did:
 // strict refuses, partial re-registers the chain empty and reports it.

@@ -97,6 +97,16 @@ TEST(ConcurrentIngestorTest, CreateValidatesArguments) {
   EXPECT_FALSE(ingest::ConcurrentIngestor<sketch::HashSketch>::Create(
                    &sketch, zero_workers)
                    .ok());
+  // Refused before any worker starts: these counts never reach the pool.
+  for (const uint64_t workers :
+       {ingest::kMaxIngestWorkers + 1, uint64_t{1} << 40, UINT64_MAX}) {
+    ingest::ConcurrentIngestOptions too_many;
+    too_many.num_workers = workers;
+    const auto made = ingest::ConcurrentIngestor<sketch::HashSketch>::Create(
+        &sketch, too_many);
+    ASSERT_FALSE(made.ok()) << workers;
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+  }
   ingest::ConcurrentIngestOptions zero_interval;
   zero_interval.propagation_interval_elements = 0;
   EXPECT_FALSE(ingest::ConcurrentIngestor<sketch::HashSketch>::Create(

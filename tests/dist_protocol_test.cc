@@ -9,6 +9,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -16,6 +19,7 @@
 
 #include "gtest/gtest.h"
 #include "util/event_log.h"
+#include "util/histogram.h"
 #include "util/metrics.h"
 
 namespace skimjoin {
@@ -236,6 +240,21 @@ TEST(QueryRegCodec, MalformedFieldsAreRefused) {
           .ok());
   EXPECT_FALSE(
       DecodeQueryReg("q 1 chain 2 a b neither 1 1 1 1").ok());
+  // Unsigned spec fields carry no sign ("-16" would wrap to 2^64 - 16).
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f -16 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f +16 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f 16 pred -3 -1").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 distinct f 16 pred 3 +9").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 topk t -3 4096 7 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 frequency f 1000 +3 0 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 rangesum w -31 nopred").ok());
+  EXPECT_FALSE(DecodeQueryReg("q 1 chain 2 a b hashsketch 1 -1 1 1").ok());
+  EXPECT_FALSE(
+      DecodeQueryReg("q 1 join f g skimmed -64 5 7 0.5 0 0 0 0 0 nopred nopred")
+          .ok());
+  EXPECT_TRUE(
+      DecodeQueryReg("q 1 join f g skimmed 64 5 7 0.5 0 0 0 0 0 nopred nopred")
+          .ok());
   EXPECT_TRUE(DecodeQueryReg("q 1 distinct f 16 nopred").ok());
 }
 
@@ -484,6 +503,338 @@ TEST(TelemetryCodecHardening, RelationUpdateArityMismatchIsRejected) {
   ASSERT_NE(arity_at, std::string::npos);
   wire.replace(arity_at, 3, " 3 ");
   EXPECT_FALSE(DecodeRelationUpdate(wire).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The wire, pinned: one row per message type holds a message built from
+// fixed inputs and the exact payload bytes its encoder writes, so a codec
+// change that moves any frame's bytes fails here first.
+// ---------------------------------------------------------------------------
+
+struct WireRow {
+  MessageType type;
+  /// The pinned payload bytes.
+  std::string golden;
+  /// What the encoder writes for the row's message today.
+  std::string encoded;
+  /// Decodes a payload and re-encodes what it read (for kError, renders
+  /// the decoded Status as "<code> <message>"). Null for payloads with no
+  /// fields to decode.
+  std::function<StatusOr<std::string>(std::string_view)> reencode;
+  /// reencode(golden): the golden itself, except for kError.
+  std::string decoded;
+};
+
+template <typename Msg>
+WireRow Codec(MessageType type, std::string golden, const Msg& msg,
+              std::string (*encode)(const Msg&),
+              StatusOr<Msg> (*decode)(std::string_view)) {
+  WireRow row{type, golden, encode(msg),
+              [encode, decode](std::string_view payload)
+                  -> StatusOr<std::string> {
+                StatusOr<Msg> read = decode(payload);
+                if (!read.ok()) return read.status();
+                return encode(*read);
+              },
+              golden};
+  return row;
+}
+
+// A bare-name payload (kPullDelta's query name, kRegistered's acked name).
+WireRow Name(MessageType type, std::string name) {
+  return {type, name, name,
+          [](std::string_view payload) -> StatusOr<std::string> {
+            const Status valid = ValidateWireName(payload, "name");
+            if (!valid.ok()) return valid;
+            return std::string(payload);
+          },
+          name};
+}
+
+WireRow Empty(MessageType type) { return {type, "", "", nullptr, ""}; }
+
+WireRow Error(std::string golden, const Status& status, std::string decoded) {
+  return {MessageType::kError, std::move(golden), EncodeError(status),
+          [](std::string_view payload) -> StatusOr<std::string> {
+            const Status read = DecodeError(payload);
+            return std::to_string(static_cast<int>(read.code())) + " " +
+                   read.message();
+          },
+          std::move(decoded)};
+}
+
+metrics::Snapshot GoldenSnapshot() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  metrics::Snapshot snapshot;
+  snapshot.counters = {{"dist.calls{shard=\"0\"}", 7},
+                       {"free text name", 42}};
+  snapshot.gauges = {{"gauge.nan", nan}, {"gauge.half", -0.5}};
+  metrics::HistogramSnapshot empty;
+  empty.min = nan;
+  empty.max = nan;
+  empty.buckets.assign(Histogram::kBuckets, 0);
+  metrics::HistogramSnapshot used;
+  used.count = 3;
+  used.sum = 101.5;
+  used.min = 0.5;
+  used.max = 100.0;
+  used.buckets.assign(Histogram::kBuckets, 0);
+  used.buckets[0] = 2;
+  used.buckets[Histogram::kBuckets - 1] = 1;
+  snapshot.histograms = {{"empty", empty}, {"rpc.latency", used}};
+  return snapshot;
+}
+
+std::vector<WireRow> WireTable() {
+  std::vector<WireRow> rows = {
+      Empty(MessageType::kHello),
+      Codec(MessageType::kHelloReply, "s0 3 17 123456789",
+            HelloReply{"s0", 3, 17, 123456789}, &EncodeHelloReply,
+            &DecodeHelloReply),
+      Codec(MessageType::kRegisterStream, "clicks 4096",
+            StreamReg{"clicks", 4096}, &EncodeStreamReg, &DecodeStreamReg),
+      Name(MessageType::kRegistered, "clicks"),
+      Codec(MessageType::kUpdateBatch,
+            "f 4 7 1 0 9 -3 -250 18446744073709551615 2 -9223372036854775808 "
+            "0 9223372036854775807 9223372036854775807",
+            UpdateBatchMsg{"f",
+                           {{7, 1, 0},
+                            {9, -3, -250},
+                            {UINT64_MAX, 2, INT64_MIN},
+                            {0, INT64_MAX, INT64_MAX}}},
+            &EncodeUpdateBatch, &DecodeUpdateBatch),
+      Codec(MessageType::kUpdateBatch, "f 0", UpdateBatchMsg{"f", {}},
+            &EncodeUpdateBatch, &DecodeUpdateBatch),
+      Codec(MessageType::kUpdateAck, "s0 3 18 0", HelloReply{"s0", 3, 18, 0},
+            &EncodeHelloReply, &DecodeHelloReply),
+      Name(MessageType::kPullDelta, "q1"),
+      Codec(MessageType::kDelta,
+            "q1 3 18 29\nhashsketch 2 3\n1 -2 3\n4 5 -6\n",
+            DeltaMsg{"q1", 3, 18, "hashsketch 2 3\n1 -2 3\n4 5 -6\n"},
+            &EncodeDelta, &DecodeDelta),
+      Codec(MessageType::kDelta, "q2 0 0 0\n", DeltaMsg{"q2", 0, 0, ""},
+            &EncodeDelta, &DecodeDelta),
+      Empty(MessageType::kCheckpoint),
+      Codec(MessageType::kCheckpointAck, "s0 3 18 0",
+            HelloReply{"s0", 3, 18, 0}, &EncodeHelloReply, &DecodeHelloReply),
+      Empty(MessageType::kPing),
+      Error("2 unknown query 'q9' on shard s0",
+            NotFoundError("unknown query 'q9' on shard s0"),
+            "2 remote: unknown query 'q9' on shard s0"),
+      Error("8 ", InternalError(""), "8 remote: (no message)"),
+      Codec(MessageType::kRegisterRelation, "edges 2 65536",
+            RelationReg{"edges", 2, 65536}, &EncodeRelationReg,
+            &DecodeRelationReg),
+      Codec(MessageType::kUpdateRelation, "edges 2 2 1 2 1 3 4 -5",
+            RelationUpdateMsg{"edges", 2, {{{1, 2}, 1}, {{3, 4}, -5}}},
+            &EncodeRelationUpdate, &DecodeRelationUpdate),
+      Codec(MessageType::kUpdateRelation, "edges 2 0",
+            RelationUpdateMsg{"edges", 2, {}}, &EncodeRelationUpdate,
+            &DecodeRelationUpdate),
+      Empty(MessageType::kMetricsRequest),
+      Codec(MessageType::kMetricsSnapshot,
+            "2 21:dist.calls{shard=\"0\"} 7 14:free text name 42 2 "
+            "9:gauge.nan 9221120237041090560 10:gauge.half "
+            "13826050856027422720 2 5:empty 0 0 9221120237041090560 "
+            "9221120237041090560 0 11:rpc.latency 3 4636842844470902784 "
+            "4602678819172646912 4636737291354636288 2 0 2 63 1",
+            GoldenSnapshot(),
+            &EncodeMetricsSnapshot, &DecodeMetricsSnapshot),
+      Codec(MessageType::kMetricsSnapshot, "0 0 0", metrics::Snapshot{},
+            &EncodeMetricsSnapshot, &DecodeMetricsSnapshot),
+      Codec(MessageType::kEventsRequest, "128 77", EventsRequest{128, 77},
+            &EncodeEventsRequest, &DecodeEventsRequest),
+      Codec(MessageType::kEventBatch,
+            "2 2 9 123 11:worker_down 3 5:shard 2:s0 9:free text "
+            "25:with spaces\nand a newline 0: 0: 0 10 124 9:rpc retry 0",
+            EventBatchMsg{{{LogLevel::kWarn,
+                            9,
+                            123,
+                            "worker_down",
+                            {{"shard", "s0"},
+                             {"free text", "with spaces\nand a newline"},
+                             {"", ""}}},
+                           {LogLevel::kDebug, 10, 124, "rpc retry", {}}}},
+            &EncodeEventBatch, &DecodeEventBatch),
+      Codec(MessageType::kEventBatch, "0", EventBatchMsg{}, &EncodeEventBatch,
+            &DecodeEventBatch),
+      Codec(MessageType::kTraceControl, "1", TraceControlMsg{true},
+            &EncodeTraceControl, &DecodeTraceControl),
+      Codec(MessageType::kTraceControl, "0", TraceControlMsg{false},
+            &EncodeTraceControl, &DecodeTraceControl),
+      Name(MessageType::kRegistered, "trace"),
+      Empty(MessageType::kTraceRequest),
+      Codec(MessageType::kTraceEvents,
+            "4 555000 2 13:worker.ingest 4:dist 100 50 3 "
+            "12297848147757817309 1229801703532086340 6148933456521300104 "
+            "11:a span name 0: 0 0 0 0 0 0",
+            TraceEventsMsg{4,
+                           555000,
+                           {{"worker.ingest", "dist", 100, 50, 3,
+                             0xAAAABBBBCCCCDDDDull, 0x1111222233334444ull,
+                             0x5555666677778888ull},
+                            {"a span name", "", 0, 0, 0, 0, 0, 0}}},
+            &EncodeTraceEvents, &DecodeTraceEvents),
+      Empty(MessageType::kHealthRequest),
+      Codec(MessageType::kHealthReport,
+            "2 0 8:stream f 12:delete-heavy 17:delete ratio 0.40 2 7:query 7 "
+            "18:counter-saturation 36:with: colons, 5:5 blobs and\nnewlines",
+            HealthReportMsg{
+                {{query::HealthFinding::Severity::kInfo, "stream f",
+                  "delete-heavy", "delete ratio 0.40", ""},
+                 {query::HealthFinding::Severity::kCritical, "query 7",
+                  "counter-saturation",
+                  "with: colons, 5:5 blobs and\nnewlines", ""}}},
+            &EncodeHealthReport, &DecodeHealthReport),
+      Codec(MessageType::kHealthReport, "0", HealthReportMsg{},
+            &EncodeHealthReport, &DecodeHealthReport),
+  };
+  const std::vector<std::string> query_goldens = {
+      "q1 3735928559 join left%20side r%25ight skimmed 2048 3 5 "
+      "0.10000000000000001 0.99999999999999989 4.9406564584124654e-324 1 1 0 "
+      "pred 7 900 nopred",
+      "q2 1 frequency f 1000 3 0 pred 0 18446744073709551615",
+      "q3 2 distinct d 16 nopred",
+      "q4 3 topk t 3 4096 7 nopred",
+      "q5 0 quantile q 0.10000000000000001 pred 2 2",
+      "q6 0 rangesum w 31 nopred",
+      "q7 18446744073709551615 chain 3 r1 r%202 r3 agmsgrid 8 3 5 64"};
+  const std::vector<QueryReg> queries = OneRegistrationPerKind();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    rows.push_back(Codec(MessageType::kRegisterQuery, query_goldens[i],
+                         queries[i], &EncodeQueryReg, &DecodeQueryReg));
+  }
+  return rows;
+}
+
+// Prints a payload with its control bytes escaped, for failure messages.
+std::string Escaped(std::string_view bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    if (c == '\n') {
+      out += "\\n";
+    } else if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(WireGolden, EveryMessageEncodesToItsPinnedBytes) {
+  for (const WireRow& row : WireTable()) {
+    SCOPED_TRACE(static_cast<int>(row.type));
+    EXPECT_EQ(row.encoded, row.golden) << "\"" << Escaped(row.encoded) << "\"";
+    if (!row.reencode) continue;
+    StatusOr<std::string> decoded = row.reencode(row.golden);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    if (decoded.ok()) {
+      EXPECT_EQ(*decoded, row.decoded) << "\"" << Escaped(*decoded) << "\"";
+    }
+  }
+}
+
+TEST(WireGolden, EveryMessageTypeHasARow) {
+  std::vector<bool> seen(28, false);
+  for (const WireRow& row : WireTable()) {
+    seen[static_cast<size_t>(row.type)] = true;
+  }
+  for (const MessageType type :
+       {MessageType::kHello, MessageType::kHelloReply,
+        MessageType::kRegisterStream, MessageType::kRegistered,
+        MessageType::kUpdateBatch, MessageType::kUpdateAck,
+        MessageType::kPullDelta, MessageType::kDelta, MessageType::kCheckpoint,
+        MessageType::kCheckpointAck, MessageType::kPing, MessageType::kError,
+        MessageType::kRegisterRelation, MessageType::kUpdateRelation,
+        MessageType::kMetricsRequest, MessageType::kMetricsSnapshot,
+        MessageType::kEventsRequest, MessageType::kEventBatch,
+        MessageType::kTraceControl, MessageType::kTraceRequest,
+        MessageType::kTraceEvents, MessageType::kHealthRequest,
+        MessageType::kHealthReport, MessageType::kRegisterQuery}) {
+    EXPECT_TRUE(seen[static_cast<size_t>(type)]) << static_cast<int>(type);
+  }
+}
+
+// Every decoder against every prefix, every single-byte flip and seeded
+// random edits of its golden payload: each must return a Status or a
+// message, never crash or over-read (run under ASan and UBSan in CI). A
+// mangled payload that still decodes must re-encode to bytes that decode
+// to the same message.
+TEST(WireGolden, DecodersSurviveTruncationFlipsAndRandomEdits) {
+  std::mt19937_64 rng(0x736b6a32);
+  for (const WireRow& row : WireTable()) {
+    if (!row.reencode) continue;
+    SCOPED_TRACE(static_cast<int>(row.type));
+    const auto probe = [&row](const std::string& payload) {
+      const StatusOr<std::string> once = row.reencode(payload);
+      if (!once.ok() || row.type == MessageType::kError) return;
+      const StatusOr<std::string> twice = row.reencode(*once);
+      ASSERT_TRUE(twice.ok())
+          << "\"" << Escaped(payload) << "\" re-encoded to \""
+          << Escaped(*once) << "\": " << twice.status();
+      EXPECT_EQ(*twice, *once) << "\"" << Escaped(payload) << "\"";
+    };
+    const std::string& wire = row.golden;
+    for (size_t len = 0; len < wire.size(); ++len) probe(wire.substr(0, len));
+    for (size_t i = 0; i < wire.size(); ++i) {
+      for (const unsigned mask : {0x01u, 0x10u, 0x20u, 0x80u, 0xFFu}) {
+        std::string flipped = wire;
+        flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^
+                                       mask);
+        probe(flipped);
+      }
+    }
+    constexpr char kAlphabet[] = "0123456789 -+:\n\tx%";
+    for (int m = 0; m < 1000; ++m) {
+      std::string mutated = wire;
+      const int edits = 1 + static_cast<int>(rng() % 4);
+      for (int e = 0; e < edits; ++e) {
+        const size_t at = mutated.empty() ? 0 : rng() % (mutated.size() + 1);
+        const char byte = rng() % 2 == 0
+                              ? kAlphabet[rng() % (sizeof(kAlphabet) - 1)]
+                              : static_cast<char>(rng() % 256);
+        switch (rng() % 3) {
+          case 0:
+            if (at < mutated.size()) mutated[at] = byte;
+            break;
+          case 1:
+            mutated.insert(mutated.begin() + static_cast<ptrdiff_t>(at), byte);
+            break;
+          default:
+            if (at < mutated.size()) mutated.erase(at, 1);
+            break;
+        }
+      }
+      probe(mutated);
+    }
+  }
+}
+
+// Unsigned fields carry no sign (read through one, a "-5" domain would
+// wrap to 2^64 - 5); signed fields carry a '-' only.
+TEST(WireNumbers, SignOnUnsignedFieldIsRefused) {
+  EXPECT_FALSE(DecodeStreamReg("f -5").ok());
+  EXPECT_FALSE(DecodeStreamReg("f +5").ok());
+  EXPECT_FALSE(DecodeHelloReply("s1 -2 +9 5").ok());
+  EXPECT_FALSE(DecodeHelloReply("s1 2 +9 5").ok());
+  EXPECT_FALSE(DecodeUpdateBatch("f 1 -3 1 0").ok());
+  EXPECT_FALSE(DecodeUpdateBatch("f +1 3 1 0").ok());
+  EXPECT_FALSE(DecodeUpdateBatch("f 1 3 +1 0").ok());
+  EXPECT_FALSE(DecodeEventsRequest("-1 0").ok());
+  EXPECT_FALSE(DecodeEventsRequest("1 -0").ok());
+  EXPECT_FALSE(DecodeRelationReg("r -1 5").ok());
+  EXPECT_FALSE(DecodeRelationReg("r 1 -5").ok());
+  EXPECT_FALSE(DecodeRelationUpdate("r 1 1 -5 1").ok());
+  EXPECT_FALSE(DecodeDelta("q -1 2 0\n").ok());
+  EXPECT_FALSE(DecodeDelta("q 1 -2 0\n").ok());
+  EXPECT_FALSE(DecodeTraceControl("-0").ok());
+  EXPECT_FALSE(DecodeTraceControl("+1").ok());
+  EXPECT_FALSE(DecodeQueryReg("q -1 distinct f 16 nopred").ok());
+  // A signed field keeps its '-'.
+  EXPECT_TRUE(DecodeUpdateBatch("f 1 3 -1 -7").ok());
+  EXPECT_TRUE(DecodeRelationUpdate("r 1 1 5 -1").ok());
 }
 
 }  // namespace

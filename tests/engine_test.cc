@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <span>
@@ -43,6 +45,69 @@ TEST(EngineTest, RegisterStreamValidates) {
   ASSERT_FALSE(duplicate.ok());
   EXPECT_EQ(duplicate.status().code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(engine.num_streams(), 1u);
+}
+
+// A shard count above ingest::kMaxIngestWorkers is refused before any
+// ingestor is built, and the engine keeps its configuration.
+TEST(EngineTest, IngestShardCountIsBounded) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"s", 256}).ok());
+  FrequencyQuerySpec frequency;
+  frequency.stream = "s";
+  frequency.space_counters = 64;
+  ASSERT_TRUE(engine.AddFrequencyQuery(frequency, 1).ok());
+  for (const uint64_t shards :
+       {ingest::kMaxIngestWorkers + 1, uint64_t{1} << 40, UINT64_MAX}) {
+    Engine::IngestOptions options;
+    options.shards = shards;
+    EXPECT_EQ(engine.SetIngestOptions(options).code(),
+              StatusCode::kInvalidArgument)
+        << shards;
+  }
+  EXPECT_EQ(engine.ingest_options().shards, 1u);
+  const std::vector<StreamUpdate> batch = {{1, 1, 0}, {2, 1, 0}};
+  EXPECT_TRUE(engine.UpdateBatch("s", batch).ok());
+}
+
+// A sampling join takes any weight as that many unit inserts or deletes,
+// so weighted and unit-weight feeds answer bit-identically.
+TEST(EngineTest, SamplingJoinTakesWeightedUpdates) {
+  Engine weighted;
+  Engine unit;
+  JoinQuerySpec spec;
+  spec.left_stream = "f";
+  spec.right_stream = "g";
+  spec.estimator.kind = core::EstimatorKind::kSampling;
+  spec.estimator.space_counters = 8;
+  QueryId query = 0;
+  for (Engine* engine : {&weighted, &unit}) {
+    ASSERT_TRUE(engine->RegisterStream({"f", 64}).ok());
+    ASSERT_TRUE(engine->RegisterStream({"g", 64}).ok());
+    StatusOr<QueryId> added = engine->AddJoinQuery(spec, 7);
+    ASSERT_TRUE(added.ok()) << added.status();
+    query = *added;
+  }
+  const std::vector<std::pair<uint64_t, int64_t>> f = {
+      {2, 3}, {5, -2}, {9, 20}, {2, -1}, {3, 0}};
+  const std::vector<std::pair<uint64_t, int64_t>> g = {{2, 4}, {9, 6}};
+  for (const auto& [stream, elements] :
+       {std::pair{"f", f}, std::pair{"g", g}}) {
+    for (const auto& [value, weight] : elements) {
+      ASSERT_TRUE(weighted.Update(stream, StreamUpdate{value, weight, 0}).ok());
+      const int64_t unit_weight = weight < 0 ? -1 : 1;
+      for (int64_t i = 0; i < std::abs(weight); ++i) {
+        ASSERT_TRUE(
+            unit.Update(stream, StreamUpdate{value, unit_weight, 0}).ok());
+      }
+    }
+  }
+  StatusOr<double> from_weighted = weighted.AnswerJoin(query);
+  StatusOr<double> from_unit = unit.AnswerJoin(query);
+  ASSERT_TRUE(from_weighted.ok()) << from_weighted.status();
+  ASSERT_TRUE(from_unit.ok()) << from_unit.status();
+  EXPECT_EQ(std::memcmp(&*from_weighted, &*from_unit, sizeof(double)), 0)
+      << *from_weighted << " vs " << *from_unit;
+  EXPECT_GT(*from_unit, 0.0);
 }
 
 TEST(EngineTest, JoinQueryRequiresRegisteredStreams) {

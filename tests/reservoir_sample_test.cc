@@ -71,10 +71,22 @@ TEST(ReservoirTest, DeleteOfUnsampledValueOnlyAdjustsCount) {
   EXPECT_EQ(sample.sample().size(), 2u);
 }
 
-TEST(ReservoirDeathTest, NonUnitWeightsRejected) {
-  ReservoirSample sample = MustCreate(4, 5);
-  EXPECT_DEATH(sample.Update(1, 7), "unit");
-  EXPECT_DEATH(sample.Update(1, 0), "unit");
+// A weight w is |w| unit inserts (w > 0) or unit deletes (w < 0), so a
+// weighted feed keeps the sample and stream size a unit feed keeps, down to
+// the Algorithm R draws past capacity.
+TEST(ReservoirTest, WeightsApplyAsUnitUpdates) {
+  ReservoirSample weighted = MustCreate(4, 5);
+  ReservoirSample unit = MustCreate(4, 5);
+  const std::vector<std::pair<uint64_t, int64_t>> feed = {
+      {2, 3}, {5, -2}, {7, 0}, {9, 20}, {2, -1}};
+  for (const auto& [value, weight] : feed) {
+    weighted.Update(value, weight);
+    for (int64_t i = 0; i < weight; ++i) unit.Update(value, 1);
+    for (int64_t i = 0; i > weight; --i) unit.Update(value, -1);
+  }
+  EXPECT_EQ(weighted.sample(), unit.sample());
+  EXPECT_EQ(weighted.stream_size(), unit.stream_size());
+  EXPECT_EQ(weighted.stream_size(), 20);
 }
 
 TEST(ReservoirTest, EmptySamplesEstimateZero) {

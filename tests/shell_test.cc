@@ -120,6 +120,21 @@ TEST(ShellTest, DuplicateQueryNamesRejected) {
   }
 }
 
+// `update` with a count feeds a sampling join that many unit updates; the
+// sample covers the whole stream here, so the answer is the exact join.
+TEST(ShellTest, SamplingJoinTakesWeightedUpdates) {
+  Shell shell;
+  ASSERT_EQ(Exec(&shell, "stream f 1024"), "ok");
+  ASSERT_EQ(Exec(&shell, "stream g 1024"), "ok");
+  ASSERT_EQ(Exec(&shell, "join qs f g sampling 1024"), "ok");
+  ASSERT_EQ(Exec(&shell, "update f 2 3"), "ok");
+  ASSERT_EQ(Exec(&shell, "update f 2 -1"), "ok");
+  ASSERT_EQ(Exec(&shell, "update g 2 2"), "ok");
+  const std::string answer = Exec(&shell, "answer qs");
+  ASSERT_EQ(answer.rfind("ok ", 0), 0u) << answer;
+  EXPECT_DOUBLE_EQ(std::stod(answer.substr(3)), 4.0);
+}
+
 TEST(ShellTest, UpdateWithCountAndMeasure) {
   Shell shell;
   ASSERT_EQ(Exec(&shell, "stream f 1024"), "ok");
