@@ -354,6 +354,33 @@ BENCHMARK(BM_HashSketchKernelIngest)
     ->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
+// The same stream through scalar Update, one element per call: the path a
+// join side takes, where a plan-cache miss is filled by one
+// hashing::PolyEvalTables call across the tables (DESIGN.md §10).
+void BM_HashSketchScalarKernelIngest(benchmark::State& state) {
+  sketch::HashSketchConfig config;
+  config.num_tables = 7;
+  config.num_buckets = 1024;
+  auto sketch = *sketch::HashSketch::Create(config, 1);
+  sketch.SetKernel(KernelFromArg(state.range(0)));
+  const auto& stream = ZipfStream10MZ10();
+  for (auto _ : state) {
+    for (const stream::StreamElement& element : stream) sketch.Update(element);
+    benchmark::DoNotOptimize(sketch.CounterArray().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+  const double probes =
+      static_cast<double>(sketch.hash_cache_hits() + sketch.hash_cache_misses());
+  state.counters["cache_hit_rate"] =
+      probes > 0 ? static_cast<double>(sketch.hash_cache_hits()) / probes : 0.0;
+}
+BENCHMARK(BM_HashSketchScalarKernelIngest)
+    ->Arg(0)
+    ->Arg(15)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SkimmedSketchKernelIngest(benchmark::State& state) {
   auto sketch = *core::SkimmedSketch::Create(IngestBenchConfig(), 1);
   sketch.SetKernel(KernelFromArg(state.range(0)));

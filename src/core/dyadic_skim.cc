@@ -110,6 +110,27 @@ void DyadicSkimmer::SetKernel(sketch::Kernel kernel) {
   }
 }
 
+void DyadicSkimmer::AdoptPlanCache(DyadicSkimmer& source) {
+  SKIMJOIN_CHECK_EQ(levels_.size(), source.levels_.size());
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    if (levels_[i].sketch.has_value()) {
+      levels_[i].sketch->AdoptPlanCache(*source.levels_[i].sketch);
+    }
+  }
+}
+
+uint64_t DyadicSkimmer::PlanCacheBytesSharedWith(
+    const DyadicSkimmer& other) const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    if (levels_[i].sketch.has_value()) {
+      total +=
+          levels_[i].sketch->PlanCacheBytesSharedWith(*other.levels_[i].sketch);
+    }
+  }
+  return total;
+}
+
 uint64_t DyadicSkimmer::hash_cache_hits() const {
   uint64_t total = 0;
   for (const Level& level : levels_) {

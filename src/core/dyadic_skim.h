@@ -137,7 +137,8 @@ class DyadicSkimmer {
     }
   };
 
-  // SkimmedSketch::SetKernel forwards its kernel to every sketched level.
+  // SkimmedSketch forwards its kernel and plan-cache sharing to every
+  // sketched level.
   friend class SkimmedSketch;
 
   /// Runs the sketched levels on kFast.
@@ -148,6 +149,14 @@ class DyadicSkimmer {
   /// domain_size >> l distinct prefixes, so its plan cache is clamped to
   /// that many slots — a larger cache would be pure wasted footprint.
   void SetKernel(sketch::Kernel kernel);
+
+  /// Each sketched level uses `source`'s plan cache for that level from
+  /// now on (sketch::TableSketch::AdoptPlanCache). Pre-condition: same
+  /// domain, config and seed.
+  void AdoptPlanCache(DyadicSkimmer& source);
+
+  /// Bytes of the level plan caches this skimmer shares with `other`.
+  uint64_t PlanCacheBytesSharedWith(const DyadicSkimmer& other) const;
 
   uint64_t domain_size_;
   // levels_[l - 1] summarizes dyadic prefixes of width 2^l.

@@ -79,15 +79,23 @@ namespace {
 /// seed, estimated by the family's static EstimateJoinSize{,WithReport},
 /// and serialized as one tagged header line naming `kKind` followed by the
 /// F and G records.
+///
+/// Both sides hash with the same families, so a value's plan is the same
+/// on either side: the families with plan caches keep one per pair (per
+/// level), built by the first update of either side. A pair that never
+/// ingests (a coordinator's) holds none. Both sides are updated by the
+/// pair's one writer, which is what lets them share it.
 template <typename Sketch, EstimatorKind kKind>
 class SketchPair final : public JoinEstimatorPair {
  public:
   SketchPair(Sketch f, Sketch g) : f_(std::move(f)), g_(std::move(g)) {}
 
   void UpdateF(uint64_t value, int64_t weight) override {
+    SharePlanCache();
     f_.Update(value, weight);
   }
   void UpdateG(uint64_t value, int64_t weight) override {
+    SharePlanCache();
     g_.Update(value, weight);
   }
   StatusOr<double> Estimate() const override {
@@ -115,7 +123,9 @@ class SketchPair final : public JoinEstimatorPair {
     }
   }
   uint64_t MemoryBytes() const override {
-    return f_.MemoryBytes() + g_.MemoryBytes();
+    uint64_t total = f_.MemoryBytes() + g_.MemoryBytes();
+    if constexpr (kHasPlanCache) total -= g_.PlanCacheBytesSharedWith(f_);
+    return total;
   }
   const char* Name() const override { return EstimatorKindName(kKind); }
 
@@ -137,6 +147,19 @@ class SketchPair final : public JoinEstimatorPair {
   }
 
  private:
+  static constexpr bool kHasPlanCache =
+      requires(Sketch& a, Sketch& b) { a.AdoptPlanCache(b); };
+
+  /// Gives G the plan cache of F, which F builds now, on the first update
+  /// of either side.
+  void SharePlanCache() {
+    if constexpr (kHasPlanCache) {
+      if (plan_cache_shared_) return;
+      g_.AdoptPlanCache(f_);
+      plan_cache_shared_ = true;
+    }
+  }
+
   static std::vector<SynopsisHealth> WithRoles(SynopsisHealth f,
                                                SynopsisHealth g) {
     f.role = "f";
@@ -171,6 +194,14 @@ class SketchPair final : public JoinEstimatorPair {
       f_.Merge(restored_f);
       g_.Merge(restored_g);
     } else {
+      // The restored sides keep the pair's cache: their families equal
+      // the ones its plans came from.
+      if constexpr (kHasPlanCache) {
+        if (plan_cache_shared_) {
+          restored_f.AdoptPlanCache(f_);
+          restored_g.AdoptPlanCache(f_);
+        }
+      }
       f_ = std::move(restored_f);
       g_ = std::move(restored_g);
     }
@@ -179,6 +210,8 @@ class SketchPair final : public JoinEstimatorPair {
 
   Sketch f_;
   Sketch g_;
+  // Whether G holds F's plan cache yet; set by the first update.
+  bool plan_cache_shared_ = false;
 };
 
 /// Builds the SketchPair of `kKind` with both sides from one config and

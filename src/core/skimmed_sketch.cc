@@ -81,7 +81,9 @@ SkimmedSketch::SkimmedSketch(const SkimmedSketchConfig& config, uint64_t seed,
     : config_(config),
       seed_(seed),
       level0_(std::move(level0)),
-      dyadic_(std::move(dyadic)) {}
+      dyadic_(std::move(dyadic)) {
+  level0_.SetKernel(sketch::Kernel::kFast, Level0CacheSlots());
+}
 
 StatusOr<SkimmedSketch> SkimmedSketch::Create(const SkimmedSketchConfig& config,
                                               uint64_t seed) {
@@ -152,8 +154,24 @@ void SkimmedSketch::UpdateBatch(
 }
 
 void SkimmedSketch::SetKernel(sketch::Kernel kernel) {
-  level0_.SetKernel(kernel);
+  level0_.SetKernel(kernel, Level0CacheSlots());
   if (dyadic_.has_value()) dyadic_->SetKernel(kernel);
+}
+
+void SkimmedSketch::AdoptPlanCache(SkimmedSketch& source) {
+  SKIMJOIN_CHECK(CompatibleWith(source))
+      << "sharing plan caches across incompatible skimmed sketches";
+  level0_.AdoptPlanCache(source.level0_);
+  if (dyadic_.has_value()) dyadic_->AdoptPlanCache(*source.dyadic_);
+}
+
+uint64_t SkimmedSketch::PlanCacheBytesSharedWith(
+    const SkimmedSketch& other) const {
+  uint64_t total = level0_.PlanCacheBytesSharedWith(other.level0_);
+  if (dyadic_.has_value() && other.dyadic_.has_value()) {
+    total += dyadic_->PlanCacheBytesSharedWith(*other.dyadic_);
+  }
+  return total;
 }
 
 uint64_t SkimmedSketch::hash_cache_hits() const {

@@ -19,6 +19,7 @@
 #ifndef SKIMJOIN_CORE_SKIMMED_SKETCH_H_
 #define SKIMJOIN_CORE_SKIMMED_SKETCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <limits>
@@ -141,6 +142,8 @@ class SkimmedSketch {
   /// Selects the update kernel for the level-0 sketch and every sketched
   /// dyadic level (DESIGN.md §10); new sketches run kFast. Bit-identical
   /// either way; plan caches are rebuilt, restarting the hit/miss tallies.
+  /// Level 0 sees at most domain_size distinct values, so its plan cache
+  /// has at most that many slots (rounded up to a power of two).
   void SetKernel(sketch::Kernel kernel);
 
   sketch::Kernel kernel() const { return level0_.kernel(); }
@@ -149,6 +152,16 @@ class SkimmedSketch {
   /// feed the `ingest.<stream>.hash_cache_*` engine metrics.
   uint64_t hash_cache_hits() const;
   uint64_t hash_cache_misses() const;
+
+  /// Level 0 and every sketched dyadic level use `source`'s plan cache for
+  /// that level from now on (sketch::TableSketch::AdoptPlanCache): the two
+  /// sides of a join pair, whose hash families are equal, keep one cache
+  /// per level. Pre-condition: CompatibleWith(source).
+  void AdoptPlanCache(SkimmedSketch& source);
+
+  /// Bytes of the plan caches this sketch shares with `other`, so a pair
+  /// counts them once.
+  uint64_t PlanCacheBytesSharedWith(const SkimmedSketch& other) const;
 
   /// Zeroes every counter and the dropped-update count, returning the
   /// sketch to its freshly created state (hash families untouched).
@@ -289,8 +302,14 @@ class SkimmedSketch {
                                                     const SkimOutput& skim_g);
 
  private:
+  /// Runs level 0 on kFast with Level0CacheSlots().
   SkimmedSketch(const SkimmedSketchConfig& config, uint64_t seed,
                 sketch::HashSketch level0, std::optional<DyadicSkimmer> dyadic);
+
+  /// Level 0's plan-cache slots: no more than the values it can see.
+  uint64_t Level0CacheSlots() const {
+    return std::min(sketch::kPlanCacheSlots, config_.domain_size);
+  }
 
   /// The per-table sub-join vectors behind one breakdown, kept so the
   /// report path can derive its copy estimates from the same intermediates.

@@ -27,8 +27,9 @@
 //   * The cache holds DERIVED state only (plans are a pure function of the
 //     hash families), so it is excluded from serialization, Merge,
 //     CompatibleWith, and Reset: a counter reset does not invalidate plans.
-//   * Single-writer, like the sketches that own it. Each ingest worker's
-//     replica owns its own cache.
+//   * Single-writer, like the sketches that own it. Only sketches one
+//     thread updates share a cache (a join pair's two sides, whose hash
+//     families are equal); each ingest worker's replica owns its own.
 //   * hits()/misses() feed the `ingest.<stream>.hash_cache_{hits,misses}`
 //     engine metrics (docs/OBSERVABILITY.md).
 

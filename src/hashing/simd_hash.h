@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace skimjoin {
 namespace hashing {
@@ -60,6 +61,51 @@ SimdLevel DetectSimdLevel();
 void PolyEvalBlock(std::span<const uint64_t> coefficients,
                    const uint64_t* values, size_t n, uint64_t* out,
                    SimdLevel level);
+
+/// A table-per-lane copy of a sketch's polynomial coefficients, the layout
+/// PolyEvalTables reads: one or more families (a sketch's bucket hashes,
+/// its sign hashes), each holding one polynomial per table. Within a
+/// family, row c holds coefficient c (constant term first) of every
+/// table, zero-padded to stride() lanes.
+class PolyLanes {
+ public:
+  /// `tables` >= 1 polynomials in each family; family f's polynomials
+  /// have terms[f] >= 1 coefficients.
+  PolyLanes(size_t tables, std::span<const size_t> terms);
+
+  /// Copies table `table`'s polynomial of family `family`: exactly
+  /// terms[family] coefficients, constant term first.
+  void Set(size_t family, size_t table,
+           std::span<const uint64_t> coefficients);
+
+  size_t families() const { return terms_.size(); }
+
+  /// Lanes per row: the table count rounded up to a multiple of 8 (one
+  /// AVX-512 vector, two AVX2 vectors).
+  size_t stride() const { return stride_; }
+
+  /// Heap and object bytes; counted with the plan cache it serves.
+  uint64_t MemoryBytes() const;
+
+ private:
+  friend void PolyEvalTables(const PolyLanes& lanes, uint64_t x,
+                             uint64_t* out, SimdLevel level);
+
+  size_t tables_ = 0;
+  size_t stride_ = 0;
+  std::vector<size_t> terms_;    // per family
+  std::vector<uint64_t> rows_;   // family-major, then coefficient-major
+};
+
+/// Evaluates every table's polynomial of every family at one value x, with
+/// vector lanes running across tables: out[f * stride() + t] is
+/// bit-identical to the scalar KWiseHash evaluation of family f's table-t
+/// polynomial at x (the lane argument at the top of this file). AVX-512
+/// evaluates eight tables per vector, AVX2 four; kScalar runs the Horner
+/// loop table by table. `out` has room for families() × stride() words;
+/// the padded lanes hold no result.
+void PolyEvalTables(const PolyLanes& lanes, uint64_t x, uint64_t* out,
+                    SimdLevel level);
 
 }  // namespace hashing
 }  // namespace skimjoin

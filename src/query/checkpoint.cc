@@ -101,15 +101,13 @@ Status ExpectKeyword(std::istream& in, const char* keyword) {
 StatusOr<ManifestQuery> ParseManifestQuery(std::istream& in) {
   ManifestQuery q;
   std::string kind;
-  int supported = 0;
-  if (!(in >> q.id >> kind >> q.seed >> supported)) {
+  if (!ReadNumber(in, &q.id) || !(in >> kind) || !ReadNumber(in, &q.seed)) {
     return InvalidArgumentError("malformed manifest query line");
   }
   if (q.id < 1) return InvalidArgumentError("manifest query id must be >= 1");
-  if (supported != 0 && supported != 1) {
+  if (!ReadFlag(in, &q.supported)) {
     return InvalidArgumentError("manifest query supported flag must be 0/1");
   }
-  q.supported = supported == 1;
   SKIMJOIN_ASSIGN_OR_RETURN(q.spec, ReadQuerySpec(kind, in));
   return q;
 }
@@ -123,17 +121,21 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
   }
   Manifest manifest;
   SKIMJOIN_RETURN_IF_ERROR(ExpectKeyword(in, "shards"));
-  if (!(in >> manifest.shards) || manifest.shards < 1) {
+  if (!ReadNumber(in, &manifest.shards) || manifest.shards < 1) {
     return InvalidArgumentError("bad shard count in manifest");
   }
   SKIMJOIN_RETURN_IF_ERROR(ExpectKeyword(in, "nextid"));
-  if (!(in >> manifest.next_query_id) || manifest.next_query_id < 1) {
+  // Registration counts up from the next id; one past kMaxQueryId is the
+  // most it may be (RegisterQuery then refuses instead of wrapping).
+  if (!ReadNumber(in, &manifest.next_query_id) ||
+      manifest.next_query_id < 1 ||
+      manifest.next_query_id - 1 > kMaxQueryId) {
     return InvalidArgumentError("bad next query id in manifest");
   }
 
   SKIMJOIN_RETURN_IF_ERROR(ExpectKeyword(in, "streams"));
   uint64_t stream_count = 0;
-  if (!(in >> stream_count) || stream_count > kMaxManifestEntries) {
+  if (!ReadNumber(in, &stream_count) || stream_count > kMaxManifestEntries) {
     return InvalidArgumentError("bad stream count in manifest");
   }
   manifest.streams.reserve(stream_count);
@@ -141,9 +143,11 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
     ManifestStream s;
     SKIMJOIN_ASSIGN_OR_RETURN(s.name, ReadEncodedName(in, "stream table"));
     ingest::IngestStats& st = s.stats;
-    if (!(in >> s.domain_size >> s.element_count >> st.elements_absorbed >>
-          st.batches >> st.elements_dropped >> st.merges >> st.absorb_nanos >>
-          st.merge_nanos)) {
+    if (!ReadNumber(in, &s.domain_size) || !ReadNumber(in, &s.element_count) ||
+        !ReadNumber(in, &st.elements_absorbed) ||
+        !ReadNumber(in, &st.batches) ||
+        !ReadNumber(in, &st.elements_dropped) || !ReadNumber(in, &st.merges) ||
+        !ReadNumber(in, &st.absorb_nanos) || !ReadNumber(in, &st.merge_nanos)) {
       return InvalidArgumentError("malformed stream line in manifest");
     }
     manifest.streams.push_back(std::move(s));
@@ -151,14 +155,16 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
 
   SKIMJOIN_RETURN_IF_ERROR(ExpectKeyword(in, "relations"));
   uint64_t relation_count = 0;
-  if (!(in >> relation_count) || relation_count > kMaxManifestEntries) {
+  if (!ReadNumber(in, &relation_count) ||
+      relation_count > kMaxManifestEntries) {
     return InvalidArgumentError("bad relation count in manifest");
   }
   manifest.relations.reserve(relation_count);
   for (uint64_t i = 0; i < relation_count; ++i) {
     ManifestRelation r;
     SKIMJOIN_ASSIGN_OR_RETURN(r.name, ReadEncodedName(in, "relation table"));
-    if (!(in >> r.arity >> r.domain_size >> r.tuple_count)) {
+    if (!ReadNumber(in, &r.arity) || !ReadNumber(in, &r.domain_size) ||
+        !ReadNumber(in, &r.tuple_count)) {
       return InvalidArgumentError("malformed relation line in manifest");
     }
     manifest.relations.push_back(std::move(r));
@@ -166,7 +172,7 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
 
   SKIMJOIN_RETURN_IF_ERROR(ExpectKeyword(in, "queries"));
   uint64_t query_count = 0;
-  if (!(in >> query_count) || query_count > kMaxManifestEntries) {
+  if (!ReadNumber(in, &query_count) || query_count > kMaxManifestEntries) {
     return InvalidArgumentError("bad query count in manifest");
   }
   manifest.queries.reserve(query_count);
@@ -187,7 +193,7 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
   if (version == "v2") {
     SKIMJOIN_RETURN_IF_ERROR(ExpectKeyword(in, "metrics"));
     uint64_t counter_count = 0;
-    if (!(in >> counter_count) || counter_count > kMaxManifestEntries) {
+    if (!ReadNumber(in, &counter_count) || counter_count > kMaxManifestEntries) {
       return InvalidArgumentError("bad metrics count in manifest");
     }
     manifest.counters.reserve(counter_count);
@@ -195,7 +201,7 @@ StatusOr<Manifest> ParseManifest(const std::string& payload) {
       SKIMJOIN_ASSIGN_OR_RETURN(std::string name,
                                 ReadEncodedName(in, "metrics table"));
       uint64_t value = 0;
-      if (!(in >> value)) {
+      if (!ReadNumber(in, &value)) {
         return InvalidArgumentError("malformed metrics line in manifest");
       }
       manifest.counters.emplace_back(std::move(name), value);

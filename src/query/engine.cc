@@ -573,9 +573,14 @@ StatusOr<QueryId> Engine::AddQuery(const QuerySpec& spec, uint64_t seed) {
       spec);
 }
 
-QueryId Engine::RegisterQuery(QuerySpec spec, uint64_t seed,
-                              std::vector<QueryInput> inputs,
-                              Synopsis synopsis) {
+StatusOr<QueryId> Engine::RegisterQuery(QuerySpec spec, uint64_t seed,
+                                        std::vector<QueryInput> inputs,
+                                        Synopsis synopsis) {
+  if (next_query_id_ > kMaxQueryId) {
+    return OutOfRangeError("query ids are spent: the next id " +
+                           std::to_string(next_query_id_) + " passes " +
+                           std::to_string(kMaxQueryId));
+  }
   const QueryId id = next_query_id_++;
   queries_.emplace(id, QueryState{std::move(spec), seed, std::move(inputs),
                                   MakeQueryMetrics(id), std::move(synopsis)});

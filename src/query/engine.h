@@ -596,8 +596,10 @@ class Engine {
   StatusOr<StreamId> FindStream(const std::string& name) const;
 
   /// Hands out the next query id and enters the query in the table.
-  QueryId RegisterQuery(QuerySpec spec, uint64_t seed,
-                        std::vector<QueryInput> inputs, Synopsis synopsis);
+  /// OUT_OF_RANGE once the ids up to kMaxQueryId are spent.
+  StatusOr<QueryId> RegisterQuery(QuerySpec spec, uint64_t seed,
+                                  std::vector<QueryInput> inputs,
+                                  Synopsis synopsis);
 
   /// Query `id` and its synopsis when that is an `S`: both null for an
   /// unknown id, the synopsis null for a query of another kind.

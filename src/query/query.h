@@ -21,6 +21,12 @@ namespace query {
 using StreamId = uint64_t;
 using QueryId = uint64_t;
 
+/// The largest id a query gets. Ids count up from 1 and never wrap: no
+/// engine registers 2^63 queries, so the cap only stops a corrupt or
+/// hostile checkpoint's next id from running the counter past 2^64 and
+/// onto ids in use.
+inline constexpr QueryId kMaxQueryId = (QueryId{1} << 63) - 1;
+
 /// A registered stream: a name and its value domain.
 struct StreamSpec {
   std::string name;

@@ -41,17 +41,6 @@ void WriteDouble(std::ostream& out, double value) {
   out.write(buffer, result.ptr - buffer);
 }
 
-// Reads one whole token as a number: a double, or an unsigned integer with
-// no sign (an istream would read "-5" as 2^64 - 5 and take a '+').
-template <typename T>
-bool ReadNumber(std::istream& in, T* value) {
-  std::string token;
-  if (!(in >> token)) return false;
-  const std::from_chars_result result =
-      std::from_chars(token.data(), token.data() + token.size(), *value);
-  return result.ec == std::errc() && result.ptr == token.data() + token.size();
-}
-
 void WritePredicate(std::ostream& out,
                     const std::optional<RangePredicate>& predicate) {
   if (predicate.has_value()) {
@@ -123,9 +112,8 @@ Status ReadFields(std::istream& in, JoinQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->right_stream,
                             ReadEncodedName(in, "join query streams"));
   std::string estimator_token;
-  int use_dyadic = 0;
-  int left_input = 0;
-  int right_input = 0;
+  bool left_measure = false;
+  bool right_measure = false;
   core::EstimatorSpec& est = spec->estimator;
   if (!(in >> estimator_token) || !ReadNumber(in, &est.space_counters) ||
       !ReadNumber(in, &est.agms_num_medians) ||
@@ -133,15 +121,15 @@ Status ReadFields(std::istream& in, JoinQuerySpec* spec) {
       !ReadNumber(in, &est.threshold_scale) ||
       !ReadNumber(in, &est.recurse_slack) ||
       !ReadNumber(in, &est.skim_margin) ||
-      !(in >> use_dyadic >> left_input >> right_input)) {
+      !ReadFlag(in, &est.skimmed_use_dyadic) || !ReadFlag(in, &left_measure) ||
+      !ReadFlag(in, &right_measure)) {
     return Malformed("join query fields");
   }
   SKIMJOIN_ASSIGN_OR_RETURN(est.kind, EstimatorKindFromToken(estimator_token));
-  est.skimmed_use_dyadic = use_dyadic != 0;
   spec->left_input =
-      left_input == 0 ? AggregateInput::kCount : AggregateInput::kMeasure;
+      left_measure ? AggregateInput::kMeasure : AggregateInput::kCount;
   spec->right_input =
-      right_input == 0 ? AggregateInput::kCount : AggregateInput::kMeasure;
+      right_measure ? AggregateInput::kMeasure : AggregateInput::kCount;
   SKIMJOIN_ASSIGN_OR_RETURN(spec->left_predicate, ReadPredicate(in));
   SKIMJOIN_ASSIGN_OR_RETURN(spec->right_predicate, ReadPredicate(in));
   return OkStatus();
@@ -156,12 +144,10 @@ void WriteFields(std::ostream& out, const FrequencyQuerySpec& spec) {
 Status ReadFields(std::istream& in, FrequencyQuerySpec* spec) {
   SKIMJOIN_ASSIGN_OR_RETURN(spec->stream,
                             ReadEncodedName(in, "frequency query stream"));
-  int use_dyadic = 0;
   if (!ReadNumber(in, &spec->space_counters) ||
-      !ReadNumber(in, &spec->num_tables) || !(in >> use_dyadic)) {
+      !ReadNumber(in, &spec->num_tables) || !ReadFlag(in, &spec->use_dyadic)) {
     return Malformed("frequency query");
   }
-  spec->use_dyadic = use_dyadic != 0;
   SKIMJOIN_ASSIGN_OR_RETURN(spec->predicate, ReadPredicate(in));
   return OkStatus();
 }
@@ -315,6 +301,13 @@ StatusOr<QuerySpec> ReadQuerySpec(const std::string& kind, std::istream& in) {
   SKIMJOIN_RETURN_IF_ERROR(std::visit(
       [&in](auto& fields) { return ReadFields(in, &fields); }, spec));
   return spec;
+}
+
+bool ReadFlag(std::istream& in, bool* value) {
+  std::string token;
+  if (!(in >> token) || (token != "0" && token != "1")) return false;
+  *value = token == "1";
+  return true;
 }
 
 std::string PercentEncode(std::string_view raw) {

@@ -13,10 +13,12 @@
 #ifndef SKIMJOIN_QUERY_SPEC_CODEC_H_
 #define SKIMJOIN_QUERY_SPEC_CODEC_H_
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "query/query.h"
 #include "util/status.h"
@@ -35,6 +37,23 @@ void WriteQuerySpec(std::ostream& out, const QuerySpec& spec);
 /// Reads the fields WriteQuerySpec wrote for a spec of kind `kind`.
 /// INVALID_ARGUMENT for an unknown kind or any malformed field.
 StatusOr<QuerySpec> ReadQuerySpec(const std::string& kind, std::istream& in);
+
+/// Reads one whole token as a number: a double, or an integer where an
+/// unsigned type takes no sign (an istream would read "-5" as 2^64 - 5 and
+/// take a '+'). False when `in` ends first or the token is not wholly a
+/// number. Spec records and checkpoint manifests read every number so.
+template <typename T>
+bool ReadNumber(std::istream& in, T* value) {
+  std::string token;
+  if (!(in >> token)) return false;
+  const std::from_chars_result result =
+      std::from_chars(token.data(), token.data() + token.size(), *value);
+  return result.ec == std::errc() && result.ptr == token.data() + token.size();
+}
+
+/// Reads one 0/1 flag token; any other token ("2", "-1", "+1", "01") is
+/// refused.
+bool ReadFlag(std::istream& in, bool* value);
 
 /// Escapes every byte outside printable ASCII, and '%' itself, as %XX, so
 /// any name survives a whitespace tokenizer.

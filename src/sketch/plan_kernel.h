@@ -1,5 +1,6 @@
 // The kFast update kernel of the TableSketch core under HashSketch and
-// CountMinSketch (DESIGN.md §10). Private to sketch/table_sketch.cc.
+// CountMinSketch (DESIGN.md §10). Private to sketch/table_sketch.cc and
+// the kernel differential test.
 
 #ifndef SKIMJOIN_SKETCH_PLAN_KERNEL_H_
 #define SKIMJOIN_SKETCH_PLAN_KERNEL_H_
@@ -15,6 +16,7 @@
 #include "hashing/sign_hash.h"
 #include "hashing/simd_hash.h"
 #include "sketch/kernel.h"
+#include "sketch/table_sketch.h"
 #include "stream/stream_element.h"
 
 namespace skimjoin {
@@ -22,7 +24,7 @@ namespace sketch {
 namespace internal {
 
 /// The kFast kernel over one table-of-buckets sketch: a view of its hash
-/// families, counters and plan cache, cheap enough to build per call. A
+/// families, counters and plan state, cheap enough to build per call. A
 /// plan word holds one table's bucket; HashSketch (kSigned) packs its ±1
 /// sign into bit 0 (hashing::PackBucketSign), Count-Min stores the bare
 /// bucket.
@@ -30,21 +32,22 @@ template <bool kSigned>
 class PlanKernel {
  public:
   /// `signs` is empty unless kSigned. `counters` is row-major by table,
-  /// num_buckets per row.
+  /// num_buckets per row. `state` was built from these families (or
+  /// equal ones).
   PlanKernel(std::span<const hashing::BucketHash> buckets,
              std::span<const hashing::SignHash> signs,
              std::span<int64_t> counters, uint64_t num_buckets,
-             hashing::HashPlanCache* cache)
+             PlanState* state)
       : buckets_(buckets),
         signs_(signs),
         counters_(counters),
         num_buckets_(num_buckets),
-        cache_(cache) {}
+        state_(state) {}
 
   /// One element: a cache hit costs one probe and `s` counter adds.
   void Update(uint64_t value, int64_t weight) const {
     bool hit = false;
-    uint32_t* plan = cache_->Probe(value, &hit);
+    uint32_t* plan = state_->cache.Probe(value, &hit);
     if (!hit) FillPlan(value, plan);
     ApplyPlan(plan, weight);
   }
@@ -88,7 +91,7 @@ class PlanKernel {
         // scalar phase 1.
         for (size_t i = 0; i < n; ++i) {
           const stream::StreamElement& element = elements[begin + i];
-          const uint32_t* plan = cache_->Lookup(element.value);
+          const uint32_t* plan = state_->cache.Lookup(element.value);
           if (plan != nullptr) {
             ApplyPlan(plan, element.weight);
             continue;
@@ -101,7 +104,7 @@ class PlanKernel {
                        simd);
         for (size_t i = 0; i < pending; ++i) {
           std::copy_n(&plan_scratch[i * tables], tables,
-                      cache_->Insert(value_scratch[i]));
+                      state_->cache.Insert(value_scratch[i]));
         }
         if (!stage) {
           for (size_t i = 0; i < pending; ++i) {
@@ -113,7 +116,7 @@ class PlanKernel {
         for (size_t i = 0; i < n; ++i) {
           const stream::StreamElement& element = elements[begin + i];
           bool hit = false;
-          uint32_t* plan = cache_->Probe(element.value, &hit);
+          uint32_t* plan = state_->cache.Probe(element.value, &hit);
           if (hit) {
             ApplyPlan(plan, element.weight);
             continue;
@@ -146,6 +149,21 @@ class PlanKernel {
     }
   }
 
+  /// Every table's plan word for `value`: one hashing::PolyEvalTables call
+  /// evaluates every table's bucket and sign polynomial with the lanes
+  /// across tables, at the level the plan state was built with (scalar
+  /// only without AVX2/AVX-512 or under SKIMJOIN_FORCE_SCALAR=1). Word for
+  /// word the plan PackBucketSign(h_j(value), ξ_j(value)) of every table j.
+  void FillPlan(uint64_t value, uint32_t* plan) const {
+    uint64_t* residues = state_->residues.data();
+    hashing::PolyEvalTables(state_->lanes, value, residues, state_->level);
+    const uint64_t* sign_residues = residues + state_->lanes.stride();
+    for (size_t table = 0; table < buckets_.size(); ++table) {
+      plan[table] = PlanWord(buckets_[table], residues[table],
+                             kSigned ? sign_residues[table] : 0);
+    }
+  }
+
  private:
   static uint64_t Bucket(uint32_t word) {
     if constexpr (kSigned) return hashing::PlanBucket(word);
@@ -157,16 +175,17 @@ class PlanKernel {
     return weight;
   }
 
-  /// Every table's plan word for `value` — the full polynomial path.
-  void FillPlan(uint64_t value, uint32_t* plan) const {
-    for (size_t table = 0; table < buckets_.size(); ++table) {
-      if constexpr (kSigned) {
-        plan[table] = hashing::PackBucketSign(buckets_[table](value),
-                                              signs_[table](value));
-      } else {
-        plan[table] = static_cast<uint32_t>(buckets_[table](value));
-      }
+  /// One table's plan word from its bucket and sign field residues:
+  /// PackBucketSign by hand, since the packed sign bit IS the sign
+  /// residue's low bit (ξ(v) = 1 - 2·(h(v) & 1)), so no ±1 materialization
+  /// is needed. The sign residue is unused unless kSigned.
+  static uint32_t PlanWord(const hashing::BucketHash& bucket,
+                           uint64_t bucket_residue, uint64_t sign_residue) {
+    const uint64_t index = bucket.ModReduce(bucket_residue);
+    if constexpr (kSigned) {
+      return static_cast<uint32_t>((index << 1) | (sign_residue & 1));
     }
+    return static_cast<uint32_t>(index);
   }
 
   /// FillPlan over a block: plans for values[0..n) into `plans`
@@ -189,18 +208,10 @@ class PlanKernel {
       if constexpr (kSigned) {
         hashing::PolyEvalBlock(signs_[table].poly().coefficients(), values, n,
                                sign_scratch.data(), level);
-        // PackBucketSign by hand: the packed sign bit IS the residue's low
-        // bit (ξ(v) = 1 - 2·(h(v) & 1)), so no ±1 materialization is needed.
-        for (size_t i = 0; i < n; ++i) {
-          plans[i * tables + table] =
-              static_cast<uint32_t>((bucket.ModReduce(bucket_scratch[i]) << 1) |
-                                    (sign_scratch[i] & 1));
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          plans[i * tables + table] =
-              static_cast<uint32_t>(bucket.ModReduce(bucket_scratch[i]));
-        }
+      }
+      for (size_t i = 0; i < n; ++i) {
+        plans[i * tables + table] = PlanWord(
+            bucket, bucket_scratch[i], kSigned ? sign_scratch[i] : 0);
       }
     }
   }
@@ -219,7 +230,7 @@ class PlanKernel {
   std::span<const hashing::SignHash> signs_;
   std::span<int64_t> counters_;
   uint64_t num_buckets_;
-  hashing::HashPlanCache* cache_;
+  PlanState* state_;
 };
 
 }  // namespace internal

@@ -42,7 +42,39 @@ static_assert(sizeof(hashing::BucketHash) + 2 * sizeof(uint64_t) <=
 static_assert(sizeof(hashing::SignHash) + 4 * sizeof(uint64_t) <=
               (kWordsPerHashFamily - 2) * sizeof(int64_t));
 
+/// The lane copy of the families: family 0 the bucket polynomials, family
+/// 1 the sign polynomials when there are any.
+hashing::PolyLanes CopyToLanes(std::span<const hashing::BucketHash> buckets,
+                               std::span<const hashing::SignHash> signs) {
+  std::vector<size_t> terms = {buckets[0].poly().coefficients().size()};
+  if (!signs.empty()) terms.push_back(signs[0].poly().coefficients().size());
+  hashing::PolyLanes lanes(buckets.size(), terms);
+  for (size_t table = 0; table < buckets.size(); ++table) {
+    lanes.Set(0, table, buckets[table].poly().coefficients());
+    if (!signs.empty()) lanes.Set(1, table, signs[table].poly().coefficients());
+  }
+  return lanes;
+}
+
 }  // namespace
+
+namespace internal {
+
+PlanState::PlanState(uint64_t slots,
+                     std::span<const hashing::BucketHash> buckets,
+                     std::span<const hashing::SignHash> signs)
+    : cache(slots, buckets.size()),
+      lanes(CopyToLanes(buckets, signs)),
+      level(hashing::DetectSimdLevel()),
+      residues(lanes.families() * lanes.stride()) {}
+
+uint64_t PlanState::MemoryBytes() const {
+  return sizeof(*this) + (cache.MemoryBytes() - sizeof(cache)) +
+         (lanes.MemoryBytes() - sizeof(lanes)) +
+         residues.capacity() * sizeof(uint64_t);
+}
+
+}  // namespace internal
 
 template <bool kSigned>
 TableSketch<kSigned>::TableSketch(const Config& config, uint64_t seed)
@@ -101,15 +133,33 @@ void TableSketch<kSigned>::SetKernel(Kernel kernel, uint64_t cache_slots) {
 template <bool kSigned>
 bool TableSketch<kSigned>::UsePlanCache() {
   if (!plan_cache_ && plan_cache_slots_ != 0) {
-    plan_cache_.emplace(plan_cache_slots_, config_.num_tables);
+    plan_cache_.Hold(std::make_shared<internal::PlanState>(
+        plan_cache_slots_, bucket_hashes_, sign_hashes_));
   }
-  return plan_cache_.has_value();
+  return plan_cache_ != nullptr;
+}
+
+template <bool kSigned>
+void TableSketch<kSigned>::AdoptPlanCache(TableSketch& source) {
+  SKIMJOIN_CHECK(CompatibleWith(source))
+      << "sharing a plan cache across incompatible " << Family<kSigned>::kName
+      << " synopses";
+  if (plan_cache_slots_ == 0 || !source.UsePlanCache()) return;
+  plan_cache_.Hold(source.plan_cache_);
+}
+
+template <bool kSigned>
+uint64_t TableSketch<kSigned>::PlanCacheBytesSharedWith(
+    const TableSketch& other) const {
+  return plan_cache_ && plan_cache_ == other.plan_cache_
+             ? plan_cache_->MemoryBytes()
+             : 0;
 }
 
 template <bool kSigned>
 internal::PlanKernel<kSigned> TableSketch<kSigned>::FastKernel() {
   return {bucket_hashes_, sign_hashes_, counters_, config_.num_buckets,
-          &*plan_cache_};
+          plan_cache_.get()};
 }
 
 template <bool kSigned>

@@ -16,15 +16,17 @@
 
 #include <cstdint>
 #include <istream>
-#include <optional>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hashing/hash_plan_cache.h"
 #include "hashing/kwise_hash.h"
 #include "hashing/sign_hash.h"
+#include "hashing/simd_hash.h"
 #include "sketch/kernel.h"
 #include "stream/frequency_vector.h"
 #include "stream/stream_element.h"
@@ -32,30 +34,54 @@
 #include "util/status.h"
 
 namespace skimjoin {
-namespace core {
-class DyadicSkimmer;
-}  // namespace core
-
 namespace sketch {
 namespace internal {
 template <bool kSigned>
 class PlanKernel;
 
-/// A TableSketch's optional plan cache, which a copy does not take: the
-/// copy starts without one and builds its own on its first update, so a
-/// copy that never ingests (a skim's residual, a scratch copy) costs no
-/// cache (~0.5 MiB at s = 7). A move keeps it.
-class UncopiedPlanCache : public std::optional<hashing::HashPlanCache> {
+/// What the kFast kernel derives from a sketch's hash families: the plan
+/// cache, and a table-per-lane copy of the families' coefficients that
+/// PlanKernel::FillPlan evaluates on a miss (hashing::PolyEvalTables).
+/// Plans are a pure function of the families, so sketches with equal
+/// families can share one, as the two sides of a join pair do
+/// (TableSketch::AdoptPlanCache). Single-writer, like the sketches that
+/// hold it: only sketches one thread updates may share it.
+struct PlanState {
+  PlanState(uint64_t slots, std::span<const hashing::BucketHash> buckets,
+            std::span<const hashing::SignHash> signs);
+
+  /// Cache, lanes and scratch bytes.
+  uint64_t MemoryBytes() const;
+
+  hashing::HashPlanCache cache;
+  // Family 0: the bucket polynomials; family 1 (signed only): the signs.
+  hashing::PolyLanes lanes;
+  // DetectSimdLevel() when built.
+  hashing::SimdLevel level;
+  // FillPlan's field residues: lanes.families() × lanes.stride() words.
+  std::vector<uint64_t> residues;
+};
+
+/// A TableSketch's plan state, which a copy does not take: the copy starts
+/// without one and builds its own on its first update, so a copy that never
+/// ingests (a skim's residual, a scratch copy) costs no cache (~0.5 MiB at
+/// s = 7), and a copy another thread updates (an ingest replica) shares
+/// nothing with its source. A move keeps it.
+class UncopiedPlanCache : public std::shared_ptr<PlanState> {
  public:
   UncopiedPlanCache() = default;
-  UncopiedPlanCache(const UncopiedPlanCache&)
-      : std::optional<hashing::HashPlanCache>() {}
+  UncopiedPlanCache(const UncopiedPlanCache&) : std::shared_ptr<PlanState>() {}
   UncopiedPlanCache(UncopiedPlanCache&&) = default;
   UncopiedPlanCache& operator=(const UncopiedPlanCache&) {
     reset();
     return *this;
   }
   UncopiedPlanCache& operator=(UncopiedPlanCache&&) = default;
+
+  /// Holds `state` from now on: a new one, or another sketch's.
+  void Hold(std::shared_ptr<PlanState> state) {
+    std::shared_ptr<PlanState>::operator=(std::move(state));
+  }
 };
 }  // namespace internal
 
@@ -112,17 +138,42 @@ class TableSketch {
   /// builds on its first update.
   void SetKernel(Kernel kernel) { SetKernel(kernel, kPlanCacheSlots); }
 
+  /// SetKernel with a plan cache of `cache_slots` slots (rounded up to a
+  /// power of two), for an owner that knows how many distinct values the
+  /// sketch can see: a skimmed sketch's level 0 sees at most its domain,
+  /// dyadic level l at most domain >> l.
+  void SetKernel(Kernel kernel, uint64_t cache_slots);
+
   Kernel kernel() const { return kernel_; }
 
   /// Plan-cache hit/miss tallies since the cache was (re)built; both zero
-  /// under kReference. Feed the `ingest.<stream>.hash_cache_*` engine
+  /// under kReference. Sketches sharing a cache (AdoptPlanCache) report
+  /// its combined tallies. Feed the `ingest.<stream>.hash_cache_*` engine
   /// metrics.
   uint64_t hash_cache_hits() const {
-    return plan_cache_ ? plan_cache_->hits() : 0;
+    return plan_cache_ ? plan_cache_->cache.hits() : 0;
   }
   uint64_t hash_cache_misses() const {
-    return plan_cache_ ? plan_cache_->misses() : 0;
+    return plan_cache_ ? plan_cache_->cache.misses() : 0;
   }
+
+  /// Slots of the plan cache this sketch holds: 0 before its first kFast
+  /// update, under kReference, and in a copy that has not updated.
+  uint64_t plan_cache_slots() const {
+    return plan_cache_ ? plan_cache_->cache.num_slots() : 0;
+  }
+
+  /// Uses `source`'s plan cache from now on, which `source` builds first
+  /// if it has none. For two sketches with equal hash families that one
+  /// thread updates, such as the two sides of a join pair: plans depend
+  /// only on the families, so one cache serves both, and each side's
+  /// misses fill the other's hits. No-op unless both run kFast on a shape
+  /// whose plans pack (see SetKernel). Pre-condition: CompatibleWith(source).
+  void AdoptPlanCache(TableSketch& source);
+
+  /// Bytes of the plan cache this sketch shares with `other`, 0 if none:
+  /// what an owner of both subtracts to count that cache once.
+  uint64_t PlanCacheBytesSharedWith(const TableSketch& other) const;
 
   /// Zeroes every counter, returning the sketch to its freshly created
   /// state (hash families are untouched). Used by the concurrent ingestor
@@ -221,13 +272,6 @@ class TableSketch {
   static StatusOr<TableSketch> ReadRecord(std::istream& in);
 
  private:
-  // Dyadic levels see only domain >> level distinct prefixes and size
-  // their plan caches to match.
-  friend class core::DyadicSkimmer;
-
-  /// SetKernel with a plan cache of `cache_slots` slots.
-  void SetKernel(Kernel kernel, uint64_t cache_slots);
-
   /// The kFast kernel over this sketch. Pre-condition: the plan cache is
   /// engaged.
   internal::PlanKernel<kSigned> FastKernel();
@@ -251,7 +295,8 @@ class TableSketch {
   // CompatibleWith/Merge, and kept across Reset (plans depend only on the
   // hash families). Built by the first update, so a sketch that never
   // ingests — a deserialized delta, a merge target, a coordinator's
-  // synopsis, a skim's residual copy — never pays for one.
+  // synopsis, a skim's residual copy — never pays for one. Shared with a
+  // pair's other side (AdoptPlanCache).
   internal::UncopiedPlanCache plan_cache_;
 };
 

@@ -500,6 +500,91 @@ TEST(CheckpointTest, ShardCountAboveTheIngestBoundIsRefused) {
   }
 }
 
+// A manifest's next query id read through a sign, or one from which
+// registration could run past kMaxQueryId and wrap onto the restored ids,
+// fails the restore and leaves the engine empty. At the largest next id a
+// manifest may hold, registration is refused instead of wrapping.
+TEST(CheckpointTest, NextQueryIdThatCouldWrapIsRefused) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"s", 256}).ok());
+  FrequencyQuerySpec frequency;
+  frequency.stream = "s";
+  frequency.space_counters = 64;
+  frequency.num_tables = 4;
+  frequency.use_dyadic = false;
+  ASSERT_TRUE(engine.AddFrequencyQuery(frequency, 3).ok());
+  const std::string path = TempPath("current");
+  ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+  const std::map<std::string, std::string> sections = ReadSections(path);
+  const std::string manifest = sections.at("manifest");
+  const size_t at = manifest.find("\nnextid 2\n");
+  ASSERT_NE(at, std::string::npos) << manifest;
+  const auto with_next_id = [&](const std::string& next_id) {
+    std::string edited = manifest;
+    edited.replace(at, 10, "\nnextid " + next_id + "\n");
+    const std::string edited_path = TempPath("nextid");
+    WriteSections(edited_path, {{"manifest", edited},
+                                {"query:1", sections.at("query:1")}});
+    return edited_path;
+  };
+  for (const std::string& next_id :
+       {std::string("-5"), std::string("18446744073709551611"),
+        std::to_string(kMaxQueryId + 2), std::string("+2"),
+        std::string("2x")}) {
+    const std::string bad = with_next_id(next_id);
+    for (const bool allow_partial : {false, true}) {
+      Engine restored;
+      StatusOr<RestoreReport> report = restored.RestoreCheckpoint(
+          bad, RestoreOptions{.allow_partial = allow_partial});
+      ASSERT_FALSE(report.ok()) << next_id;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+          << next_id;
+      ExpectEmpty(restored);
+    }
+  }
+
+  Engine restored;
+  ASSERT_TRUE(
+      restored.RestoreCheckpoint(with_next_id(std::to_string(kMaxQueryId + 1)))
+          .ok());
+  const StatusOr<QueryId> next = restored.AddFrequencyQuery(frequency, 4);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(restored.num_queries(), 1u);
+}
+
+// A manifest query line's 0/1 spec flags take 0 or 1 and nothing else:
+// the codec a fleet registration uses refuses the same tokens.
+TEST(CheckpointTest, SpecFlagOtherThanZeroOrOneIsRefused) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterStream({"s", 256}).ok());
+  FrequencyQuerySpec frequency;
+  frequency.stream = "s";
+  frequency.space_counters = 64;
+  frequency.num_tables = 4;
+  frequency.use_dyadic = false;
+  ASSERT_TRUE(engine.AddFrequencyQuery(frequency, 3).ok());
+  const std::string path = TempPath("current");
+  ASSERT_TRUE(engine.SaveCheckpoint(path).ok());
+  const std::map<std::string, std::string> sections = ReadSections(path);
+  const std::string manifest = sections.at("manifest");
+  const std::string line = " s 64 4 0 nopred\n";
+  const size_t at = manifest.find(line);
+  ASSERT_NE(at, std::string::npos) << manifest;
+  for (const char* flag : {"2", "-1", "+1", "01"}) {
+    std::string edited = manifest;
+    edited.replace(at, line.size(), std::string(" s 64 4 ") + flag + " nopred\n");
+    const std::string bad = TempPath("flag");
+    WriteSections(bad, {{"manifest", edited},
+                        {"query:1", sections.at("query:1")}});
+    Engine restored;
+    StatusOr<RestoreReport> report = restored.RestoreCheckpoint(bad);
+    ASSERT_FALSE(report.ok()) << flag;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << flag;
+    ExpectEmpty(restored);
+  }
+}
+
 // A checkpoint written before chain joins were serializable flags them 0
 // and carries no section for them. It still restores exactly as it did:
 // strict refuses, partial re-registers the chain empty and reports it.

@@ -258,6 +258,27 @@ TEST(QueryRegCodec, MalformedFieldsAreRefused) {
   EXPECT_TRUE(DecodeQueryReg("q 1 distinct f 16 nopred").ok());
 }
 
+// The 0/1 spec flags (dyadic skims, each side's aggregate input) take 0 or
+// 1 and nothing else, rather than reading any int as "on".
+TEST(QueryRegCodec, SpecFlagsOtherThanZeroOrOneAreRefused) {
+  const StatusOr<QueryReg> bad = DecodeQueryReg(
+      "q 1 join f g skimmed 64 5 7 0.5 0 0 -7 2 -1 nopred nopred");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  for (const char* flags : {"2 0 0", "0 2 0", "0 0 +1", "01 0 0"}) {
+    EXPECT_FALSE(DecodeQueryReg(std::string("q 1 join f g skimmed 64 5 7 0.5 "
+                                            "0 0 ") +
+                                flags + " nopred nopred")
+                     .ok())
+        << flags;
+  }
+  EXPECT_FALSE(DecodeQueryReg("q 1 frequency f 1000 3 2 nopred").ok());
+  EXPECT_TRUE(DecodeQueryReg("q 1 frequency f 1000 3 1 nopred").ok());
+  EXPECT_TRUE(
+      DecodeQueryReg("q 1 join f g skimmed 64 5 7 0.5 0 0 1 1 1 nopred nopred")
+          .ok());
+}
+
 TEST(MetricsSnapshotCodec, RoundTripsEverySection) {
   metrics::Registry registry;
   registry.GetCounter("ingest.f.elements_absorbed")->Increment(42);

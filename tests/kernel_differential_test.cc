@@ -9,6 +9,8 @@
 // The read side is held to the same line: SKIMDENSE's block scan
 // (sketch::PointScan under core::SkimDenseNaive) against the per-value
 // oracle it replaced, and the rule that a copy carries no plan cache.
+// So are a miss's plan, filled with the SIMD lanes across tables, and the
+// join pairs whose two sides share one plan cache.
 //
 // The workload's shape does the stress testing: a cold tail over a domain
 // of at least 2^20 keeps the kPlanCacheSlots-slot cache evicting, and batch
@@ -22,18 +24,24 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/join_estimators.h"
 #include "core/skim.h"
 #include "core/skimmed_sketch.h"
 #include "gtest/gtest.h"
+#include "hashing/hash_plan_cache.h"
+#include "hashing/kwise_hash.h"
 #include "hashing/prime_field.h"
+#include "hashing/sign_hash.h"
 #include "hashing/simd_hash.h"
 #include "sketch/agms_sketch.h"
 #include "sketch/count_min_sketch.h"
 #include "sketch/hash_sketch.h"
 #include "sketch/kernel.h"
+#include "sketch/plan_kernel.h"
 #include "sketch/point_scan.h"
 #include "stream/stream_element.h"
 #include "util/random.h"
@@ -583,6 +591,222 @@ TEST(KernelDifferentialTest, CopyOfUpdatedSketchStartsWithoutPlanCache) {
   EXPECT_GT(copy.hash_cache_misses(), 0u);
   EXPECT_EQ(copy.MemoryBytes(), original->MemoryBytes());
   EXPECT_EQ(Serialize(copy), Serialize(*original));
+}
+
+// A skimmed sketch's level 0 sees at most its domain, and sizes its cache
+// to match.
+TEST(KernelDifferentialTest, SkimmedLevel0CacheIsClampedToTheDomain) {
+  for (const bool dyadic : {false, true}) {
+    core::SkimmedSketchConfig config;
+    config.domain_size = 1024;
+    config.num_tables = 7;
+    config.num_buckets = 64;
+    config.use_dyadic_skim = dyadic;
+    auto sketch = core::SkimmedSketch::Create(config, 5);
+    ASSERT_TRUE(sketch.ok());
+    EXPECT_EQ(sketch->level0().plan_cache_slots(), 0u);
+    sketch->Update(17, 1);
+    EXPECT_GT(sketch->level0().plan_cache_slots(), 0u);
+    EXPECT_LE(sketch->level0().plan_cache_slots(), 1024u) << dyadic;
+  }
+}
+
+// --- A miss's plan: the SIMD lanes across tables -------------------------
+
+// At every level the machine runs, FillPlan's words equal the ones the
+// scalar FillPlan writes and the per-table families give, for 1 to 17
+// tables (short and long lane rows, ragged tails) in both plan layouts.
+template <bool kSigned>
+void ExpectLaneFillMatchesScalarFill(Rng* rng) {
+  const uint64_t p = hashing::kMersennePrime61;
+  std::vector<uint64_t> values = {0, 1, p - 1, p, p + 1, uint64_t{1} << 63,
+                                  ~uint64_t{0}};
+  for (int i = 0; i < 200; ++i) values.push_back(rng->NextUint64());
+  for (uint64_t tables = 1; tables <= 17; ++tables) {
+    for (const uint64_t buckets : {uint64_t{1}, uint64_t{3}, uint64_t{585},
+                                   (uint64_t{1} << 31) - 1}) {
+      std::vector<hashing::BucketHash> bucket_hashes;
+      std::vector<hashing::SignHash> sign_hashes;
+      for (uint64_t t = 0; t < tables; ++t) {
+        bucket_hashes.emplace_back(buckets, rng);
+        if (kSigned) sign_hashes.emplace_back(rng);
+      }
+      std::vector<uint32_t> scalar_plan(tables);
+      std::vector<uint32_t> plan(tables);
+      // FillPlan reads no counters, so the kernels get none.
+      sketch::internal::PlanState scalar_state(16, bucket_hashes, sign_hashes);
+      scalar_state.level = hashing::SimdLevel::kScalar;
+      const sketch::internal::PlanKernel<kSigned> scalar(
+          bucket_hashes, sign_hashes, {}, buckets, &scalar_state);
+      for (const hashing::SimdLevel level : SupportedLevels()) {
+        sketch::internal::PlanState state(16, bucket_hashes, sign_hashes);
+        state.level = level;
+        const sketch::internal::PlanKernel<kSigned> kernel(
+            bucket_hashes, sign_hashes, {}, buckets, &state);
+        for (const uint64_t value : values) {
+          scalar.FillPlan(value, scalar_plan.data());
+          kernel.FillPlan(value, plan.data());
+          ASSERT_EQ(plan, scalar_plan)
+              << "signed=" << kSigned << " tables=" << tables
+              << " buckets=" << buckets << " level=" << SimdLevelName(level)
+              << " value=" << value;
+          for (uint64_t t = 0; t < tables; ++t) {
+            const uint32_t expected =
+                kSigned ? hashing::PackBucketSign(bucket_hashes[t](value),
+                                                  sign_hashes[t](value))
+                        : static_cast<uint32_t>(bucket_hashes[t](value));
+            ASSERT_EQ(plan[t], expected)
+                << "signed=" << kSigned << " tables=" << tables
+                << " table=" << t << " value=" << value;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, LaneFillMatchesScalarFill) {
+  Rng rng(1101);
+  ExpectLaneFillMatchesScalarFill<true>(&rng);
+  ExpectLaneFillMatchesScalarFill<false>(&rng);
+}
+
+// --- Join pairs share one plan cache -------------------------------------
+
+constexpr uint64_t kPairSeed = 77;
+
+core::EstimatorSpec PairSpec(core::EstimatorKind kind, bool dyadic) {
+  core::EstimatorSpec spec;
+  spec.kind = kind;
+  spec.domain_size = uint64_t{1} << 12;
+  spec.space_counters = 4096;
+  spec.num_tables = 7;
+  spec.skimmed_use_dyadic = dyadic;
+  return spec;
+}
+
+/// A fresh standalone sketch equal to each side of a pair built from
+/// `spec` and kPairSeed.
+template <typename Sketch>
+Sketch PairSide(const core::EstimatorSpec& spec) {
+  if constexpr (std::is_same_v<Sketch, core::SkimmedSketch>) {
+    core::SkimmedSketchConfig config;
+    config.domain_size = spec.domain_size;
+    config.num_tables = spec.num_tables;
+    config.threshold_scale = spec.threshold_scale;
+    config.recurse_slack = spec.recurse_slack;
+    config.skim_margin = spec.skim_margin;
+    config.use_dyadic_skim = spec.skimmed_use_dyadic;
+    EXPECT_TRUE(core::SplitSpaceBudget(spec.space_counters, &config).ok());
+    auto sketch = Sketch::Create(config, kPairSeed);
+    EXPECT_TRUE(sketch.ok());
+    return *std::move(sketch);
+  } else {
+    auto sketch = Sketch::Create(
+        {spec.num_tables, spec.space_counters / spec.num_tables}, kPairSeed);
+    EXPECT_TRUE(sketch.ok());
+    return *std::move(sketch);
+  }
+}
+
+std::string PairRecord(const core::JoinEstimatorPair& pair) {
+  std::ostringstream out;
+  EXPECT_TRUE(pair.SerializeTo(out).ok());
+  return std::move(out).str();
+}
+
+/// Feeds a pair of `spec` and two standalone kReference sketches the same
+/// interleaved F/G updates, restores the pair from its own record halfway
+/// and feeds on, and holds the pair to the standalone sketches' bytes and
+/// to the cache rules: none before the first update, one counted once
+/// after it, the same one after the restore.
+template <typename Sketch>
+void ExpectPairMatchesStandaloneSides(const core::EstimatorSpec& spec) {
+  const std::string context = std::string(core::EstimatorKindName(spec.kind)) +
+                              " dyadic=" +
+                              std::to_string(spec.skimmed_use_dyadic);
+  auto pair = core::CreateJoinEstimatorPair(spec, kPairSeed);
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  Sketch reference_f = PairSide<Sketch>(spec);
+  Sketch reference_g = PairSide<Sketch>(spec);
+  const uint64_t side_bytes = reference_f.MemoryBytes();
+  EXPECT_EQ((*pair)->MemoryBytes(), 2 * side_bytes)
+      << context << ": a pair that never ingests holds no cache";
+  Sketch updated = PairSide<Sketch>(spec);
+  updated.Update(1, 1);
+  const uint64_t cache_bytes = updated.MemoryBytes() - side_bytes;
+  ASSERT_GT(cache_bytes, 0u) << context;
+  reference_f.SetKernel(Kernel::kReference);
+  reference_g.SetKernel(Kernel::kReference);
+
+  Rng rng(1202);
+  const auto f = MakeWorkload(&rng, spec.domain_size, 20000,
+                              /*include_out_of_domain=*/true);
+  const auto g = MakeWorkload(&rng, spec.domain_size, 20000,
+                              /*include_out_of_domain=*/true);
+  const auto feed = [&](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      (*pair)->UpdateF(f[i]);
+      reference_f.Update(f[i]);
+      (*pair)->UpdateG(g[i]);
+      reference_g.Update(g[i]);
+    }
+  };
+  feed(0, f.size() / 2);
+  EXPECT_EQ((*pair)->MemoryBytes(), 2 * side_bytes + cache_bytes)
+      << context << ": the shared cache counts once";
+  std::stringstream record(PairRecord(**pair));
+  ASSERT_TRUE((*pair)->RestoreFrom(record).ok()) << context;
+  EXPECT_EQ((*pair)->MemoryBytes(), 2 * side_bytes + cache_bytes)
+      << context << ": the shared cache survives RestoreFrom";
+  feed(f.size() / 2, f.size());
+  EXPECT_EQ(PairRecord(**pair), "skimjoin.join_pair v1 " +
+                                    std::string((*pair)->Name()) + "\n" +
+                                    Serialize(reference_f) +
+                                    Serialize(reference_g))
+      << context;
+}
+
+TEST(KernelDifferentialTest, PairSidesSharingACacheMatchStandaloneReference) {
+  using core::EstimatorKind;
+  ExpectPairMatchesStandaloneSides<sketch::HashSketch>(
+      PairSpec(EstimatorKind::kHashSketch, false));
+  ExpectPairMatchesStandaloneSides<sketch::CountMinSketch>(
+      PairSpec(EstimatorKind::kCountMin, false));
+  ExpectPairMatchesStandaloneSides<core::SkimmedSketch>(
+      PairSpec(EstimatorKind::kSkimmedSketch, false));
+  ExpectPairMatchesStandaloneSides<core::SkimmedSketch>(
+      PairSpec(EstimatorKind::kSkimmedSketch, true));
+}
+
+// A pair that only restores and merges records — a coordinator's — never
+// builds a cache.
+TEST(KernelDifferentialTest, PairThatNeverIngestsHoldsNoPlanCache) {
+  using core::EstimatorKind;
+  for (const auto& [kind, dyadic] :
+       std::vector<std::pair<EstimatorKind, bool>>{
+           {EstimatorKind::kHashSketch, false},
+           {EstimatorKind::kCountMin, false},
+           {EstimatorKind::kSkimmedSketch, false},
+           {EstimatorKind::kSkimmedSketch, true}}) {
+    const core::EstimatorSpec spec = PairSpec(kind, dyadic);
+    auto site = core::CreateJoinEstimatorPair(spec, kPairSeed);
+    auto coordinator = core::CreateJoinEstimatorPair(spec, kPairSeed);
+    ASSERT_TRUE(site.ok() && coordinator.ok());
+    const uint64_t fresh = (*coordinator)->MemoryBytes();
+    for (uint64_t v = 0; v < 100; ++v) {
+      (*site)->UpdateF(v, 1);
+      (*site)->UpdateG(v + 1, 2);
+    }
+    const std::string record = PairRecord(**site);
+    std::stringstream restore(record);
+    std::stringstream merge(record);
+    ASSERT_TRUE((*coordinator)->RestoreFrom(restore).ok());
+    ASSERT_TRUE((*coordinator)->MergeFrom(merge).ok());
+    EXPECT_EQ((*coordinator)->MemoryBytes(), fresh)
+        << core::EstimatorKindName(kind) << " dyadic=" << dyadic;
+    EXPECT_LT(fresh, (*site)->MemoryBytes());
+  }
 }
 
 }  // namespace
